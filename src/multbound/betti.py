@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import (
     CannotCancelError,
@@ -229,24 +229,27 @@ def cancel(D, i, j, count=None):
     return BettiDiagram(D.n, entries)
 
 
+def _cancel_pair(a, b):
+    """Cancel everything adjacent column maps a and b share, degrees high to low, in place."""
+    for j in sorted(set(a) & set(b), reverse=True):
+        k = min(a[j], b[j])
+        if a[j] == k:
+            del a[j]
+        else:
+            a[j] -= k
+        if b[j] == k:
+            del b[j]
+        else:
+            b[j] -= k
+
+
 def greedy_columns(cols):
     """Apply all maximal cancellations to column maps, in place.
 
     Column pairs run left to right; within a pair, degrees run high to low.
     """
-    n = len(cols) - 1
-    for i in range(1, n):
-        a, b = cols[i], cols[i + 1]
-        for j in sorted(set(a) & set(b), reverse=True):
-            k = min(a[j], b[j])
-            if a[j] == k:
-                del a[j]
-            else:
-                a[j] -= k
-            if b[j] == k:
-                del b[j]
-            else:
-                b[j] -= k
+    for i in range(1, len(cols) - 1):
+        _cancel_pair(cols[i], cols[i + 1])
     return cols
 
 
@@ -255,25 +258,14 @@ def greedy_stages(D):
     cols = D.columns()
     stages = []
     for i in range(1, D.n):
-        a, b = cols[i], cols[i + 1]
-        for j in sorted(set(a) & set(b), reverse=True):
-            k = min(a[j], b[j])
-            if a[j] == k:
-                del a[j]
-            else:
-                a[j] -= k
-            if b[j] == k:
-                del b[j]
-            else:
-                b[j] -= k
+        _cancel_pair(cols[i], cols[i + 1])
         stages.append(BettiDiagram.from_columns(D.n, cols))
     return stages
 
 
 def greedy_minimize(D):
     """Diagram after all maximal cancellations, minimizing the max-shift product."""
-    stages = greedy_stages(D)
-    return stages[-1] if stages else D
+    return BettiDiagram.from_columns(D.n, greedy_columns(D.columns()))
 
 
 def _column_shifts(D, pick):
@@ -321,10 +313,7 @@ def huneke_miller(D, c):
         raise ValueError(f"projective dimension {D.projective_dimension} != codimension {c}")
     if not is_pure(D):
         raise NotPureError("diagram is not pure")
-    prod = 1
-    for d in max_shifts(D):
-        prod *= d
-    return Fraction(prod, factorial(c))
+    return Fraction(prod(max_shifts(D)), factorial(c))
 
 
 def hilbert_from_diagram(D):
@@ -358,19 +347,23 @@ def hilbert_from_diagram(D):
     return HilbertFunction(coeffs)
 
 
-def check_shift_growth(D):
-    """True iff max shifts rise by at least one across consecutive nonempty columns."""
-    cols = D.columns()
+def _growth_ok(cols):
+    """True iff max shifts rise by at least one across consecutive nonempty column maps."""
     prev = None
-    for i in range(len(cols)):
-        if not cols[i]:
+    for col in cols:
+        if not col:
             prev = None
             continue
-        cur = max(cols[i])
+        cur = max(col)
         if prev is not None and cur < prev + 1:
             return False
         prev = cur
     return True
+
+
+def check_shift_growth(D):
+    """True iff max shifts rise by at least one across consecutive nonempty columns."""
+    return _growth_ok(D.columns())
 
 
 def dual_diagram(D, c, d):

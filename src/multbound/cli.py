@@ -39,7 +39,7 @@ def _build_parser():
     scan_p.add_argument("--chunk-size", type=int, default=512,
                         help="Hilbert functions per work unit")
     scan_p.add_argument("--limit", type=int, default=None,
-                        help="stop after this many functions (leaves an INCOMPLETE report)")
+                        help="stop after this many functions (INCOMPLETE when some are left)")
 
     hf_p = sub.add_parser("check-hf", help="classify a single Hilbert function")
     hf_p.add_argument("sequence", help="comma-separated values, e.g. 1,3,6,7,3,1")

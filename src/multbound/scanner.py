@@ -6,16 +6,15 @@ import itertools
 import json
 import os
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from csv import QUOTE_MINIMAL, writer as csv_writer
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
-from math import factorial
+from math import factorial, prod
 
 from .betti import (
-    BettiDiagram,
     ek_betti,
     greedy_stages,
     is_pure,
@@ -30,17 +29,15 @@ from .monomial import lex_ideal, parse_ideal, quotient_hilbert_function, truncat
 from .verdict import (
     DEFAULT_DFS_CAP,
     DEFAULT_FILTERS,
-    Classification,
     ClassifyOptions,
-    _classify_columns,
+    _classify_values,
+    _greedy,
     classify,
     lower_bound_holds,
     upper_bound_holds,
 )
 
 __all__ = ["ScanReport", "scan", "check_hf", "check_ideal"]
-
-KNOWN_FILTERS = frozenset(DEFAULT_FILTERS)
 
 
 @dataclass
@@ -116,39 +113,17 @@ def _scan_chunk(args):
 
     Returns (count, bound_holds, exception records, last tuple processed).
     """
-    chunk, n, filters, dfs_cap = args
+    chunk, n, options = args
+    n_factorial = factorial(n)
     holds = 0
     records = []
     for hvals in chunk:
-        status, reason, e, shifts, lhs, rhs, _, greedy_cols, extras = _classify_columns(
-            hvals, n, filters, dfs_cap
-        )
-        if extras is None:
+        # upper_bound_holds on the greedy shifts, without building a verdict per function.
+        if n_factorial * sum(hvals) <= prod(_greedy(hvals, n)[2]):
             holds += 1
-            continue
-        result = Classification(
-            hvals, n, status, reason, e, shifts, lhs, rhs,
-            BettiDiagram.from_columns(n, greedy_cols),
-            violating=extras["violating"],
-            degenerate=extras["degenerate"],
-            nodes=extras["nodes"],
-            cap_exceeded=extras["cap_exceeded"],
-            filter_histogram=extras["filter_histogram"],
-            survivors=[BettiDiagram.from_columns(n, c) for c in extras["survivor_cols"]],
-        )
-        records.append(result.to_record())
+        else:
+            records.append(_classify_values(hvals, n, options).to_record())
     return len(chunk), holds, records, list(chunk[-1])
-
-
-def _chunked(stream, size):
-    chunk = []
-    for item in stream:
-        chunk.append(item)
-        if len(chunk) == size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
 
 
 def _pooled_results(executor, args_iter, window):
@@ -203,16 +178,24 @@ def scan(
 
     Deterministic regardless of jobs; resumable from checkpoint_path; limit
     caps the number of functions processed in this invocation, leaving an
-    INCOMPLETE report and a checkpoint to resume from.
+    INCOMPLETE report and a checkpoint to resume from when the family has
+    functions left. chunk_size, checkpoint_interval, limit and jobs must each
+    be at least 1 when given.
     """
-    start = time.time()
+    start = time.perf_counter()
     prefix = tuple(int(v) for v in _values(prefix))
     filters = tuple(sorted(set(filters)))
-    unknown = set(filters) - KNOWN_FILTERS
-    if unknown:
-        raise ValueError(f"unknown filters {sorted(unknown)}; known: {sorted(KNOWN_FILTERS)}")
+    options = ClassifyOptions(filters, dfs_cap)
     if out_format not in ("json", "csv"):
         raise ValueError(f"unknown report format {out_format!r}")
+    for name, value in (
+        ("chunk_size", chunk_size),
+        ("checkpoint_interval", checkpoint_interval),
+        ("limit", limit),
+        ("jobs", jobs),
+    ):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     parameters = {
         "n": int(n),
         "socle_max": int(socle_max),
@@ -235,16 +218,24 @@ def scan(
         bound_holds = saved["bound_holds"]
         exceptions = saved["exceptions"]
 
-    stream = _enumerate_value_tuples(n, socle_max, prefix)
+    def save_checkpoint():
+        _write_checkpoint(checkpoint_path, cursor, {
+            "parameters": parameters,
+            "scanned": scanned,
+            "bound_holds": bound_holds,
+            "exceptions": exceptions,
+        })
+
+    family = _enumerate_value_tuples(n, socle_max, prefix)
     if cursor is not None:
         # Enumeration order is tuple order, so everything after the cursor compares greater.
-        stream = itertools.dropwhile(lambda vals: vals <= cursor, stream)
+        family = itertools.dropwhile(lambda vals: vals <= cursor, family)
+    stream = family if limit is None else itertools.islice(family, limit)
     if jobs is None:
         jobs = os.cpu_count() or 1
-    args_iter = ((chunk, n, filters, dfs_cap) for chunk in _chunked(stream, chunk_size))
+    chunks = iter(lambda: list(itertools.islice(stream, chunk_size)), [])
+    args_iter = ((chunk, n, options) for chunk in chunks)
 
-    interrupted = False
-    scanned_now = 0
     since_checkpoint = 0
     executor = None
     try:
@@ -255,39 +246,33 @@ def scan(
             results = _pooled_results(executor, args_iter, window=jobs * 4)
         for count, holds, records, last in results:
             scanned += count
-            scanned_now += count
             bound_holds += holds
             exceptions.extend(records)
             cursor = tuple(last)
             since_checkpoint += count
             if checkpoint_path and since_checkpoint >= checkpoint_interval:
-                _write_checkpoint(checkpoint_path, cursor, {
-                    "parameters": parameters,
-                    "scanned": scanned,
-                    "bound_holds": bound_holds,
-                    "exceptions": exceptions,
-                })
+                save_checkpoint()
                 since_checkpoint = 0
-            if limit is not None and scanned_now >= limit:
-                interrupted = True
-                break
     finally:
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
+    # islice stops at limit without drawing another function, so this asks whether any are left.
+    complete = limit is None or next(family, None) is None
 
-    eliminated = sum(1 for rec in exceptions if rec["status"] == "ELIMINATED")
-    unresolved = sum(1 for rec in exceptions if rec["status"] == "UNRESOLVED")
-    assert scanned == bound_holds + eliminated + unresolved
-    eliminated_by = {}
-    for rec in exceptions:
-        if rec["status"] == "ELIMINATED":
-            eliminated_by[rec["reason"]] = eliminated_by.get(rec["reason"], 0) + 1
+    statuses = Counter(rec["status"] for rec in exceptions)
+    if scanned != bound_holds + statuses["ELIMINATED"] + statuses["UNRESOLVED"]:
+        raise ValueError(
+            f"scan counts disagree: {scanned} scanned, but {bound_holds} hold "
+            f"and {len(exceptions)} are exceptions"
+        )
     counts = {
         "scanned": scanned,
         "bound_holds": bound_holds,
-        "eliminated": eliminated,
-        "unresolved": unresolved,
-        "eliminated_by": eliminated_by,
+        "eliminated": statuses["ELIMINATED"],
+        "unresolved": statuses["UNRESOLVED"],
+        "eliminated_by": dict(Counter(
+            rec["reason"] for rec in exceptions if rec["status"] == "ELIMINATED"
+        )),
         "violating_diagrams": sum(r["witnesses"]["violating_diagrams"] for r in exceptions),
         "surviving_diagrams": sum(len(r["witnesses"]["survivors"]) for r in exceptions),
     }
@@ -295,17 +280,12 @@ def scan(
         parameters=parameters,
         counts=counts,
         exceptions=exceptions,
-        timing={"seconds": round(time.time() - start, 3)},
+        timing={"seconds": round(time.perf_counter() - start, 3)},
         checkpoint_cursor=",".join(str(v) for v in cursor) if cursor else None,
-        status="INCOMPLETE" if interrupted else "COMPLETE",
+        status="COMPLETE" if complete else "INCOMPLETE",
     )
     if checkpoint_path and cursor is not None:
-        _write_checkpoint(checkpoint_path, cursor, {
-            "parameters": parameters,
-            "scanned": scanned,
-            "bound_holds": bound_holds,
-            "exceptions": exceptions,
-        })
+        save_checkpoint()
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(report.to_json() if out_format == "json" else report.to_csv())
@@ -313,16 +293,9 @@ def scan(
 
 
 def _bounds_line(e, mins, maxs, c):
-    lower = Fraction(_product(mins), factorial(c))
-    upper = Fraction(_product(maxs), factorial(c))
+    lower = Fraction(prod(mins), factorial(c))
+    upper = Fraction(prod(maxs), factorial(c))
     return f"bounds: {lower} <= {e} <= {upper}"
-
-
-def _product(values):
-    prod = 1
-    for v in values:
-        prod *= v
-    return prod
 
 
 def check_hf(sequence, n=None, filters=DEFAULT_FILTERS, dfs_cap=DEFAULT_DFS_CAP):
@@ -331,6 +304,7 @@ def check_hf(sequence, n=None, filters=DEFAULT_FILTERS, dfs_cap=DEFAULT_DFS_CAP)
     Returns (classification or None, report text, exit code): 0 for a
     determination, 2 when unresolved diagrams remain.
     """
+    options = ClassifyOptions(filters=tuple(filters), dfs_cap=dfs_cap)
     if isinstance(sequence, str):
         H = HilbertFunction.parse(sequence)
     else:
@@ -348,9 +322,8 @@ def check_hf(sequence, n=None, filters=DEFAULT_FILTERS, dfs_cap=DEFAULT_DFS_CAP)
     stages = greedy_stages(D)
     for i, stage in enumerate(stages, start=1):
         lines += ["", f"after cancellations in columns ({i},{i + 1}):", stage.to_text()]
-    final = stages[-1] if stages else D
-    mins, maxs = min_shifts(final), max_shifts(final)
-    result = classify(H, n, ClassifyOptions(filters=tuple(filters), dfs_cap=dfs_cap))
+    result = classify(H, n, options)
+    mins, maxs = min_shifts(result.greedy), max_shifts(result.greedy)
     lines += [
         "",
         "min shifts: " + " ".join(str(s) for s in mins),

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
-from .betti import BettiDiagram, columns_from_profile, greedy_columns
+from .betti import BettiDiagram, _growth_ok, columns_from_profile, greedy_columns
 from .errors import MalformedDiagramError, NotAdmissibleError
 from .hilbert import _values, aci_obstruction, is_o_sequence
 from .monomial import lex_generator_profile
@@ -27,6 +28,7 @@ __all__ = [
 
 DEFAULT_FILTERS = ("er", "gen", "aci", "growth")
 DEFAULT_DFS_CAP = 1_000_000
+KNOWN_FILTERS = frozenset(DEFAULT_FILTERS)
 
 
 @dataclass(frozen=True)
@@ -50,20 +52,13 @@ class BoundVerdict:
         return f"{self.kind} bound {'HOLDS' if self.holds else 'FAILS'} ({self.lhs} {rel} {self.rhs})"
 
 
-def _shift_product(shifts):
-    prod = 1
-    for s in shifts:
-        prod *= s
-    return prod
-
-
 def upper_bound_holds(e, M, c):
     """Check c!*e <= product of the max shifts M."""
     M = tuple(M)
     if len(M) != c or any(s < 1 for s in M):
         raise ValueError(f"need {c} positive shifts, got {M}")
     lhs = factorial(c) * e
-    rhs = _shift_product(M)
+    rhs = prod(M)
     return BoundVerdict(e, M, c, lhs <= rhs, lhs, rhs, "upper")
 
 
@@ -72,7 +67,7 @@ def lower_bound_holds(e, m, c):
     m = tuple(m)
     if len(m) != c or any(s < 1 for s in m):
         raise ValueError(f"need {c} positive shifts, got {m}")
-    lhs = _shift_product(m)
+    lhs = prod(m)
     rhs = factorial(c) * e
     return BoundVerdict(e, m, c, lhs <= rhs, lhs, rhs, "lower")
 
@@ -135,19 +130,6 @@ def generator_count_ok(D, n):
     return _generator_count_ok(D.columns(), n)
 
 
-def _growth_ok(cols):
-    prev = None
-    for col in cols:
-        if not col:
-            prev = None
-            continue
-        cur = max(col)
-        if prev is not None and cur < prev + 1:
-            return False
-        prev = cur
-    return True
-
-
 def _diagram_filter_failures(cols, hvals, n, filters, aci_cache):
     """Names of enabled filters this potential diagram fails."""
     failed = []
@@ -191,10 +173,7 @@ def _violating_diagrams(cols, lhs, cap):
             if any(not col for col in cols[1:]):
                 stats["degenerate"] += 1
                 return
-            prod = 1
-            for col in cols[1:]:
-                prod *= max(col)
-            if prod < lhs:
+            if prod(map(max, cols[1:])) < lhs:
                 found.append([dict(col) for col in cols])
             return
         j = degrees[level]
@@ -236,10 +215,18 @@ def _violating_diagrams(cols, lhs, cap):
 
 @dataclass(frozen=True)
 class ClassifyOptions:
-    """Knobs for classify: enabled filters and the DFS node budget."""
+    """Knobs for classify: enabled filters and the DFS node budget.
+
+    Raises ValueError for a filter name outside KNOWN_FILTERS.
+    """
 
     filters: tuple = DEFAULT_FILTERS
     dfs_cap: int = DEFAULT_DFS_CAP
+
+    def __post_init__(self):
+        unknown = set(self.filters) - KNOWN_FILTERS
+        if unknown:
+            raise ValueError(f"unknown filters {sorted(unknown)}; known: {sorted(KNOWN_FILTERS)}")
 
 
 @dataclass
@@ -284,14 +271,13 @@ class Classification:
         }
 
 
-def _classify_columns(hvals, n, filters, dfs_cap):
-    """Classification payload from raw Hilbert function values.
+def _greedy(hvals, n):
+    """Lex Betti columns of H, their greedy cancellation, and its max shifts.
 
-    Returns (status, reason, e, shifts, lhs, rhs, lex_cols, greedy_cols, extras)
-    where extras is None when the bound already holds on the greedy diagram.
+    The greedy diagram is the bottom of H's poset of diagrams: the upper
+    bound holds for every module with Hilbert function H iff it holds there.
     """
-    profile = lex_generator_profile(hvals, n)
-    lex_cols = columns_from_profile(profile, n)
+    lex_cols = columns_from_profile(lex_generator_profile(hvals, n), n)
     cols = greedy_columns([dict(col) for col in lex_cols])
     shifts = []
     for i in range(1, n + 1):
@@ -300,41 +286,44 @@ def _classify_columns(hvals, n, filters, dfs_cap):
                 f"greedy diagram for H={hvals} has an empty column {i}"
             )
         shifts.append(max(cols[i]))
-    shifts = tuple(shifts)
-    e = sum(hvals)
-    lhs = factorial(n) * e
-    rhs = _shift_product(shifts)
-    if lhs <= rhs:
-        return "BOUND_HOLDS", "", e, shifts, lhs, rhs, lex_cols, cols, None
-    work = [dict(col) for col in lex_cols]
-    violating, stats = _violating_diagrams(work, lhs, dfs_cap)
-    histogram = {}
-    survivors = []
-    fired = set()
+    return lex_cols, cols, tuple(shifts)
+
+
+def _classify_values(hvals, n, options):
+    """Classification of an O-sequence's values; the only builder of Classification."""
+    lex_cols, cols, shifts = _greedy(hvals, n)
+    bound = upper_bound_holds(sum(hvals), shifts, n)
+    greedy = BettiDiagram.from_columns(n, cols)
+    if bound.holds:
+        return Classification(hvals, n, "BOUND_HOLDS", "", bound.e, shifts, bound.lhs, bound.rhs, greedy)
+    violating, stats = _violating_diagrams(
+        [dict(col) for col in lex_cols], bound.lhs, options.dfs_cap
+    )
     aci_cache = {}
-    for diag_cols in violating:
-        failed = _diagram_filter_failures(diag_cols, hvals, n, filters, aci_cache)
-        if failed:
-            key = "+".join(failed)
-            histogram[key] = histogram.get(key, 0) + 1
-            fired.update(failed)
-        else:
-            survivors.append(diag_cols)
+    failures = [
+        _diagram_filter_failures(diag_cols, hvals, n, options.filters, aci_cache)
+        for diag_cols in violating
+    ]
+    survivors = [
+        BettiDiagram.from_columns(n, diag_cols)
+        for diag_cols, failed in zip(violating, failures)
+        if not failed
+    ]
     if stats["cap_exceeded"]:
         status, reason = "UNRESOLVED", "CAP_EXCEEDED"
     elif survivors:
         status, reason = "UNRESOLVED", f"{len(survivors)} diagrams pass all filters"
     else:
-        status, reason = "ELIMINATED", ",".join(sorted(fired))
-    extras = {
-        "violating": len(violating),
-        "degenerate": stats["degenerate"],
-        "nodes": stats["nodes"],
-        "cap_exceeded": stats["cap_exceeded"],
-        "filter_histogram": histogram,
-        "survivor_cols": survivors,
-    }
-    return status, reason, e, shifts, lhs, rhs, lex_cols, cols, extras
+        status, reason = "ELIMINATED", ",".join(sorted(set().union(*failures)))
+    return Classification(
+        hvals, n, status, reason, bound.e, shifts, bound.lhs, bound.rhs, greedy,
+        violating=len(violating),
+        degenerate=stats["degenerate"],
+        nodes=stats["nodes"],
+        cap_exceeded=stats["cap_exceeded"],
+        filter_histogram=dict(Counter("+".join(failed) for failed in failures if failed)),
+        survivors=survivors,
+    )
 
 
 def classify(H, n, options=None):
@@ -345,24 +334,9 @@ def classify(H, n, options=None):
     violating diagram is tested against the enabled filters: ELIMINATED when
     all fail one, UNRESOLVED when survivors remain or the node cap is hit.
     """
-    opts = options or ClassifyOptions()
     hvals = _values(H)
     while hvals and hvals[-1] == 0:
         hvals = hvals[:-1]
     if not is_o_sequence(hvals, n):
         raise NotAdmissibleError(f"{hvals} is not an O-sequence in {n} variables")
-    status, reason, e, shifts, lhs, rhs, _, greedy_cols, extras = _classify_columns(
-        hvals, n, tuple(opts.filters), opts.dfs_cap
-    )
-    greedy = BettiDiagram.from_columns(n, greedy_cols)
-    result = Classification(hvals, n, status, reason, e, shifts, lhs, rhs, greedy)
-    if extras is not None:
-        result.violating = extras["violating"]
-        result.degenerate = extras["degenerate"]
-        result.nodes = extras["nodes"]
-        result.cap_exceeded = extras["cap_exceeded"]
-        result.filter_histogram = extras["filter_histogram"]
-        result.survivors = [
-            BettiDiagram.from_columns(n, cols) for cols in extras["survivor_cols"]
-        ]
-    return result
+    return _classify_values(hvals, n, options or ClassifyOptions())

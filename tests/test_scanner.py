@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from multbound import NeedsCapError, check_hf, check_ideal, scan
+from multbound import NeedsCapError, check_hf, check_ideal, classify, scan
 from multbound.cli import main
 
 from goldens import (
@@ -66,18 +66,49 @@ def test_scan_is_deterministic_across_worker_counts(baseline):
     assert baseline.to_csv() == parallel.to_csv()
 
 
+def _without_timing(report):
+    payload = json.loads(report.to_json())
+    del payload["timing"]
+    return payload
+
+
 def test_scan_resumes_from_checkpoint(baseline, tmp_path):
     cp = tmp_path / "scan.ckpt"
-    first = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp), limit=300)
+    first = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp), limit=250)
     assert first.status == "INCOMPLETE"
-    assert first.counts["scanned"] == 300
+    assert first.counts["scanned"] == 250
     assert cp.exists()
     with pytest.raises(ValueError):
         scan(3, 4, (1, 3), jobs=1, checkpoint_path=str(cp))
     second = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
     assert second.status == "COMPLETE"
-    assert second.counts == baseline.counts
+    assert _without_timing(second) == _without_timing(baseline)
     assert second.to_csv() == baseline.to_csv()
+
+
+def test_scan_limit_covering_the_family_is_complete(baseline):
+    report = scan(3, 5, (1, 3), jobs=1, limit=813)
+    assert report.status == "COMPLETE"
+    assert _without_timing(report) == _without_timing(baseline)
+
+
+def test_scan_rejects_inconsistent_checkpoint(tmp_path):
+    cp = tmp_path / "scan.ckpt"
+    scan(3, 4, (1, 3), jobs=1, checkpoint_path=str(cp))
+    cursor, payload = cp.read_text().split("\n", 1)
+    saved = json.loads(payload)
+    saved["scanned"] += 1
+    cp.write_text(cursor + "\n" + json.dumps(saved) + "\n")
+    with pytest.raises(ValueError, match="scan counts disagree"):
+        scan(3, 4, (1, 3), jobs=1, checkpoint_path=str(cp))
+
+
+def test_scan_records_match_classify(baseline):
+    for report, n in ((baseline, 3), (scan(4, 4, (1, 4), jobs=1), 4)):
+        assert report.exceptions
+        for rec in report.exceptions:
+            H = tuple(int(v) for v in rec["hf"].split(","))
+            assert rec == classify(H, n).to_record()
 
 
 def test_scan_report_formats(baseline, tmp_path):
@@ -117,10 +148,17 @@ def test_scan_summary_content(baseline):
 
 
 def test_scan_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        scan(3, 3, filters=("bogus",))
-    with pytest.raises(ValueError):
-        scan(3, 3, out_format="xml")
+    for bad in (
+        {"filters": ("bogus",)},
+        {"out_format": "xml"},
+        {"chunk_size": 0},
+        {"checkpoint_interval": 0},
+        {"limit": 0},
+        {"jobs": 0},
+        {"jobs": -2},
+    ):
+        with pytest.raises(ValueError):
+            scan(3, 3, **bad)
 
 
 def test_check_hf_prints_the_full_pipeline():
@@ -163,6 +201,13 @@ def test_check_hf_not_admissible():
     assert result is None
     assert code == 0
     assert "status: NOT_ADMISSIBLE" in text
+
+
+def test_check_hf_rejects_unknown_filters():
+    with pytest.raises(ValueError, match="unknown filters"):
+        check_hf("1,3,6,10,15,15,11", filters=("er", "bogus"))
+    with pytest.raises(ValueError, match="unknown filters"):
+        check_hf("1,3,7", filters=("bogus",))
 
 
 def test_check_hf_unresolved_case():
@@ -220,6 +265,10 @@ def test_cli_check_hf_exit_codes(capsys):
     assert "NOT_ADMISSIBLE" in capsys.readouterr().out
     assert main(["check-hf", "1,3,6,10,15,21,22,21,15"]) == 2
     assert "UNRESOLVED" in capsys.readouterr().out
+    assert main(["check-hf", "1,3,6,10,15,15,11", "--filters", "bogus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown filters" in captured.err
 
 
 def test_cli_scan_exit_codes(capsys):
@@ -233,8 +282,15 @@ def test_cli_scan_exit_codes(capsys):
         "--limit", "50",
     ]) == 1
     assert "status: INCOMPLETE" in capsys.readouterr().out
+    assert main([
+        "scan", "--vars", "3", "--socle-max", "4", "--prefix", "1,3", "--jobs", "1",
+        "--limit", "171",
+    ]) == 0
+    assert "scanned 171 Hilbert functions" in capsys.readouterr().out
     assert main(["scan", "--vars", "3", "--socle-max", "3", "--filters", "bogus"]) == 1
     assert "unknown filters" in capsys.readouterr().err
+    assert main(["scan", "--vars", "3", "--socle-max", "3", "--chunk-size", "0"]) == 1
+    assert "chunk_size must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_check_ideal_exit_codes(capsys):

@@ -187,6 +187,11 @@ def test_classification_record_shape():
     assert w["dfs_nodes"] > 0
 
 
+def test_classify_rejects_unknown_filters():
+    with pytest.raises(ValueError, match="unknown filters"):
+        classify(H_HARD, 3, ClassifyOptions(filters=("er", "bogus")))
+
+
 def test_default_options():
     opts = ClassifyOptions()
     assert opts.filters == DEFAULT_FILTERS == ("er", "gen", "aci", "growth")
