@@ -35,7 +35,7 @@ def _build_parser():
     scan_p.add_argument("--format", choices=["json", "csv"], default="json",
                         help="report file format")
     scan_p.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: all cores)")
+                        help="worker processes (default and maximum: the CPU count)")
     scan_p.add_argument("--chunk-size", type=int, default=512,
                         help="Hilbert functions per work unit")
     scan_p.add_argument("--limit", type=int, default=None,

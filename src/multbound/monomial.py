@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from functools import cache
 from math import comb
 
 from .errors import IdealParseError, NeedsCapError, NotAdmissibleError
@@ -15,6 +16,7 @@ __all__ = [
     "monomials_of_degree",
     "lex_ideal",
     "lex_generator_profile",
+    "lex_columns",
     "truncate",
     "quotient_hilbert_function",
     "is_stable",
@@ -23,6 +25,14 @@ __all__ = [
 ]
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _max_var(exps):
+    """One-based index of the last nonzero exponent, 0 for the zero tuple."""
+    mv = len(exps)
+    while mv > 0 and exps[mv - 1] == 0:
+        mv -= 1
+    return mv
 
 
 class Monomial:
@@ -50,10 +60,7 @@ class Monomial:
     @property
     def max_var(self):
         """One-based index of the last variable dividing this monomial, 0 for 1."""
-        for i in range(len(self.exponents) - 1, -1, -1):
-            if self.exponents[i] > 0:
-                return i + 1
-        return 0
+        return _max_var(self.exponents)
 
     def divides(self, other):
         if len(self.exponents) != len(other.exponents):
@@ -226,43 +233,62 @@ class MonomialIdeal:
         return [m for m in monomials_of_degree(d, self.n) if not self.contains(m)]
 
 
-def _lex_segment_plan(hvals, n):
-    """Per-degree (d, shadow_count, segment_count) for the lex ideal of H.
+def _lex_degrees(H, n):
+    """(d, H(d-1), H(d)) for d = 1..socle+1 of H with trailing zeros dropped.
 
-    segment_count is how many lex-first degree-d monomials lie in the ideal
-    and shadow_count how many are forced by degree d-1, so the minimal
-    generators of degree d are the ranks shadow_count..segment_count-1.
-    Raises NotAdmissibleError when H is not an O-sequence in n variables.
+    These triples, with n, are the keys of the per-degree lex helpers. Raises
+    ValueError when n < 1 and NotAdmissibleError when H does not start with 1
+    or has a negative value.
     """
+    if n < 1:
+        raise ValueError(f"need at least one variable, got n={n}")
+    hvals = _values(H)
+    while hvals and hvals[-1] == 0:
+        hvals = hvals[:-1]
     if not hvals or hvals[0] != 1:
         raise NotAdmissibleError(f"Hilbert function must start with 1, got {hvals}")
-    if any(v < 0 for v in hvals):
+    if min(hvals) < 0:
         raise NotAdmissibleError(f"negative value in Hilbert function {hvals}")
-    socle = len(hvals) - 1
-    plan = []
-    prev_count = 0
-    prev_h = 1
-    for d in range(1, socle + 2):
-        total = comb(n - 1 + d, d)
-        h = hvals[d] if d <= socle else 0
-        segment = total - h
-        if segment < 0:
-            raise NotAdmissibleError(f"H({d}) = {h} exceeds the {total} monomials of degree {d}")
-        if prev_count == 0:
-            shadow = 0
-        else:
-            last = _mono_unrank(d - 1, n, prev_count - 1)
-            bumped = last[:-1] + (last[-1] + 1,)
-            shadow = _mono_rank(bumped) + 1
-        # Lex segments grow minimally: the shadow complement matches the growth bound.
-        assert total - shadow == macaulay_bound(prev_h, d - 1) if d > 1 else shadow == 0
-        if segment < shadow:
-            raise NotAdmissibleError(
-                f"H({d}) = {h} exceeds the growth bound from H({d - 1}) = {prev_h}"
-            )
-        plan.append((d, shadow, segment))
-        prev_count, prev_h = segment, h
-    return plan
+    padded = hvals + (0,)
+    return zip(range(1, len(padded)), padded, padded[1:])
+
+
+@cache
+def _lex_segment(n, d, prev_h, h):
+    """(shadow_count, segment_count) of the degree-d lex segment in n variables.
+
+    segment_count is how many lex-first degree-d monomials lie in the ideal
+    and shadow_count how many are forced by the H(d-1) = prev_h standard
+    monomials of degree d-1, so the minimal generators of degree d are the
+    ranks shadow_count..segment_count-1. Raises NotAdmissibleError when H(d)
+    = h exceeds the degree-d monomials or the Macaulay growth bound. Callers
+    go through degrees in order, so prev_h has already passed degree d-1.
+    """
+    total = comb(n - 1 + d, d)
+    segment = total - h
+    if segment < 0:
+        raise NotAdmissibleError(f"H({d}) = {h} exceeds the {total} monomials of degree {d}")
+    prev_count = comb(n - 2 + d, d - 1) - prev_h
+    if prev_count == 0:
+        shadow = 0
+    else:
+        last = _mono_unrank(d - 1, n, prev_count - 1)
+        shadow = _mono_rank(last[:-1] + (last[-1] + 1,)) + 1
+    # Lex segments grow minimally: the shadow complement matches the growth bound.
+    assert total - shadow == macaulay_bound(prev_h, d - 1) if d > 1 else shadow == 0
+    if segment < shadow:
+        raise NotAdmissibleError(
+            f"H({d}) = {h} exceeds the growth bound from H({d - 1}) = {prev_h}"
+        )
+    return shadow, segment
+
+
+def _lex_segment_plan(H, n):
+    """Per-degree (d, shadow_count, segment_count) for the lex ideal of H.
+
+    Raises NotAdmissibleError when H is not an O-sequence in n variables.
+    """
+    return [(d, *_lex_segment(n, d, prev_h, h)) for d, prev_h, h in _lex_degrees(H, n)]
 
 
 def lex_ideal(H, n):
@@ -270,11 +296,8 @@ def lex_ideal(H, n):
 
     Raises NotAdmissibleError when no such ideal exists.
     """
-    hvals = _values(H)
-    while hvals and hvals[-1] == 0:
-        hvals = hvals[:-1]
     gens = []
-    for d, shadow, segment in _lex_segment_plan(hvals, n):
+    for d, shadow, segment in _lex_segment_plan(H, n):
         for rank in range(shadow, segment):
             gens.append(Monomial(_mono_unrank(d, n, rank)))
     ideal = MonomialIdeal(n, gens)
@@ -286,21 +309,43 @@ def lex_generator_profile(H, n):
     """Degrees and last variables of the lex ideal's minimal generators.
 
     Returns a tuple of (degree, max_var) pairs in generator order. This is all
-    the resolution of a lex ideal depends on, so scans use it instead of
-    materializing monomials.
+    the resolution of a lex ideal depends on; lex_columns turns it into Betti
+    columns without listing generators.
     """
-    hvals = _values(H)
-    while hvals and hvals[-1] == 0:
-        hvals = hvals[:-1]
-    profile = []
-    for d, shadow, segment in _lex_segment_plan(hvals, n):
-        for rank in range(shadow, segment):
-            exps = _mono_unrank(d, n, rank)
-            mv = len(exps)
-            while mv > 0 and exps[mv - 1] == 0:
-                mv -= 1
-            profile.append((d, mv))
-    return tuple(profile)
+    return tuple(
+        (d, _max_var(_mono_unrank(d, n, rank)))
+        for d, shadow, segment in _lex_segment_plan(H, n)
+        for rank in range(shadow, segment)
+    )
+
+
+@cache
+def _lex_column_block(n, d, prev_h, h):
+    """Nonzero (i, j, beta_{i,j}) with j = d+i-1, i = 1..n, of the degree-d lex generators.
+
+    A generator whose largest variable is m contributes C(m-1, i-1) to
+    beta_{i,d+i-1} (the Eliahou-Kervaire formula).
+    """
+    shadow, segment = _lex_segment(n, d, prev_h, h)
+    max_vars = [_max_var(_mono_unrank(d, n, rank)) for rank in range(shadow, segment)]
+    block = ((i, d + i - 1, sum(comb(m - 1, i - 1) for m in max_vars)) for i in range(1, n + 1))
+    return tuple(entry for entry in block if entry[2])
+
+
+def lex_columns(H, n):
+    """Betti column maps of the lex ideal of H in n variables.
+
+    Equals betti.columns_from_profile(lex_generator_profile(H, n), n): cols[0]
+    is {0: 1} and cols[i] maps shifts to beta_{i,j}. Degree d contributes only
+    to shift d+i-1 of column i, so each degree's block is computed once per
+    (n, d, H(d-1), H(d)) and placed. Raises NotAdmissibleError when H is not
+    an O-sequence in n variables.
+    """
+    cols = [{0: 1}] + [{} for _ in range(n)]
+    for d, prev_h, h in _lex_degrees(H, n):
+        for i, j, count in _lex_column_block(n, d, prev_h, h):
+            cols[i][j] = count
+    return cols
 
 
 def truncate(I, d):

@@ -126,6 +126,12 @@ def _scan_chunk(args):
     return len(chunk), holds, records, list(chunk[-1])
 
 
+def _worker_count(jobs):
+    """Worker processes for a scan: jobs, at most the CPU count; the CPU count if None."""
+    cpus = os.cpu_count() or 1
+    return cpus if jobs is None else min(jobs, cpus)
+
+
 def _pooled_results(executor, args_iter, window):
     pending = deque()
     try:
@@ -179,10 +185,12 @@ def scan(
     Deterministic regardless of jobs; resumable from checkpoint_path; limit
     caps the number of functions processed in this invocation, leaving an
     INCOMPLETE report and a checkpoint to resume from when the family has
-    functions left. chunk_size, checkpoint_interval, limit and jobs must each
-    be at least 1 when given.
+    functions left. n, chunk_size, checkpoint_interval, limit and jobs must
+    each be at least 1 when given; jobs above the CPU count is lowered to it.
     """
     start = time.perf_counter()
+    if n < 1:
+        raise ValueError(f"need at least one variable, got n={n}")
     prefix = tuple(int(v) for v in _values(prefix))
     filters = tuple(sorted(set(filters)))
     options = ClassifyOptions(filters, dfs_cap)
@@ -231,8 +239,7 @@ def scan(
         # Enumeration order is tuple order, so everything after the cursor compares greater.
         family = itertools.dropwhile(lambda vals: vals <= cursor, family)
     stream = family if limit is None else itertools.islice(family, limit)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    jobs = _worker_count(jobs)
     chunks = iter(lambda: list(itertools.islice(stream, chunk_size)), [])
     args_iter = ((chunk, n, options) for chunk in chunks)
 

@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial, prod
 
-from .betti import BettiDiagram, _growth_ok, columns_from_profile, greedy_columns
+from .betti import BettiDiagram, _growth_ok, greedy_columns
 from .errors import MalformedDiagramError, NotAdmissibleError
 from .hilbert import _values, aci_obstruction, is_o_sequence
-from .monomial import lex_generator_profile
+from .monomial import lex_columns
 
 __all__ = [
     "BoundVerdict",
@@ -217,7 +217,8 @@ def _violating_diagrams(cols, lhs, cap):
 class ClassifyOptions:
     """Knobs for classify: enabled filters and the DFS node budget.
 
-    Raises ValueError for a filter name outside KNOWN_FILTERS.
+    Raises ValueError for a filter name outside KNOWN_FILTERS or a dfs_cap
+    below 1.
     """
 
     filters: tuple = DEFAULT_FILTERS
@@ -227,6 +228,8 @@ class ClassifyOptions:
         unknown = set(self.filters) - KNOWN_FILTERS
         if unknown:
             raise ValueError(f"unknown filters {sorted(unknown)}; known: {sorted(KNOWN_FILTERS)}")
+        if self.dfs_cap < 1:
+            raise ValueError(f"dfs_cap must be at least 1, got {self.dfs_cap}")
 
 
 @dataclass
@@ -277,7 +280,7 @@ def _greedy(hvals, n):
     The greedy diagram is the bottom of H's poset of diagrams: the upper
     bound holds for every module with Hilbert function H iff it holds there.
     """
-    lex_cols = columns_from_profile(lex_generator_profile(hvals, n), n)
+    lex_cols = lex_columns(hvals, n)
     cols = greedy_columns([dict(col) for col in lex_cols])
     shifts = []
     for i in range(1, n + 1):

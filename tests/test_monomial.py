@@ -15,6 +15,7 @@ from multbound import (
     enumerate_o_sequences,
     is_o_sequence,
     is_stable,
+    lex_columns,
     lex_compare,
     lex_generator_profile,
     lex_ideal,
@@ -25,6 +26,7 @@ from multbound import (
     quotient_hilbert_function,
     truncate,
 )
+from multbound.betti import columns_from_profile
 from multbound.monomial import _mono_rank, _mono_unrank
 
 from goldens import (
@@ -136,6 +138,25 @@ def test_lex_generator_profile_matches_materialized_generators():
         assert lex_generator_profile(H, 3) == tuple(
             (g.degree, g.max_var) for g in I.generators
         )
+
+
+def test_lex_columns_match_the_generator_profile_on_whole_families():
+    for n, socle_max, prefix in [(2, 10, (1,)), (3, 6, (1, 3)), (4, 4, (1,))]:
+        for H in enumerate_o_sequences(n, socle_max, prefix):
+            assert lex_columns(H, n) == columns_from_profile(lex_generator_profile(H, n), n)
+
+
+def test_lex_columns_reject_non_o_sequences_on_every_call():
+    for bad in [(1, 3, 7), (1, 3, 6, 11), (1, 2, 4), (2,), ()]:
+        with pytest.raises(NotAdmissibleError):
+            lex_ideal(bad, 3)
+        # A second call raises again: failed per-degree steps are not cached.
+        for _ in range(2):
+            with pytest.raises(NotAdmissibleError):
+                lex_columns(bad, 3)
+    for f in (lex_ideal, lex_generator_profile, lex_columns):
+        with pytest.raises(ValueError, match="need at least one variable"):
+            f((1,), 0)
 
 
 def test_truncate_reference_case():

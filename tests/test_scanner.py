@@ -1,6 +1,7 @@
 """Tests for family scans, checkpoint resume, reports, and the command line."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from multbound import NeedsCapError, check_hf, check_ideal, classify, scan
 from multbound.cli import main
+from multbound.scanner import _worker_count
 
 from goldens import (
     IDEAL_STABLE_NONCM,
@@ -156,9 +158,21 @@ def test_scan_rejects_bad_arguments():
         {"limit": 0},
         {"jobs": 0},
         {"jobs": -2},
+        {"dfs_cap": 0},
+        {"dfs_cap": -5},
     ):
         with pytest.raises(ValueError):
             scan(3, 3, **bad)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"need at least one variable, got n={n}"):
+            scan(n, 3, jobs=1)
+
+
+def test_worker_count_is_clamped_to_the_cpu_count():
+    cpus = os.cpu_count() or 1
+    assert _worker_count(None) == cpus
+    assert _worker_count(10**9) == cpus
+    assert _worker_count(1) == 1
 
 
 def test_check_hf_prints_the_full_pipeline():
@@ -208,6 +222,11 @@ def test_check_hf_rejects_unknown_filters():
         check_hf("1,3,6,10,15,15,11", filters=("er", "bogus"))
     with pytest.raises(ValueError, match="unknown filters"):
         check_hf("1,3,7", filters=("bogus",))
+
+
+def test_check_hf_rejects_dfs_cap_below_one():
+    with pytest.raises(ValueError, match="dfs_cap must be at least 1"):
+        check_hf("1,3,6,10,15,15,11", dfs_cap=0)
 
 
 def test_check_hf_unresolved_case():
@@ -269,6 +288,10 @@ def test_cli_check_hf_exit_codes(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown filters" in captured.err
+    assert main(["check-hf", "1,3,6,10,15,15,11", "--dfs-cap", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dfs_cap must be at least 1" in captured.err
 
 
 def test_cli_scan_exit_codes(capsys):
@@ -291,6 +314,10 @@ def test_cli_scan_exit_codes(capsys):
     assert "unknown filters" in capsys.readouterr().err
     assert main(["scan", "--vars", "3", "--socle-max", "3", "--chunk-size", "0"]) == 1
     assert "chunk_size must be at least 1" in capsys.readouterr().err
+    assert main(["scan", "--vars", "3", "--socle-max", "3", "--dfs-cap", "0"]) == 1
+    assert "dfs_cap must be at least 1" in capsys.readouterr().err
+    assert main(["scan", "--vars", "0", "--socle-max", "3", "--jobs", "1"]) == 1
+    assert "need at least one variable, got n=0" in capsys.readouterr().err
 
 
 def test_cli_check_ideal_exit_codes(capsys):

@@ -192,6 +192,12 @@ def test_classify_rejects_unknown_filters():
         classify(H_HARD, 3, ClassifyOptions(filters=("er", "bogus")))
 
 
+def test_classify_rejects_dfs_cap_below_one():
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="dfs_cap must be at least 1"):
+            classify(H_HARD, 3, ClassifyOptions(dfs_cap=cap))
+
+
 def test_default_options():
     opts = ClassifyOptions()
     assert opts.filters == DEFAULT_FILTERS == ("er", "gen", "aci", "growth")
