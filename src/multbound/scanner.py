@@ -8,6 +8,7 @@ import os
 import time
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from csv import QUOTE_MINIMAL, writer as csv_writer
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,6 +188,8 @@ def scan(
     INCOMPLETE report and a checkpoint to resume from when the family has
     functions left. n, chunk_size, checkpoint_interval, limit and jobs must
     each be at least 1 when given; jobs above the CPU count is lowered to it.
+    On KeyboardInterrupt or a broken worker pool the chunks already consumed
+    are checkpointed before the error propagates.
     """
     start = time.perf_counter()
     if n < 1:
@@ -252,14 +255,19 @@ def scan(
             executor = ProcessPoolExecutor(max_workers=jobs)
             results = _pooled_results(executor, args_iter, window=jobs * 4)
         for count, holds, records, last in results:
-            scanned += count
-            bound_holds += holds
-            exceptions.extend(records)
-            cursor = tuple(last)
+            # One assignment, so an interrupt cannot checkpoint half a chunk.
+            scanned, bound_holds, exceptions, cursor = (
+                scanned + count, bound_holds + holds, exceptions + records, tuple(last)
+            )
             since_checkpoint += count
             if checkpoint_path and since_checkpoint >= checkpoint_interval:
                 save_checkpoint()
                 since_checkpoint = 0
+    except (KeyboardInterrupt, BrokenProcessPool):
+        # Keep the chunks already consumed, so a rerun resumes after them.
+        if checkpoint_path and cursor is not None:
+            save_checkpoint()
+        raise
     finally:
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)

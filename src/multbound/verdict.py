@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, inf, prod
 
 from .betti import BettiDiagram, _growth_ok, greedy_columns
 from .errors import MalformedDiagramError, NotAdmissibleError
@@ -149,68 +151,99 @@ def _diagram_filter_failures(cols, hvals, n, filters, aci_cache):
     return failed
 
 
-def _violating_diagrams(cols, lhs, cap):
-    """All cancellation-reachable diagrams whose max-shift product stays below lhs.
+def _degree_options(cols, j):
+    """Column vectors reachable at degree j, each with its support bitmask.
 
-    cols is the lex diagram's column maps. Enumerates one canonical cancellation
-    profile per reachable diagram: per degree (descending) and column pair
-    (ascending), the number of units cancelled. Entries above the degree being
-    processed are final, which powers the pruning. Returns (diagrams, stats).
+    Entry i of a vector is column i+1's count at degree j; bit i of the mask is
+    set when it is nonzero. Pairs (i, i+1) are taken in ascending order, each
+    cancelling 0, 1, ... units, so distinct profiles give distinct vectors.
+    """
+    vecs = [tuple(col.get(j, 0) for col in cols[1:])]
+    for i in range(len(vecs[0]) - 1):
+        vecs = [
+            v[:i] + (v[i] - c, v[i + 1] - c) + v[i + 2:]
+            for v in vecs
+            for c in range(min(v[i], v[i + 1]) + 1)
+        ]
+    return [(v, sum(1 << i for i, x in enumerate(v) if x)) for v in vecs]
+
+
+class _CapReached(Exception):
+    pass
+
+
+def _violating_diagrams(cols, lhs, cap, visit):
+    """Call visit on every cancellation-reachable diagram whose max-shift product is below lhs.
+
+    cols is the lex diagram's column maps. Cancelling at degree j only changes
+    degree-j entries, so a diagram is one reachable column vector per degree
+    (see _degree_options). The degrees are chosen in descending order, so a
+    column's max shift is fixed by the first degree where it is nonzero.
+    best[L][U] is the least product of max shifts that levels L and below can
+    give to the columns in U, the set of columns still empty (inf when one can
+    never become nonzero); a child is entered only when the pinned product
+    times its share and best stays below lhs, so every visited node has a
+    violating leaf below it. Leaves come out in profile order; visit gets the
+    live column maps, valid only during the call. Returns stats: nodes visited
+    (at most cap + 1), children cut because some column can no longer become
+    nonzero (degenerate), and whether the cap stopped the search.
     """
     n = len(cols) - 1
     degrees = sorted({j for col in cols[1:] for j in col}, reverse=True)
-    found = []
+    options = [_degree_options(cols, j) for j in degrees]
+    full = (1 << n) - 1
+    best = [None] * len(degrees) + [[1] + [inf] * full]
+    for level in reversed(range(len(degrees))):
+        j, below = degrees[level], best[level + 1]
+        masks = {mask for _, mask in options[level]}
+        best[level] = [
+            min(j ** (U & m).bit_count() * below[U & ~m] for m in masks)
+            for U in range(full + 1)
+        ]
+    live = cols[1:]
     stats = {"nodes": 0, "degenerate": 0, "cap_exceeded": False}
 
-    def descend(level):
-        if stats["cap_exceeded"]:
-            return
+    @cache
+    def children(level, U):
+        # The children worth entering depend on the pinned product only through
+        # how many distinct bounds fit below lhs: one list per bound, in option order.
+        j, below = degrees[level], best[level + 1]
+        kept = []
+        for vec, mask in options[level]:
+            if below[U & ~mask] < inf:
+                share = j ** (U & mask).bit_count()
+                kept.append((share * below[U & ~mask], (vec, U & ~mask, share)))
+        bounds = sorted({bound for bound, _ in kept})
+        entered = [[child for bound, child in kept if bound <= top] for top in bounds]
+        return len(options[level]) - len(kept), bounds, entered
+
+    def descend(level, pinned, U):
         stats["nodes"] += 1
         if stats["nodes"] > cap:
-            stats["cap_exceeded"] = True
-            return
+            raise _CapReached
         if level == len(degrees):
-            if any(not col for col in cols[1:]):
-                stats["degenerate"] += 1
-                return
-            if prod(map(max, cols[1:])) < lhs:
-                found.append([dict(col) for col in cols])
+            visit(cols)
+            return
+        degenerate, bounds, entered = children(level, U)
+        stats["degenerate"] += degenerate
+        # pinned * bound < lhs iff bound <= (lhs - 1) // pinned.
+        fit = bisect_right(bounds, (lhs - 1) // pinned)
+        if not fit:
             return
         j = degrees[level]
-        pinned = 1
-        for col in cols[1:]:
-            later = [jj for jj in col if jj > j]
-            if not later:
-                pinned = 0
-                break
-            pinned *= max(later)
-        if pinned >= lhs:
-            # Every completion keeps the product at or above lhs: no violations below.
-            return
+        for vec, rest, share in entered[fit - 1]:
+            for col, count in zip(live, vec):
+                if count:
+                    col[j] = count
+                else:
+                    col.pop(j, None)
+            descend(level + 1, pinned * share, rest)
 
-        def choose(i):
-            if i == n:
-                descend(level + 1)
-                return
-            a, b = cols[i], cols[i + 1]
-            limit = min(a.get(j, 0), b.get(j, 0))
-            choose(i + 1)
-            for _ in range(limit):
-                a[j] -= 1
-                if a[j] == 0:
-                    del a[j]
-                b[j] -= 1
-                if b[j] == 0:
-                    del b[j]
-                choose(i + 1)
-            if limit:
-                a[j] = a.get(j, 0) + limit
-                b[j] = b.get(j, 0) + limit
-
-        choose(1)
-
-    descend(0)
-    return found, stats
+    try:
+        descend(0, 1, full)
+    except _CapReached:
+        stats["cap_exceeded"] = True
+    return stats
 
 
 @dataclass(frozen=True)
@@ -234,7 +267,12 @@ class ClassifyOptions:
 
 @dataclass
 class Classification:
-    """Verdict for one Hilbert function with the evidence behind it."""
+    """Verdict for one Hilbert function with the evidence behind it.
+
+    violating, nodes and cap_exceeded describe the violating-diagram search;
+    degenerate (the record's "degenerate_skipped") counts the children it cut
+    because some column could no longer become nonzero.
+    """
 
     hf: tuple
     n: int
@@ -299,32 +337,33 @@ def _classify_values(hvals, n, options):
     greedy = BettiDiagram.from_columns(n, cols)
     if bound.holds:
         return Classification(hvals, n, "BOUND_HOLDS", "", bound.e, shifts, bound.lhs, bound.rhs, greedy)
-    violating, stats = _violating_diagrams(
-        [dict(col) for col in lex_cols], bound.lhs, options.dfs_cap
-    )
+    histogram = Counter()
+    failed_filters = set()
+    survivors = []
+
+    def visit(diag_cols):
+        failed = _diagram_filter_failures(diag_cols, hvals, n, options.filters, aci_cache)
+        if failed:
+            histogram["+".join(failed)] += 1
+            failed_filters.update(failed)
+        else:
+            survivors.append(BettiDiagram.from_columns(n, diag_cols))
+
     aci_cache = {}
-    failures = [
-        _diagram_filter_failures(diag_cols, hvals, n, options.filters, aci_cache)
-        for diag_cols in violating
-    ]
-    survivors = [
-        BettiDiagram.from_columns(n, diag_cols)
-        for diag_cols, failed in zip(violating, failures)
-        if not failed
-    ]
+    stats = _violating_diagrams([dict(col) for col in lex_cols], bound.lhs, options.dfs_cap, visit)
     if stats["cap_exceeded"]:
         status, reason = "UNRESOLVED", "CAP_EXCEEDED"
     elif survivors:
         status, reason = "UNRESOLVED", f"{len(survivors)} diagrams pass all filters"
     else:
-        status, reason = "ELIMINATED", ",".join(sorted(set().union(*failures)))
+        status, reason = "ELIMINATED", ",".join(sorted(failed_filters))
     return Classification(
         hvals, n, status, reason, bound.e, shifts, bound.lhs, bound.rhs, greedy,
-        violating=len(violating),
+        violating=histogram.total() + len(survivors),
         degenerate=stats["degenerate"],
         nodes=stats["nodes"],
         cap_exceeded=stats["cap_exceeded"],
-        filter_histogram=dict(Counter("+".join(failed) for failed in failures if failed)),
+        filter_histogram=dict(histogram),
         survivors=survivors,
     )
 

@@ -224,8 +224,10 @@ def test_cross_engine_and_property_checks():
         cols = columns_from_profile(lex_generator_profile(H, 3), 3)
         greedy = greedy_columns([dict(col) for col in cols])
         greedy_prod = _product(max(col) for col in greedy[1:])
-        found, stats = _violating_diagrams(
-            [dict(col) for col in cols], 10**30, 10**7
+        found = []
+        stats = _violating_diagrams(
+            [dict(col) for col in cols], 10**30, 10**7,
+            lambda diag: found.append([dict(col) for col in diag]),
         )
         assert not stats["cap_exceeded"]
         reachable_total += len(found)

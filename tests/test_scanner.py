@@ -4,10 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from multbound import NeedsCapError, check_hf, check_ideal, classify, scan
+from multbound import NeedsCapError, check_hf, check_ideal, classify, scan, scanner
 from multbound.cli import main
 from multbound.scanner import _worker_count
 
@@ -86,6 +87,29 @@ def test_scan_resumes_from_checkpoint(baseline, tmp_path):
     assert second.status == "COMPLETE"
     assert _without_timing(second) == _without_timing(baseline)
     assert second.to_csv() == baseline.to_csv()
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, BrokenProcessPool])
+def test_scan_checkpoints_consumed_chunks_when_interrupted(baseline, tmp_path, monkeypatch, error):
+    cp = tmp_path / "scan.ckpt"
+    real_chunk = scanner._scan_chunk
+    calls = []
+
+    def failing_chunk(args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise error("stop")
+        return real_chunk(args)
+
+    monkeypatch.setattr(scanner, "_scan_chunk", failing_chunk)
+    with pytest.raises(error):
+        scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
+    monkeypatch.undo()
+    saved = json.loads(cp.read_text().split("\n", 1)[1])
+    assert saved["scanned"] == 200  # the two chunks consumed; the interval (10,000) was never reached
+    resumed = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
+    assert resumed.status == "COMPLETE"
+    assert _without_timing(resumed) == _without_timing(baseline)
 
 
 def test_scan_limit_covering_the_family_is_complete(baseline):

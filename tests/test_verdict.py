@@ -1,5 +1,8 @@
 """Tests for bound verdicts, realizability filters, and the classification pipeline."""
 
+from itertools import product
+from math import prod
+
 import pytest
 
 from multbound import (
@@ -13,12 +16,13 @@ from multbound import (
     greedy_minimize,
     ek_betti,
     hilbert_from_diagram,
+    lex_columns,
     lex_ideal,
     lower_bound_holds,
     max_shifts,
     upper_bound_holds,
 )
-from multbound.verdict import DEFAULT_DFS_CAP, DEFAULT_FILTERS
+from multbound.verdict import DEFAULT_DFS_CAP, DEFAULT_FILTERS, _violating_diagrams
 
 from goldens import (
     MIN_1_3_6_10_15_15_11,
@@ -150,6 +154,66 @@ def test_classify_respects_dfs_cap():
     assert res.reason == "CAP_EXCEEDED"
     assert res.cap_exceeded
     assert res.nodes == 11
+
+
+def test_classify_finishes_a_hard_n4_function_below_the_default_cap():
+    # A search that prunes only on already-final max shifts needs more than
+    # DEFAULT_DFS_CAP nodes here; the exact bound enters only violating branches.
+    res = classify((1, 4, 10, 10, 8, 4), 4)
+    assert not res.cap_exceeded
+    assert res.violating == 30
+    assert res.nodes < 1_000
+    assert res.status == "UNRESOLVED"
+    assert res.reason == "30 diagrams pass all filters"
+
+
+def _reachable_vectors(vec, i=0):
+    """Vectors reachable from vec by cancelling pairs (i, i+1) in ascending order, counts from 0 up."""
+    if i >= len(vec) - 1:
+        yield vec
+        return
+    for c in range(min(vec[i], vec[i + 1]) + 1):
+        yield from _reachable_vectors(vec[:i] + (vec[i] - c, vec[i + 1] - c) + vec[i + 2:], i + 1)
+
+
+def _brute_force_violating(cols, lhs):
+    """Every per-degree choice with no empty column and max-shift product below lhs, unpruned."""
+    n = len(cols) - 1
+    degrees = sorted({j for col in cols[1:] for j in col}, reverse=True)
+    per_degree = [
+        list(_reachable_vectors(tuple(col.get(j, 0) for col in cols[1:]))) for j in degrees
+    ]
+    found = []
+    for choice in product(*per_degree):
+        # Degrees descend, so a column's max shift is the first degree where it is nonzero.
+        maxima = [next((j for j, vec in zip(degrees, choice) if vec[i]), None) for i in range(n)]
+        if None not in maxima and prod(maxima) < lhs:
+            found.append([dict(cols[0])] + [
+                {j: vec[i] for j, vec in zip(degrees, choice) if vec[i]} for i in range(n)
+            ])
+    return found
+
+
+@pytest.mark.parametrize("n, socle_max, prefix", [(3, 6, (1, 3)), (4, 4, (1,))])
+def test_violating_search_equals_unpruned_brute_force(n, socle_max, prefix):
+    exceptions = 0
+    for H in enumerate_o_sequences(n, socle_max, prefix):
+        res = classify(H, n)
+        if res.status == "BOUND_HOLDS":
+            continue
+        exceptions += 1
+        cols = lex_columns(H, n)
+        found = []
+        stats = _violating_diagrams(
+            [dict(col) for col in cols], res.lhs, DEFAULT_DFS_CAP,
+            lambda diag: found.append([dict(col) for col in diag]),
+        )
+        assert not stats["cap_exceeded"]
+        assert found == _brute_force_violating(cols, res.lhs)
+        assert len(found) == res.violating
+        # One cancellation profile per diagram: no diagram is reached twice.
+        assert len({tuple(tuple(sorted(col.items())) for col in d) for d in found}) == len(found)
+    assert exceptions == {3: 5, 4: 3}[n]
 
 
 def test_classify_rejects_non_o_sequences():
