@@ -80,29 +80,15 @@ def _standard_exponents(gens, n, degree_cap):
         d += 1
 
 
-def _block_betti(mu, gens, n, p):
-    """Betti numbers of one multidegree block of the Koszul complex mod I.
+def _block_betti(basis, n, p):
+    """Betti numbers of one multidegree block mu of the Koszul complex mod I.
 
-    Basis elements in homological degree r are subsets S of the support of mu
-    with |S| = r whose complement monomial mu - 1_S avoids the ideal. Returns
+    basis maps r to the masks S with |S| = r whose element e_S (x) x^(mu - 1_S)
+    lies in the block, that is those with x^(mu - 1_S) standard. Returns
     {r: beta_r} for the block.
     """
-    support = [k for k in range(n) if mu[k] >= 1]
-    basis = {}
-    for bits in range(1 << len(support)):
-        mask = 0
-        exps = list(mu)
-        for pos in range(len(support)):
-            if bits >> pos & 1:
-                mask |= 1 << support[pos]
-                exps[support[pos]] -= 1
-        if any(all(g[k] <= exps[k] for k in range(n)) for g in gens):
-            continue
-        basis.setdefault(bin(mask).count("1"), []).append(mask)
     for masks in basis.values():
         masks.sort()
-    if not basis:
-        return {}
     matrices = {}
     top = max(basis)
     for r in range(1, top + 1):
@@ -118,7 +104,7 @@ def _block_betti(mu, gens, n, p):
                 row = index.get(image)
                 if row is None:
                     continue
-                sign = -1 if bin(mask & ((1 << k) - 1)).count("1") % 2 else 1
+                sign = -1 if (mask & ((1 << k) - 1)).bit_count() % 2 else 1
                 mat[row][col] = sign % p
         matrices[r] = mat
     if __debug__:
@@ -144,29 +130,36 @@ def _block_betti(mu, gens, n, p):
 def koszul_betti(I, field_char=DEFAULT_CHAR, degree_cap=None):
     """Graded Betti numbers of the quotient by I, computed blockwise per multidegree.
 
+    The Koszul complex of S/I has one basis element e_S (x) x^s for each
+    standard monomial x^s and subset S of the variables, in multidegree
+    mu = s + 1_S. One walk over the standard monomials files every element in
+    its block, and beta_{r,mu} is the homology of block mu in degree r.
     Exact over the prime field of the given characteristic. Non-Artinian ideals
-    need degree_cap; entries are then complete for internal degrees <= degree_cap.
+    need degree_cap >= 0; entries are then complete for internal degrees
+    <= degree_cap, and elements of larger degree are dropped.
     """
     if not _is_prime(field_char):
         raise ValueError(f"field characteristic must be prime, got {field_char}")
+    if degree_cap is not None and degree_cap < 0:
+        raise ValueError(f"degree cap must be nonnegative, got {degree_cap}")
     if any(g.degree == 0 for g in I.generators):
         raise ValueError("unit ideal has no quotient resolution")
     if not I.is_artinian() and degree_cap is None:
         raise NeedsCapError(f"ideal ({I}) is not Artinian; pass degree_cap")
     n = I.n
     gens = [g.exponents for g in I.generators]
-    std = _standard_exponents(gens, n, degree_cap)
-    candidates = set()
-    for exps in std:
+    blocks = {}
+    for exps in _standard_exponents(gens, n, degree_cap):
         for mask in range(1 << n):
-            mu = tuple(exps[k] + (mask >> k & 1) for k in range(n))
-            if degree_cap is not None and sum(mu) > degree_cap:
+            r = mask.bit_count()
+            if degree_cap is not None and sum(exps) + r > degree_cap:
                 continue
-            candidates.add(mu)
+            mu = tuple(exps[k] + (mask >> k & 1) for k in range(n))
+            blocks.setdefault(mu, {}).setdefault(r, []).append(mask)
     entries = {}
-    for mu in sorted(candidates):
+    for mu, basis in blocks.items():
         j = sum(mu)
-        for r, beta in _block_betti(mu, gens, n, field_char).items():
+        for r, beta in _block_betti(basis, n, field_char).items():
             entries[(r, j)] = entries.get((r, j), 0) + beta
     return BettiDiagram(n, entries)
 

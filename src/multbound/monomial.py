@@ -362,10 +362,13 @@ def quotient_hilbert_function(I, d_max=None):
 
     Artinian ideals give the complete HilbertFunction. Otherwise a d_max cap is
     required and the raw value tuple through degree d_max is returned instead.
+    A negative d_max raises ValueError.
     """
     artinian = I.is_artinian()
     if not artinian and d_max is None:
         raise NeedsCapError(f"ideal ({I}) is not Artinian; pass d_max to cap the computation")
+    if d_max is not None and d_max < 0:
+        raise ValueError(f"degree cap must be nonnegative, got {d_max}")
     vals = []
     d = 0
     while True:

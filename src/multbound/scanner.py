@@ -16,7 +16,7 @@ from io import StringIO
 from math import factorial, prod
 
 from .betti import (
-    ek_betti,
+    BettiDiagram,
     greedy_stages,
     is_pure,
     is_quasipure,
@@ -26,7 +26,7 @@ from .betti import (
 from .errors import NeedsCapError, NotAdmissibleError
 from .hilbert import HilbertFunction, _enumerate_value_tuples, _values, multiplicity
 from .koszul import DEFAULT_CHAR, koszul_betti, truncation_analysis, verify_truncation_rows
-from .monomial import lex_ideal, parse_ideal, quotient_hilbert_function, truncate
+from .monomial import lex_columns, parse_ideal, quotient_hilbert_function, truncate
 from .verdict import (
     DEFAULT_DFS_CAP,
     DEFAULT_FILTERS,
@@ -328,12 +328,12 @@ def check_hf(sequence, n=None, filters=DEFAULT_FILTERS, dfs_cap=DEFAULT_DFS_CAP)
         n = max(H[1], 1)
     lines = [f"H: {H} (n={n}, socle degree {H.socle_degree})", f"e = {multiplicity(H)}"]
     try:
-        L = lex_ideal(H, n)
+        cols = lex_columns(H, n)
     except NotAdmissibleError as err:
         lines.append(f"status: NOT_ADMISSIBLE ({err})")
         return None, "\n".join(lines) + "\n", 0
-    D = ek_betti(L)
-    lines += ["", f"lex ideal: {len(L.generators)} generators", "", "lex diagram:", D.to_text()]
+    D = BettiDiagram.from_columns(n, cols)
+    lines += ["", f"lex ideal: {sum(cols[1].values())} generators", "", "lex diagram:", D.to_text()]
     stages = greedy_stages(D)
     for i, stage in enumerate(stages, start=1):
         lines += ["", f"after cancellations in columns ({i},{i + 1}):", stage.to_text()]
@@ -374,11 +374,11 @@ def check_ideal(text, n=None, truncate_at=None, field_char=DEFAULT_CHAR, degree_
     I = parse_ideal(text, n)
     artinian = I.is_artinian()
     lines = [f"ideal: {I} (n={I.n})"]
+    analysis = None
     if artinian:
-        H = quotient_hilbert_function(I)
-        e = multiplicity(H)
-        lines += [f"Hilbert function: {H}", f"e = {e}"]
-        D = koszul_betti(I, field_char)
+        analysis = truncation_analysis(I, field_char)
+        e, D = analysis.e, analysis.diagram
+        lines += [f"Hilbert function: {quotient_hilbert_function(I)}", f"e = {e}"]
     else:
         if degree_cap is None:
             raise NeedsCapError(f"ideal ({I}) is not Artinian; pass --degree-cap")
@@ -416,9 +416,7 @@ def check_ideal(text, n=None, truncate_at=None, field_char=DEFAULT_CHAR, degree_
         lines.append(
             f"rows >= {truncate_at} preserved under truncation: {'yes' if rows.ok else 'no'}"
         )
-    analysis = None
     if artinian:
-        analysis = truncation_analysis(I, field_char)
         lines += ["", f"truncation analysis: {analysis.status} ({analysis.reason})"]
         lines.append(
             f"  regularity {analysis.regularity}, max generator degree {analysis.max_gen_degree}"

@@ -1,11 +1,14 @@
 """Tests for the exact Koszul-homology Betti engine and truncation certificates."""
 
+import itertools
 import random
 
 import pytest
 
 from multbound import (
     BettiDiagram,
+    Monomial,
+    MonomialIdeal,
     NeedsCapError,
     ek_betti,
     enumerate_o_sequences,
@@ -65,6 +68,81 @@ def test_koszul_betti_input_validation():
         koszul_betti(I, field_char=10)
     with pytest.raises(ValueError):
         koszul_betti(parse_ideal("1", 2))
+    for ideal in (parse_ideal("a^2; b^2"), parse_ideal("a*b", 2)):
+        with pytest.raises(ValueError, match="degree cap must be nonnegative"):
+            koszul_betti(ideal, degree_cap=-1)
+        with pytest.raises(ValueError, match="degree cap must be nonnegative"):
+            quotient_hilbert_function(ideal, -1)
+    assert koszul_betti(parse_ideal("a*b", 2), degree_cap=0).entries() == {(0, 0): 1}
+    assert quotient_hilbert_function(parse_ideal("a*b", 2), 0) == (1,)
+
+
+def _brute_force_betti(I, p, degree_cap):
+    """Betti entries of S/I from each block {S in supp mu : x^(mu - 1_S) not in I}.
+
+    Ranges over every mu with |mu| <= degree_cap or, with no cap, every mu with
+    mu_k <= a_k for the pure powers x_k^a_k of the Artinian ideal I; the
+    boundary sends e_S to the signed sum of e_(S - k) over k in S.
+    """
+    n = I.n
+    bounds = [
+        degree_cap if degree_cap is not None
+        else min(g.exponents[k] for g in I.generators if g.degree == g.exponents[k])
+        for k in range(n)
+    ]
+    entries = {}
+    for mu in itertools.product(*(range(b + 1) for b in bounds)):
+        if degree_cap is not None and sum(mu) > degree_cap:
+            continue
+        support = [k for k in range(n) if mu[k]]
+        blocks = {}
+        for r in range(len(support) + 1):
+            blocks[r] = [
+                S for S in itertools.combinations(support, r)
+                if not I.contains(Monomial([m - (k in S) for k, m in enumerate(mu)]))
+            ]
+        ranks = {}
+        for r in range(1, len(support) + 1):
+            rows = {T: row for row, T in enumerate(blocks[r - 1])}
+            mat = [[0] * len(blocks[r]) for _ in rows]
+            for col, S in enumerate(blocks[r]):
+                for pos, k in enumerate(S):
+                    T = S[:pos] + S[pos + 1:]
+                    if T in rows:
+                        mat[rows[T]][col] = (-1) ** pos
+            ranks[r] = rank_mod_p(mat, p) if blocks[r] and rows else 0
+        for r, basis in blocks.items():
+            beta = len(basis) - ranks.get(r, 0) - ranks.get(r + 1, 0)
+            if beta:
+                key = (r, sum(mu))
+                entries[key] = entries.get(key, 0) + beta
+    return entries
+
+
+def _random_ideal(rng, n, artinian):
+    """Pure powers of all variables (all but the last when not Artinian) and mixed monomials."""
+    powers = range(n) if artinian else range(n - 1)
+    gens = [Monomial([rng.randint(1, 3) if j == k else 0 for j in range(n)]) for k in powers]
+    size = n + rng.randint(0, 2) if n > 1 else n
+    while len(gens) < size:
+        exps = [rng.randint(0, 2) for _ in range(n)]
+        if sum(1 for e in exps if e) >= 2:
+            gens.append(Monomial(exps))
+    return MonomialIdeal(n, gens)
+
+
+def test_koszul_betti_equals_the_block_basis_brute_force():
+    rng = random.Random(2005)
+    cases = []
+    for n in range(1, 5):
+        for _ in range(6):
+            cases.append((_random_ideal(rng, n, True), None))
+            cases.append((_random_ideal(rng, n, True), rng.randint(0, 8)))
+            if n > 1:
+                cases.append((_random_ideal(rng, n, False), rng.randint(0, 8)))
+    for I, cap in cases:
+        for p in (2, 3, 32003):
+            assert koszul_betti(I, p, cap).entries() == _brute_force_betti(I, p, cap), (I, cap, p)
 
 
 def test_koszul_betti_is_characteristic_independent_here():

@@ -351,6 +351,10 @@ def test_cli_check_ideal_exit_codes(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["check-ideal", "a^3; q2"]) == 1
     assert "at position" in capsys.readouterr().err
+    assert main(["check-ideal", "a*b", "--vars", "2", "--degree-cap", "-1"]) == 1
+    assert "degree cap must be nonnegative, got -1" in capsys.readouterr().err
+    assert main(["check-ideal", "a*b", "--vars", "2", "--degree-cap", "0"]) == 0
+    assert "Hilbert function through degree 0: 1 (not Artinian)" in capsys.readouterr().out
 
 
 def test_cli_scan_writes_report_files(tmp_path, capsys):
