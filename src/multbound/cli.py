@@ -28,16 +28,14 @@ def _build_parser():
     )
     scan_p.add_argument("--dfs-cap", type=int, default=DEFAULT_DFS_CAP,
                         help="node budget per Hilbert function")
-    scan_p.add_argument("--checkpoint", help="checkpoint file; resumes when present")
-    scan_p.add_argument("--checkpoint-interval", type=int, default=10_000,
-                        help="functions between checkpoint writes")
+    scan_p.add_argument("--checkpoint", help="checkpoint log; resumes when present")
     scan_p.add_argument("--out", help="report file path")
     scan_p.add_argument("--format", choices=["json", "csv"], default="json",
                         help="report file format")
     scan_p.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default and maximum: the CPU count)")
     scan_p.add_argument("--chunk-size", type=int, default=512,
-                        help="Hilbert functions per work unit")
+                        help="Hilbert functions per work unit and per checkpoint line")
     scan_p.add_argument("--limit", type=int, default=None,
                         help="stop after this many functions (INCOMPLETE when some are left)")
 
@@ -72,7 +70,6 @@ def _run_scan(args):
         jobs=args.jobs,
         chunk_size=args.chunk_size,
         checkpoint_path=args.checkpoint,
-        checkpoint_interval=args.checkpoint_interval,
         out_path=args.out,
         out_format=args.format,
         limit=args.limit,

@@ -183,12 +183,17 @@ def verify_truncation_rows(I, d, field_char=DEFAULT_CHAR, degree_cap=None):
     """Check that rows d and higher of the diagram survive truncation at d."""
     D1 = koszul_betti(I, field_char, degree_cap)
     D2 = koszul_betti(truncate(I, d), field_char, degree_cap)
+    return _compare_rows(D1, D2, d)
+
+
+def _compare_rows(D1, D2, d):
+    """Compare rows d and higher of a diagram D1 and the diagram D2 of its truncation at d."""
     top = max(D1.regularity, D2.regularity)
     rows = []
     mismatches = {}
     for row in range(d, top + 1):
         diffs = {}
-        for i in range(I.n + 1):
+        for i in range(D1.n + 1):
             a, b = D1.entry(i, i + row), D2.entry(i, i + row)
             if a != b:
                 diffs[i] = (a, b)

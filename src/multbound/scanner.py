@@ -8,7 +8,7 @@ import os
 import time
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from csv import QUOTE_MINIMAL, writer as csv_writer
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +25,7 @@ from .betti import (
 )
 from .errors import NeedsCapError, NotAdmissibleError
 from .hilbert import HilbertFunction, _enumerate_value_tuples, _values, multiplicity
-from .koszul import DEFAULT_CHAR, koszul_betti, truncation_analysis, verify_truncation_rows
+from .koszul import DEFAULT_CHAR, _compare_rows, koszul_betti, truncation_analysis
 from .monomial import lex_columns, parse_ideal, quotient_hilbert_function, truncate
 from .verdict import (
     DEFAULT_DFS_CAP,
@@ -147,23 +147,45 @@ def _pooled_results(executor, args_iter, window):
             fut.cancel()
 
 
-def _write_checkpoint(path, cursor, payload):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(",".join(str(v) for v in cursor) + "\n")
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+def _replay_log(log, path, parameters):
+    """Replay the chunk log open in log; return (scanned, holds, records, cursor).
+
+    The first line is the scan's parameters and each later line one consumed
+    chunk, [count, holds, records, last]. A last line without its newline was
+    cut off mid-write: it is left out and the file truncated back to the last
+    newline, so the next chunk appends after the last whole one.
+    """
+    scanned = holds = end = 0
+    records = []
+    cursor = None
+    log.seek(0)
+    for number, line in enumerate(log):
+        if not line.endswith(b"\n"):
+            break
+        try:
+            entry = json.loads(line)
+            if number:
+                count, held, recs, last = entry
+                scanned, holds, cursor = scanned + count, holds + held, tuple(last)
+                records.extend(recs)
+        except (ValueError, TypeError) as err:
+            raise ValueError(f"checkpoint {path} line {number + 1} does not parse: {err}") from None
+        if not number and entry != parameters:
+            raise ValueError(
+                f"checkpoint {path} was written with parameters "
+                f"{entry}, current scan uses {parameters}"
+            )
+        end += len(line)
+    log.truncate(end)
+    if not end:
+        _append(log, parameters)
+    return scanned, holds, records, cursor
 
 
-def _load_checkpoint(path):
-    with open(path) as fh:
-        first = fh.readline().strip()
-        rest = fh.read()
-    cursor = tuple(int(v) for v in first.split(","))
-    return cursor, json.loads(rest)
+def _append(log, entry):
+    log.write(json.dumps(entry).encode() + b"\n")
+    log.flush()
+    os.fsync(log.fileno())
 
 
 def scan(
@@ -176,20 +198,19 @@ def scan(
     jobs=None,
     chunk_size=512,
     checkpoint_path=None,
-    checkpoint_interval=10_000,
     out_path=None,
     out_format="json",
     limit=None,
 ):
     """Classify every O-sequence extending prefix up to socle_max.
 
-    Deterministic regardless of jobs; resumable from checkpoint_path; limit
-    caps the number of functions processed in this invocation, leaving an
-    INCOMPLETE report and a checkpoint to resume from when the family has
-    functions left. n, chunk_size, checkpoint_interval, limit and jobs must
-    each be at least 1 when given; jobs above the CPU count is lowered to it.
-    On KeyboardInterrupt or a broken worker pool the chunks already consumed
-    are checkpointed before the error propagates.
+    Deterministic regardless of jobs. With checkpoint_path, each consumed
+    chunk is appended to that log file before the next one is taken, and a
+    rerun resumes after the last chunk logged, so an interrupt or a broken
+    worker pool loses at most the chunks in flight. limit caps the number of
+    functions processed in this invocation, leaving an INCOMPLETE report when
+    the family has functions left. n, chunk_size, limit and jobs must each be
+    at least 1 when given; jobs above the CPU count is lowered to it.
     """
     start = time.perf_counter()
     if n < 1:
@@ -199,12 +220,7 @@ def scan(
     options = ClassifyOptions(filters, dfs_cap)
     if out_format not in ("json", "csv"):
         raise ValueError(f"unknown report format {out_format!r}")
-    for name, value in (
-        ("chunk_size", chunk_size),
-        ("checkpoint_interval", checkpoint_interval),
-        ("limit", limit),
-        ("jobs", jobs),
-    ):
+    for name, value in (("chunk_size", chunk_size), ("limit", limit), ("jobs", jobs)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     parameters = {
@@ -214,63 +230,35 @@ def scan(
         "filters": list(filters),
         "dfs_cap": int(dfs_cap),
     }
-    scanned = 0
-    bound_holds = 0
-    exceptions = []
-    cursor = None
-    if checkpoint_path and os.path.exists(checkpoint_path) and os.path.getsize(checkpoint_path):
-        cursor, saved = _load_checkpoint(checkpoint_path)
-        if saved["parameters"] != parameters:
-            raise ValueError(
-                f"checkpoint {checkpoint_path} was written with parameters "
-                f"{saved['parameters']}, current scan uses {parameters}"
-            )
-        scanned = saved["scanned"]
-        bound_holds = saved["bound_holds"]
-        exceptions = saved["exceptions"]
-
-    def save_checkpoint():
-        _write_checkpoint(checkpoint_path, cursor, {
-            "parameters": parameters,
-            "scanned": scanned,
-            "bound_holds": bound_holds,
-            "exceptions": exceptions,
-        })
-
     family = _enumerate_value_tuples(n, socle_max, prefix)
-    if cursor is not None:
-        # Enumeration order is tuple order, so everything after the cursor compares greater.
-        family = itertools.dropwhile(lambda vals: vals <= cursor, family)
-    stream = family if limit is None else itertools.islice(family, limit)
+    # The generator checks the prefix on its first step; take it before the log exists.
+    family = itertools.chain(list(itertools.islice(family, 1)), family)
     jobs = _worker_count(jobs)
-    chunks = iter(lambda: list(itertools.islice(stream, chunk_size)), [])
-    args_iter = ((chunk, n, options) for chunk in chunks)
-
-    since_checkpoint = 0
-    executor = None
-    try:
+    scanned = bound_holds = 0
+    exceptions = []
+    cursor = log = None
+    with ExitStack() as stack:
+        if checkpoint_path:
+            log = stack.enter_context(open(checkpoint_path, "a+b"))
+            scanned, bound_holds, exceptions, cursor = _replay_log(log, checkpoint_path, parameters)
+        if cursor is not None:
+            # Enumeration order is tuple order, so everything after the cursor compares greater.
+            family = itertools.dropwhile(lambda vals: vals <= cursor, family)
+        stream = family if limit is None else itertools.islice(family, limit)
+        chunks = iter(lambda: list(itertools.islice(stream, chunk_size)), [])
+        args_iter = ((chunk, n, options) for chunk in chunks)
         if jobs == 1:
             results = map(_scan_chunk, args_iter)
         else:
             executor = ProcessPoolExecutor(max_workers=jobs)
+            stack.callback(executor.shutdown, wait=False, cancel_futures=True)
             results = _pooled_results(executor, args_iter, window=jobs * 4)
-        for count, holds, records, last in results:
-            # One assignment, so an interrupt cannot checkpoint half a chunk.
-            scanned, bound_holds, exceptions, cursor = (
-                scanned + count, bound_holds + holds, exceptions + records, tuple(last)
-            )
-            since_checkpoint += count
-            if checkpoint_path and since_checkpoint >= checkpoint_interval:
-                save_checkpoint()
-                since_checkpoint = 0
-    except (KeyboardInterrupt, BrokenProcessPool):
-        # Keep the chunks already consumed, so a rerun resumes after them.
-        if checkpoint_path and cursor is not None:
-            save_checkpoint()
-        raise
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        for result in results:
+            if log:
+                _append(log, result)
+            count, holds, records, last = result
+            scanned, bound_holds, cursor = scanned + count, bound_holds + holds, tuple(last)
+            exceptions.extend(records)
     # islice stops at limit without drawing another function, so this asks whether any are left.
     complete = limit is None or next(family, None) is None
 
@@ -299,8 +287,6 @@ def scan(
         checkpoint_cursor=",".join(str(v) for v in cursor) if cursor else None,
         status="COMPLETE" if complete else "INCOMPLETE",
     )
-    if checkpoint_path and cursor is not None:
-        save_checkpoint()
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(report.to_json() if out_format == "json" else report.to_csv())
@@ -369,8 +355,12 @@ def check_hf(sequence, n=None, filters=DEFAULT_FILTERS, dfs_cap=DEFAULT_DFS_CAP)
 def check_ideal(text, n=None, truncate_at=None, field_char=DEFAULT_CHAR, degree_cap=None):
     """Analyze one monomial ideal: diagram, shifts, bounds, truncation outcome.
 
+    degree_cap (at least 0) bounds the computation for a non-Artinian ideal
+    only; an Artinian ideal and its truncation are computed in full.
     Returns (analysis or None, report text, exit code 0).
     """
+    if degree_cap is not None and degree_cap < 0:
+        raise ValueError(f"degree cap must be nonnegative, got {degree_cap}")
     I = parse_ideal(text, n)
     artinian = I.is_artinian()
     lines = [f"ideal: {I} (n={I.n})"]
@@ -408,14 +398,17 @@ def check_ideal(text, n=None, truncate_at=None, field_char=DEFAULT_CHAR, degree_
     )
     if truncate_at is not None:
         T = truncate(I, truncate_at)
-        rows = verify_truncation_rows(I, truncate_at, field_char, degree_cap)
+        DT = koszul_betti(T, field_char, None if artinian else degree_cap)
+        rows = _compare_rows(D, DT, truncate_at)
         lines += ["", f"truncation at degree {truncate_at}: {T}"]
         if artinian:
             eT = multiplicity(quotient_hilbert_function(T))
             lines.append(f"e = {e}, truncation e = {eT}")
-        lines.append(
-            f"rows >= {truncate_at} preserved under truncation: {'yes' if rows.ok else 'no'}"
-        )
+        if not rows.rows:
+            outcome = f"not checked, no row >= {truncate_at} to compare"
+        else:
+            outcome = "yes" if rows.ok else "no"
+        lines.append(f"rows >= {truncate_at} preserved under truncation: {outcome}")
     if artinian:
         lines += ["", f"truncation analysis: {analysis.status} ({analysis.reason})"]
         lines.append(

@@ -1,16 +1,27 @@
 """Tests for family scans, checkpoint resume, reports, and the command line."""
 
 import json
+import multiprocessing
 import os
+import re
+import signal
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from multbound import NeedsCapError, check_hf, check_ideal, classify, scan, scanner
+from multbound import (
+    NeedsCapError,
+    NotAdmissibleError,
+    check_hf,
+    check_ideal,
+    classify,
+    scan,
+    scanner,
+)
 from multbound.cli import main
-from multbound.scanner import _worker_count
+from multbound.scanner import _scan_chunk, _worker_count
 
 from goldens import (
     IDEAL_STABLE_NONCM,
@@ -89,6 +100,10 @@ def test_scan_resumes_from_checkpoint(baseline, tmp_path):
     assert second.to_csv() == baseline.to_csv()
 
 
+def _log_lines(path):
+    return [json.loads(line) for line in path.read_bytes().splitlines()]
+
+
 @pytest.mark.parametrize("error", [KeyboardInterrupt, BrokenProcessPool])
 def test_scan_checkpoints_consumed_chunks_when_interrupted(baseline, tmp_path, monkeypatch, error):
     cp = tmp_path / "scan.ckpt"
@@ -105,11 +120,72 @@ def test_scan_checkpoints_consumed_chunks_when_interrupted(baseline, tmp_path, m
     with pytest.raises(error):
         scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
     monkeypatch.undo()
-    saved = json.loads(cp.read_text().split("\n", 1)[1])
-    assert saved["scanned"] == 200  # the two chunks consumed; the interval (10,000) was never reached
+    header, *chunks = _log_lines(cp)
+    assert header == baseline.parameters
+    assert [count for count, _, _, _ in chunks] == [100, 100]  # the two chunks consumed
     resumed = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
     assert resumed.status == "COMPLETE"
     assert _without_timing(resumed) == _without_timing(baseline)
+
+
+def _crash_on_an_exception_chunk(args):
+    """Kill the worker process that gets the chunk holding 1,3,6,7,6,2; classify others."""
+    if multiprocessing.parent_process() is not None and (1, 3, 6, 7, 6, 2) in args[0]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _scan_chunk(args)
+
+
+def test_scan_resumes_after_a_worker_is_killed(baseline, tmp_path, monkeypatch):
+    if _worker_count(2) < 2:
+        pytest.skip("needs two CPUs for a two-process pool")
+    cp = tmp_path / "scan.ckpt"
+    monkeypatch.setattr(scanner, "_scan_chunk", _crash_on_an_exception_chunk)
+    with pytest.raises(BrokenProcessPool):
+        scan(3, 5, (1, 3), jobs=2, chunk_size=100, checkpoint_path=str(cp))
+    monkeypatch.undo()
+    header, *chunks = _log_lines(cp)
+    assert header == baseline.parameters
+    assert chunks and all(count == 100 for count, _, _, _ in chunks)
+    resumed = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
+    assert _without_timing(resumed) == _without_timing(baseline)
+
+
+def test_scan_resumes_from_every_log_prefix(baseline, tmp_path):
+    full = tmp_path / "full.ckpt"
+    scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(full))
+    lines = full.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 10  # the parameters, then 9 chunks for 813 functions
+    cp = tmp_path / "scan.ckpt"
+    for kept in range(len(lines) + 1):
+        torn = lines[min(kept, len(lines) - 1)]
+        for tail in (b"", torn[: len(torn) // 2]):
+            cp.write_bytes(b"".join(lines[:kept]) + tail)
+            resumed = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
+            assert _without_timing(resumed) == _without_timing(baseline), (kept, tail)
+            assert cp.read_bytes() == full.read_bytes(), (kept, tail)
+
+
+def test_scan_rejects_unreadable_checkpoints(tmp_path):
+    cp = tmp_path / "scan.ckpt"
+    # The earlier format: a cursor line, then one JSON object with the totals.
+    old = {"parameters": {}, "scanned": 1, "bound_holds": 1, "exceptions": []}
+    cp.write_text("1,3,6\n" + json.dumps(old) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {cp} line 1 does not parse")):
+        scan(3, 4, (1, 3), jobs=1, checkpoint_path=str(cp))
+    scan(3, 4, (1, 3), jobs=1, chunk_size=50, checkpoint_path=str(tmp_path / "good.ckpt"))
+    lines = (tmp_path / "good.ckpt").read_bytes().splitlines(keepends=True)
+    for bad in (b"[50, 50]\n", b"[50, 50, [], 7]\n", lines[2][:-5] + b"\n"):
+        cp.write_bytes(b"".join(lines[:2]) + bad + b"".join(lines[3:]))
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {cp} line 3 does not parse")):
+            scan(3, 4, (1, 3), jobs=1, chunk_size=50, checkpoint_path=str(cp))
+
+
+def test_scan_with_a_bad_prefix_leaves_no_checkpoint(tmp_path):
+    cp = tmp_path / "scan.ckpt"
+    for prefix in ((1, 3, 7), (1, 3, 0)):
+        with pytest.raises(NotAdmissibleError):
+            scan(3, 4, prefix, jobs=1, checkpoint_path=str(cp))
+        assert not cp.exists()
 
 
 def test_scan_limit_covering_the_family_is_complete(baseline):
@@ -121,10 +197,9 @@ def test_scan_limit_covering_the_family_is_complete(baseline):
 def test_scan_rejects_inconsistent_checkpoint(tmp_path):
     cp = tmp_path / "scan.ckpt"
     scan(3, 4, (1, 3), jobs=1, checkpoint_path=str(cp))
-    cursor, payload = cp.read_text().split("\n", 1)
-    saved = json.loads(payload)
-    saved["scanned"] += 1
-    cp.write_text(cursor + "\n" + json.dumps(saved) + "\n")
+    header, chunk = _log_lines(cp)
+    chunk[0] += 1
+    cp.write_text(json.dumps(header) + "\n" + json.dumps(chunk) + "\n")
     with pytest.raises(ValueError, match="scan counts disagree"):
         scan(3, 4, (1, 3), jobs=1, checkpoint_path=str(cp))
 
@@ -178,7 +253,6 @@ def test_scan_rejects_bad_arguments():
         {"filters": ("bogus",)},
         {"out_format": "xml"},
         {"chunk_size": 0},
-        {"checkpoint_interval": 0},
         {"limit": 0},
         {"jobs": 0},
         {"jobs": -2},
@@ -299,6 +373,16 @@ def test_check_ideal_non_artinian_needs_cap():
     assert "truncation analysis" not in text
     _, text, _ = check_ideal(IDEAL_STABLE_NONCM, truncate_at=3, degree_cap=9)
     assert "rows >= 3 preserved under truncation: yes" in text
+    _, text, _ = check_ideal(IDEAL_STABLE_NONCM, truncate_at=5, degree_cap=3)
+    assert "rows >= 5 preserved under truncation: not checked, no row >= 5 to compare" in text
+
+
+def test_check_ideal_degree_cap_bounds_only_non_artinian_ideals():
+    # Capped at 2, the rows >= 4 of this Artinian ideal would all be cut off.
+    _, capped, _ = check_ideal(IDEAL_TRUNC_CERT, truncate_at=4, degree_cap=2)
+    _, full, _ = check_ideal(IDEAL_TRUNC_CERT, truncate_at=4)
+    assert capped == full
+    assert "rows >= 4 preserved under truncation: yes" in full
 
 
 def test_cli_check_hf_exit_codes(capsys):
@@ -352,6 +436,8 @@ def test_cli_check_ideal_exit_codes(capsys):
     assert main(["check-ideal", "a^3; q2"]) == 1
     assert "at position" in capsys.readouterr().err
     assert main(["check-ideal", "a*b", "--vars", "2", "--degree-cap", "-1"]) == 1
+    assert "degree cap must be nonnegative, got -1" in capsys.readouterr().err
+    assert main(["check-ideal", "a^2; b^2", "--degree-cap", "-1"]) == 1
     assert "degree cap must be nonnegative, got -1" in capsys.readouterr().err
     assert main(["check-ideal", "a*b", "--vars", "2", "--degree-cap", "0"]) == 0
     assert "Hilbert function through degree 0: 1 (not Artinian)" in capsys.readouterr().out
