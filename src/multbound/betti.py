@@ -67,13 +67,13 @@ class BettiDiagram:
         raise AttributeError("BettiDiagram is immutable")
 
     @classmethod
-    def from_columns(cls, n, columns, validate=True):
+    def from_columns(cls, n, columns):
         """Build from a list of per-column {degree: count} maps, index 0..n."""
         entries = {}
         for i, col in enumerate(columns):
             for j, c in col.items():
                 entries[(i, j)] = c
-        return cls(n, entries, validate=validate)
+        return cls(n, entries)
 
     def entry(self, i, j):
         return self._entries.get((i, j), 0)
@@ -138,7 +138,7 @@ class BettiDiagram:
         return "\n".join(lines)
 
     @classmethod
-    def from_text(cls, text, n=None, validate=True):
+    def from_text(cls, text, n=None):
         """Parse the human layout back into a diagram."""
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines or not lines[0].split()[0] == "total:":
@@ -157,7 +157,7 @@ class BettiDiagram:
             for i, cell in enumerate(cells):
                 if cell != ".":
                     entries[(i, r + i)] = int(cell)
-        diagram = cls(n if n is not None else width - 1, entries, validate=validate)
+        diagram = cls(n if n is not None else width - 1, entries)
         if list(diagram.column_totals()) + [0] * (width - diagram.projective_dimension - 1) != totals:
             raise ValueError("total: row does not match parsed entries")
         return diagram
@@ -167,7 +167,7 @@ class BettiDiagram:
         return "\n".join(f"{i} {j} {c}" for (i, j), c in sorted(self._entries.items()))
 
     @classmethod
-    def from_machine(cls, text, n=None, validate=True):
+    def from_machine(cls, text, n=None):
         """Parse the machine form back into a diagram."""
         entries = {}
         for line in text.splitlines():
@@ -179,7 +179,7 @@ class BettiDiagram:
             raise ValueError("machine-form diagram text has no entries")
         if n is None:
             n = max(i for i, _ in entries)
-        return cls(n, entries, validate=validate)
+        return cls(n, entries)
 
 
 def columns_from_profile(profile, n):
@@ -198,9 +198,9 @@ def columns_from_profile(profile, n):
     return cols
 
 
-def ek_betti(I, check=True):
+def ek_betti(I):
     """Betti diagram of the quotient by a stable monomial ideal, in closed form."""
-    if check and not is_stable(I):
+    if not is_stable(I):
         raise NotStableError(f"ideal ({I}) is not stable")
     profile = [(g.degree, g.max_var) for g in I.generators]
     return BettiDiagram.from_columns(I.n, columns_from_profile(profile, I.n))

@@ -126,19 +126,21 @@ def macaulay_bound(h, d):
     return sum(comb(a + 1, j + 1) for a, j in zip(tops, range(d, d - len(tops), -1)))
 
 
+def _growth_bound(n, d, prev):
+    """Largest H(d) an O-sequence in n variables allows after H(d-1) = prev >= 0."""
+    return n if d == 1 else macaulay_bound(prev, d - 1)
+
+
 def is_o_sequence(H, n):
-    """True iff H is the Hilbert function of some Artinian quotient in n variables."""
+    """True iff H is the Hilbert function of some Artinian quotient in n variables.
+
+    That is Macaulay's condition: H(0) = 1 and 0 <= H(d) <= the growth bound
+    from H(d-1) for every d >= 1.
+    """
     vals = _values(H)
     if not vals or vals[0] != 1:
         return False
-    if len(vals) > 1 and vals[1] > n:
-        return False
-    for d in range(1, len(vals)):
-        if vals[d] == 0:
-            return all(v == 0 for v in vals[d:])
-        if d + 1 < len(vals) and vals[d + 1] > macaulay_bound(vals[d], d):
-            return False
-    return True
+    return all(0 <= vals[d] <= _growth_bound(n, d, vals[d - 1]) for d in range(1, len(vals)))
 
 
 def _enumerate_value_tuples(n, socle_max, prefix):
@@ -159,7 +161,7 @@ def _enumerate_value_tuples(n, socle_max, prefix):
         if d <= socle_max:
             yield vals
         if d < socle_max:
-            top = macaulay_bound(vals[-1], d) if d >= 1 else n
+            top = _growth_bound(n, d + 1, vals[-1])
             # Push descending so extensions pop in ascending value order.
             for v in range(top, 0, -1):
                 stack.append(vals + (v,))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .betti import BettiDiagram, is_quasipure, max_shifts
 from .errors import NeedsCapError
-from .hilbert import multiplicity
+from .hilbert import HilbertFunction, multiplicity
 from .monomial import MonomialIdeal, _exponents_of_degree, quotient_hilbert_function, truncate
 from .verdict import BoundVerdict, upper_bound_holds
 
@@ -216,6 +216,7 @@ class TruncationAnalysis:
     reason: str
     regularity: int
     max_gen_degree: int
+    hilbert_function: HilbertFunction
     e: int
     diagram: BettiDiagram
     quasipure_direct: bool = False
@@ -242,31 +243,27 @@ def truncation_analysis(I, field_char=DEFAULT_CHAR):
     D = koszul_betti(I, field_char)
     reg = D.regularity
     g = I.max_gen_degree
-    e = multiplicity(quotient_hilbert_function(I))
+    H = quotient_hilbert_function(I)
+    e = multiplicity(H)
+    base = dict(regularity=reg, max_gen_degree=g, hilbert_function=H, e=e, diagram=D)
     if is_quasipure(D):
         verdict = upper_bound_holds(e, max_shifts(D), I.n)
         if verdict.holds:
             return TruncationAnalysis(
-                "CERTIFIED", "diagram is quasipure", reg, g, e, D,
-                quasipure_direct=True, verdict=verdict,
+                "CERTIFIED", "diagram is quasipure", quasipure_direct=True, verdict=verdict, **base
             )
         return TruncationAnalysis(
-            "NOT_APPLICABLE", "quasipure diagram fails the bound", reg, g, e, D,
-            quasipure_direct=True, verdict=verdict,
+            "NOT_APPLICABLE", "quasipure diagram fails the bound",
+            quasipure_direct=True, verdict=verdict, **base,
         )
     if g not in (reg, reg + 1):
         return TruncationAnalysis(
-            "NOT_APPLICABLE",
-            f"no minimal generator of degree {reg} or {reg + 1}",
-            reg, g, e, D,
+            "NOT_APPLICABLE", f"no minimal generator of degree {reg} or {reg + 1}", **base
         )
     T = truncate(I, g)
     DT = koszul_betti(T, field_char)
     eT = multiplicity(quotient_hilbert_function(T))
-    base = dict(
-        regularity=reg, max_gen_degree=g, e=e, diagram=D,
-        truncation=T, truncation_diagram=DT, e_truncation=eT,
-    )
+    base.update(truncation=T, truncation_diagram=DT, e_truncation=eT)
     if not is_quasipure(DT):
         return TruncationAnalysis("NOT_APPLICABLE", "truncation is not quasipure", **base)
     if max_shifts(D) != max_shifts(DT):

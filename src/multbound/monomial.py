@@ -7,7 +7,7 @@ from functools import cache
 from math import comb
 
 from .errors import IdealParseError, NeedsCapError, NotAdmissibleError
-from .hilbert import HilbertFunction, _values, macaulay_bound
+from .hilbert import HilbertFunction, _growth_bound, _values
 
 __all__ = [
     "Monomial",
@@ -124,19 +124,6 @@ def monomials_of_degree(d, n):
         yield Monomial(exps)
 
 
-def _mono_rank(exps):
-    """Zero-based position of an exponent tuple in descending lex order within its degree."""
-    n = len(exps)
-    rank = 0
-    rem = sum(exps)
-    for pos in range(n - 1):
-        width = n - pos - 1
-        for bigger in range(rem, exps[pos], -1):
-            rank += comb(rem - bigger + width - 1, width - 1)
-        rem -= exps[pos]
-    return rank
-
-
 def _mono_unrank(d, n, rank):
     """Exponent tuple at a zero-based position in descending lex order, degree d."""
     exps = []
@@ -212,10 +199,16 @@ class MonomialIdeal:
         return any(g.divides(m) for g in self.generators)
 
     def is_artinian(self):
-        """True iff every variable appears in some pure-power generator."""
+        """True iff the quotient has finite length.
+
+        That is, every variable appears in some pure-power generator, or the
+        ideal is the unit ideal, whose quotient is zero.
+        """
         powered = set()
         for g in self.generators:
             nz = [i for i, e in enumerate(g.exponents) if e > 0]
+            if not nz:
+                return True
             if len(nz) == 1:
                 powered.add(nz[0])
         return len(powered) == self.n
@@ -236,9 +229,9 @@ class MonomialIdeal:
 def _lex_degrees(H, n):
     """(d, H(d-1), H(d)) for d = 1..socle+1 of H with trailing zeros dropped.
 
-    These triples, with n, are the keys of the per-degree lex helpers. Raises
-    ValueError when n < 1 and NotAdmissibleError when H does not start with 1
-    or has a negative value.
+    These triples, with n, are the keys of the per-degree lex helpers, which
+    check each H(d) against its growth bound. Raises ValueError when n < 1 and
+    NotAdmissibleError when H does not start with 1.
     """
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
@@ -247,8 +240,6 @@ def _lex_degrees(H, n):
         hvals = hvals[:-1]
     if not hvals or hvals[0] != 1:
         raise NotAdmissibleError(f"Hilbert function must start with 1, got {hvals}")
-    if min(hvals) < 0:
-        raise NotAdmissibleError(f"negative value in Hilbert function {hvals}")
     padded = hvals + (0,)
     return zip(range(1, len(padded)), padded, padded[1:])
 
@@ -260,27 +251,18 @@ def _lex_segment(n, d, prev_h, h):
     segment_count is how many lex-first degree-d monomials lie in the ideal
     and shadow_count how many are forced by the H(d-1) = prev_h standard
     monomials of degree d-1, so the minimal generators of degree d are the
-    ranks shadow_count..segment_count-1. Raises NotAdmissibleError when H(d)
-    = h exceeds the degree-d monomials or the Macaulay growth bound. Callers
+    ranks shadow_count..segment_count-1. By Macaulay's theorem the lex
+    segment's shadow leaves exactly the growth bound outside it. Raises
+    NotAdmissibleError when H(d) = h is negative or above that bound. Callers
     go through degrees in order, so prev_h has already passed degree d-1.
     """
-    total = comb(n - 1 + d, d)
-    segment = total - h
-    if segment < 0:
-        raise NotAdmissibleError(f"H({d}) = {h} exceeds the {total} monomials of degree {d}")
-    prev_count = comb(n - 2 + d, d - 1) - prev_h
-    if prev_count == 0:
-        shadow = 0
-    else:
-        last = _mono_unrank(d - 1, n, prev_count - 1)
-        shadow = _mono_rank(last[:-1] + (last[-1] + 1,)) + 1
-    # Lex segments grow minimally: the shadow complement matches the growth bound.
-    assert total - shadow == macaulay_bound(prev_h, d - 1) if d > 1 else shadow == 0
-    if segment < shadow:
+    bound = _growth_bound(n, d, prev_h)
+    if not 0 <= h <= bound:
         raise NotAdmissibleError(
-            f"H({d}) = {h} exceeds the growth bound from H({d - 1}) = {prev_h}"
+            f"H({d}) = {h} is outside 0..{bound}, the range allowed after H({d - 1}) = {prev_h}"
         )
-    return shadow, segment
+    total = comb(n - 1 + d, d)
+    return total - bound, total - h
 
 
 def _lex_segment_plan(H, n):

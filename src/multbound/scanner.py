@@ -210,12 +210,18 @@ def scan(
     worker pool loses at most the chunks in flight. limit caps the number of
     functions processed in this invocation, leaving an INCOMPLETE report when
     the family has functions left. n, chunk_size, limit and jobs must each be
-    at least 1 when given; jobs above the CPU count is lowered to it.
+    at least 1 when given; jobs above the CPU count is lowered to it, and
+    socle_max must be at least the prefix's socle degree.
     """
     start = time.perf_counter()
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
     prefix = tuple(int(v) for v in _values(prefix))
+    if socle_max < len(prefix) - 1:
+        raise ValueError(
+            f"socle_max {socle_max} is below the prefix's socle degree {len(prefix) - 1}: "
+            "the family is empty"
+        )
     filters = tuple(sorted(set(filters)))
     options = ClassifyOptions(filters, dfs_cap)
     if out_format not in ("json", "csv"):
@@ -368,7 +374,7 @@ def check_ideal(text, n=None, truncate_at=None, field_char=DEFAULT_CHAR, degree_
     if artinian:
         analysis = truncation_analysis(I, field_char)
         e, D = analysis.e, analysis.diagram
-        lines += [f"Hilbert function: {quotient_hilbert_function(I)}", f"e = {e}"]
+        lines += [f"Hilbert function: {analysis.hilbert_function}", f"e = {e}"]
     else:
         if degree_cap is None:
             raise NeedsCapError(f"ideal ({I}) is not Artinian; pass --degree-cap")

@@ -10,8 +10,8 @@ from itertools import combinations
 from math import factorial, inf, prod
 
 from .betti import BettiDiagram, _growth_ok, greedy_columns
-from .errors import MalformedDiagramError, NotAdmissibleError
-from .hilbert import _values, aci_obstruction, is_o_sequence
+from .errors import MalformedDiagramError
+from .hilbert import _values, aci_obstruction
 from .monomial import lex_columns
 
 __all__ = [
@@ -375,10 +375,10 @@ def classify(H, n, options=None):
     for every module with Hilbert function H. Otherwise every reachable
     violating diagram is tested against the enabled filters: ELIMINATED when
     all fail one, UNRESOLVED when survivors remain or the node cap is hit.
+    Raises NotAdmissibleError, from lex_columns, when H is not an O-sequence
+    in n variables.
     """
     hvals = _values(H)
     while hvals and hvals[-1] == 0:
         hvals = hvals[:-1]
-    if not is_o_sequence(hvals, n):
-        raise NotAdmissibleError(f"{hvals} is not an O-sequence in {n} variables")
     return _classify_values(hvals, n, options or ClassifyOptions())

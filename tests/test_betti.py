@@ -159,8 +159,6 @@ def test_ek_betti_rejects_unstable_ideals():
     I = parse_ideal("a^2; b^2", 2)
     with pytest.raises(NotStableError):
         ek_betti(I)
-    # Unchecked, the closed form still evaluates; it is just wrong here.
-    assert ek_betti(I, check=False).column_totals() == (1, 2, 1)
 
 
 def test_cancel_semantics():

@@ -12,6 +12,7 @@ from multbound import (
     MonomialIdeal,
     NeedsCapError,
     NotAdmissibleError,
+    classify,
     enumerate_o_sequences,
     is_o_sequence,
     is_stable,
@@ -27,7 +28,7 @@ from multbound import (
     truncate,
 )
 from multbound.betti import columns_from_profile
-from multbound.monomial import _mono_rank, _mono_unrank
+from multbound.monomial import _lex_segment, _mono_unrank
 
 from goldens import (
     IDEAL_ROWS_DEMO,
@@ -86,8 +87,26 @@ def test_rank_unrank_round_trip():
     for n in range(1, 5):
         for d in range(0, 7):
             for i, m in enumerate(monomials_of_degree(d, n)):
-                assert _mono_rank(m.exponents) == i
                 assert _mono_unrank(d, n, i) == m.exponents
+
+
+def test_lex_segment_shadow_matches_brute_force():
+    # Macaulay: the shadow x*L of the lex-first segment L of degree d-1 is the
+    # lex-first segment of degree d that leaves the growth bound outside.
+    cases = 0
+    for n in range(1, 5):
+        for d in range(2, 7):
+            prev_mons = [m.exponents for m in monomials_of_degree(d - 1, n)]
+            for prev_h in range(len(prev_mons) + 1):
+                segment = prev_mons[: len(prev_mons) - prev_h]
+                shadow = {
+                    tuple(e + (k == i) for k, e in enumerate(exps))
+                    for exps in segment
+                    for i in range(n)
+                }
+                assert _lex_segment(n, d, prev_h, 0)[0] == len(shadow)
+                cases += 1
+    assert cases == 225
 
 
 def test_lex_ideal_reference_cases():
@@ -105,17 +124,20 @@ def test_lex_ideal_rejects_non_o_sequences():
 
 
 def test_lex_ideal_agrees_with_o_sequence_test():
-    # Construction succeeds exactly on O-sequences, over a brute-force grid.
-    for h1 in range(0, 5):
-        for h2 in range(0, 9):
-            for h3 in range(0, 13):
-                vals = (1, h1, h2, h3)
-                if is_o_sequence(vals, 3):
-                    I = lex_ideal(vals, 3)
-                    assert quotient_hilbert_function(I) == HilbertFunction(vals)
-                else:
+    # The lex constructions and classify succeed exactly on O-sequences, over a
+    # brute-force grid that includes negative values.
+    grid = range(-1, 12)
+    for n in range(1, 5):
+        for vals in itertools.product((1,), grid, grid, grid):
+            if is_o_sequence(vals, n):
+                I = lex_ideal(vals, n)
+                assert quotient_hilbert_function(I) == HilbertFunction(vals)
+                lex_columns(vals, n)
+                classify(vals, n)
+            else:
+                for f in (lex_columns, lex_ideal, classify):
                     with pytest.raises(NotAdmissibleError):
-                        lex_ideal(vals, 3)
+                        f(vals, n)
 
 
 def test_lex_ideal_round_trips_every_small_hilbert_function():
@@ -273,6 +295,9 @@ def test_monomial_ideal_contains_and_artinian():
     assert parse_ideal(IDEAL_ROWS_DEMO).is_artinian()
     assert not parse_ideal("a; b", 3).is_artinian()
     assert not parse_ideal(IDEAL_STABLE_NONCM).is_artinian()
+    # S/(1) = 0 has finite length.
+    assert parse_ideal("1", 2).is_artinian()
+    assert parse_ideal("a; 1", 2).is_artinian()
 
 
 def test_monomial_ideal_validation():

@@ -248,7 +248,7 @@ def test_scan_summary_content(baseline):
     assert "unresolved Hilbert functions" not in text
 
 
-def test_scan_rejects_bad_arguments():
+def test_scan_rejects_bad_arguments(tmp_path):
     for bad in (
         {"filters": ("bogus",)},
         {"out_format": "xml"},
@@ -264,6 +264,12 @@ def test_scan_rejects_bad_arguments():
     for n in (0, -1):
         with pytest.raises(ValueError, match=f"need at least one variable, got n={n}"):
             scan(n, 3, jobs=1)
+    # A socle_max below the prefix's socle degree leaves an empty family.
+    log = tmp_path / "empty.log"
+    for socle_max, prefix in ((-1, (1,)), (1, (1, 3, 6))):
+        with pytest.raises(ValueError, match="the family is empty"):
+            scan(3, socle_max, prefix, jobs=1, checkpoint_path=str(log))
+        assert not log.exists()
 
 
 def test_worker_count_is_clamped_to_the_cpu_count():
@@ -426,6 +432,10 @@ def test_cli_scan_exit_codes(capsys):
     assert "dfs_cap must be at least 1" in capsys.readouterr().err
     assert main(["scan", "--vars", "0", "--socle-max", "3", "--jobs", "1"]) == 1
     assert "need at least one variable, got n=0" in capsys.readouterr().err
+    assert main(["scan", "--vars", "3", "--socle-max", "-1", "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the family is empty" in captured.err
 
 
 def test_cli_check_ideal_exit_codes(capsys):
@@ -441,6 +451,8 @@ def test_cli_check_ideal_exit_codes(capsys):
     assert "degree cap must be nonnegative, got -1" in capsys.readouterr().err
     assert main(["check-ideal", "a*b", "--vars", "2", "--degree-cap", "0"]) == 0
     assert "Hilbert function through degree 0: 1 (not Artinian)" in capsys.readouterr().out
+    assert main(["check-ideal", "1", "--vars", "2"]) == 1
+    assert "unit ideal has no quotient resolution" in capsys.readouterr().err
 
 
 def test_cli_scan_writes_report_files(tmp_path, capsys):
