@@ -143,18 +143,26 @@ def is_o_sequence(H, n):
     return all(0 <= vals[d] <= _growth_bound(n, d, vals[d - 1]) for d in range(1, len(vals)))
 
 
-def _enumerate_value_tuples(n, socle_max, prefix):
-    """Yield O-sequence value tuples extending prefix, socle degree <= socle_max.
+def _checked_prefix(n, prefix):
+    """Value tuple of an enumeration prefix: an O-sequence in n variables, no trailing zeros.
 
-    Order is lexicographic on the tuples, which puts each sequence before all
-    of its extensions.
+    Raises NotAdmissibleError otherwise.
     """
     start = _values(prefix)
     if start and start[-1] == 0:
         raise NotAdmissibleError(f"prefix {start} has trailing zeros")
     if not is_o_sequence(start, n):
         raise NotAdmissibleError(f"prefix {start} is not an O-sequence in {n} variables")
-    stack = [start]
+    return start
+
+
+def _enumerate_value_tuples(n, socle_max, prefix):
+    """Yield O-sequence value tuples extending prefix, socle degree <= socle_max.
+
+    Order is lexicographic on the tuples, which puts each sequence before all
+    of its extensions.
+    """
+    stack = [_checked_prefix(n, prefix)]
     while stack:
         vals = stack.pop()
         d = len(vals) - 1

@@ -303,15 +303,14 @@ def lex_generator_profile(H, n):
 
 @cache
 def _lex_column_block(n, d, prev_h, h):
-    """Nonzero (i, j, beta_{i,j}) with j = d+i-1, i = 1..n, of the degree-d lex generators.
+    """(beta_{1,d}, beta_{2,d+1}, ..., beta_{n,d+n-1}) of the degree-d lex generators.
 
     A generator whose largest variable is m contributes C(m-1, i-1) to
     beta_{i,d+i-1} (the Eliahou-Kervaire formula).
     """
     shadow, segment = _lex_segment(n, d, prev_h, h)
     max_vars = [_max_var(_mono_unrank(d, n, rank)) for rank in range(shadow, segment)]
-    block = ((i, d + i - 1, sum(comb(m - 1, i - 1) for m in max_vars)) for i in range(1, n + 1))
-    return tuple(entry for entry in block if entry[2])
+    return tuple(sum(comb(m - 1, i - 1) for m in max_vars) for i in range(1, n + 1))
 
 
 def lex_columns(H, n):
@@ -325,8 +324,9 @@ def lex_columns(H, n):
     """
     cols = [{0: 1}] + [{} for _ in range(n)]
     for d, prev_h, h in _lex_degrees(H, n):
-        for i, j, count in _lex_column_block(n, d, prev_h, h):
-            cols[i][j] = count
+        for i, count in enumerate(_lex_column_block(n, d, prev_h, h), 1):
+            if count:
+                cols[i][d + i - 1] = count
     return cols
 
 

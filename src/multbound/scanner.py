@@ -7,7 +7,7 @@ import json
 import os
 import time
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import ExitStack
 from csv import QUOTE_MINIMAL, writer as csv_writer
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from .betti import (
     min_shifts,
 )
 from .errors import NeedsCapError, NotAdmissibleError
-from .hilbert import HilbertFunction, _enumerate_value_tuples, _values, multiplicity
+from .hilbert import HilbertFunction, _checked_prefix, _values, multiplicity
 from .koszul import DEFAULT_CHAR, _compare_rows, koszul_betti, truncation_analysis
 from .monomial import lex_columns, parse_ideal, quotient_hilbert_function, truncate
 from .verdict import (
@@ -32,7 +32,7 @@ from .verdict import (
     DEFAULT_FILTERS,
     ClassifyOptions,
     _classify_values,
-    _greedy,
+    _greedy_shift_walk,
     classify,
     lower_bound_holds,
     upper_bound_holds,
@@ -109,22 +109,38 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _scan_chunk(args):
-    """Classify one chunk of Hilbert function value tuples.
+def _chunks(walk, n, chunk_size):
+    """Split walk's (values, greedy max shifts) into chunks of chunk_size functions.
 
-    Returns (count, bound_holds, exception records, last tuple processed).
+    Yields (count, bound_holds, exception value tuples, last tuple) per chunk;
+    the exceptions are the functions whose greedy shifts break the bound.
     """
-    chunk, n, options = args
     n_factorial = factorial(n)
-    holds = 0
-    records = []
-    for hvals in chunk:
-        # upper_bound_holds on the greedy shifts, without building a verdict per function.
-        if n_factorial * sum(hvals) <= prod(_greedy(hvals, n)[2]):
-            holds += 1
-        else:
-            records.append(_classify_values(hvals, n, options).to_record())
-    return len(chunk), holds, records, list(chunk[-1])
+    while True:
+        count = holds = 0
+        exceptions = []
+        for hvals, shifts in itertools.islice(walk, chunk_size):
+            count += 1
+            # upper_bound_holds on the greedy shifts, without building a verdict per function.
+            if n_factorial * sum(hvals) <= prod(shifts):
+                holds += 1
+            else:
+                exceptions.append(hvals)
+        if not count:
+            return
+        yield count, holds, exceptions, hvals
+
+
+def _scan_chunk(args):
+    """Classify one chunk's exceptions.
+
+    args is ((count, bound_holds, exception value tuples, last tuple), n,
+    options). Returns the chunk's log line: (count, bound_holds, exception
+    records, last tuple as a list).
+    """
+    (count, holds, exceptions, last), n, options = args
+    records = [_classify_values(hvals, n, options).to_record() for hvals in exceptions]
+    return count, holds, records, list(last)
 
 
 def _worker_count(jobs):
@@ -137,7 +153,13 @@ def _pooled_results(executor, args_iter, window):
     pending = deque()
     try:
         for args in args_iter:
-            pending.append(executor.submit(_scan_chunk, args))
+            (_, _, exceptions, _), _, _ = args
+            if exceptions:
+                pending.append(executor.submit(_scan_chunk, args))
+            else:
+                # Nothing to classify: keep the chunk's place without a round trip to a worker.
+                pending.append(Future())
+                pending[-1].set_result(_scan_chunk(args))
             if len(pending) >= window:
                 yield pending.popleft().result()
         while pending:
@@ -204,24 +226,28 @@ def scan(
 ):
     """Classify every O-sequence extending prefix up to socle_max.
 
-    Deterministic regardless of jobs. With checkpoint_path, each consumed
-    chunk is appended to that log file before the next one is taken, and a
-    rerun resumes after the last chunk logged, so an interrupt or a broken
-    worker pool loses at most the chunks in flight. limit caps the number of
-    functions processed in this invocation, leaving an INCOMPLETE report when
-    the family has functions left. n, chunk_size, limit and jobs must each be
-    at least 1 when given; jobs above the CPU count is lowered to it, and
-    socle_max must be at least the prefix's socle degree.
+    This process walks the family and settles each function whose greedy
+    max shifts satisfy the bound; the jobs worker processes classify the
+    rest, chunk by chunk. Deterministic regardless of jobs. With
+    checkpoint_path, each consumed chunk is appended to that log file
+    before the next one is taken, and a rerun resumes after the last chunk
+    logged, so an interrupt or a broken worker pool loses at most the
+    chunks in flight. limit caps the number of functions processed in this
+    invocation, leaving an INCOMPLETE report when the family has functions
+    left. n, chunk_size, limit and jobs must each be at least 1 when
+    given; jobs above the CPU count is lowered to it, and socle_max must
+    be at least the prefix's socle degree.
     """
     start = time.perf_counter()
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
-    prefix = tuple(int(v) for v in _values(prefix))
+    prefix = _values(prefix)
     if socle_max < len(prefix) - 1:
         raise ValueError(
             f"socle_max {socle_max} is below the prefix's socle degree {len(prefix) - 1}: "
             "the family is empty"
         )
+    _checked_prefix(n, prefix)  # before the log exists
     filters = tuple(sorted(set(filters)))
     options = ClassifyOptions(filters, dfs_cap)
     if out_format not in ("json", "csv"):
@@ -236,9 +262,6 @@ def scan(
         "filters": list(filters),
         "dfs_cap": int(dfs_cap),
     }
-    family = _enumerate_value_tuples(n, socle_max, prefix)
-    # The generator checks the prefix on its first step; take it before the log exists.
-    family = itertools.chain(list(itertools.islice(family, 1)), family)
     jobs = _worker_count(jobs)
     scanned = bound_holds = 0
     exceptions = []
@@ -247,12 +270,9 @@ def scan(
         if checkpoint_path:
             log = stack.enter_context(open(checkpoint_path, "a+b"))
             scanned, bound_holds, exceptions, cursor = _replay_log(log, checkpoint_path, parameters)
-        if cursor is not None:
-            # Enumeration order is tuple order, so everything after the cursor compares greater.
-            family = itertools.dropwhile(lambda vals: vals <= cursor, family)
+        family = _greedy_shift_walk(n, socle_max, prefix, cursor)
         stream = family if limit is None else itertools.islice(family, limit)
-        chunks = iter(lambda: list(itertools.islice(stream, chunk_size)), [])
-        args_iter = ((chunk, n, options) for chunk in chunks)
+        args_iter = ((chunk, n, options) for chunk in _chunks(stream, n, chunk_size))
         if jobs == 1:
             results = map(_scan_chunk, args_iter)
         else:
@@ -403,12 +423,16 @@ def check_ideal(text, n=None, truncate_at=None, field_char=DEFAULT_CHAR, degree_
         f"pure: {'yes' if is_pure(D) else 'no'}   quasipure: {'yes' if is_quasipure(D) else 'no'}"
     )
     if truncate_at is not None:
-        T = truncate(I, truncate_at)
-        DT = koszul_betti(T, field_char, None if artinian else degree_cap)
+        if artinian and analysis.truncation is not None and truncate_at == analysis.max_gen_degree:
+            # The analysis already truncated at this degree.
+            T, DT, eT = analysis.truncation, analysis.truncation_diagram, analysis.e_truncation
+        else:
+            T = truncate(I, truncate_at)
+            DT = koszul_betti(T, field_char, None if artinian else degree_cap)
+            eT = multiplicity(quotient_hilbert_function(T)) if artinian else None
         rows = _compare_rows(D, DT, truncate_at)
         lines += ["", f"truncation at degree {truncate_at}: {T}"]
         if artinian:
-            eT = multiplicity(quotient_hilbert_function(T))
             lines.append(f"e = {e}, truncation e = {eT}")
         if not rows.rows:
             outcome = f"not checked, no row >= {truncate_at} to compare"

@@ -11,8 +11,8 @@ from math import factorial, inf, prod
 
 from .betti import BettiDiagram, _growth_ok, greedy_columns
 from .errors import MalformedDiagramError
-from .hilbert import _values, aci_obstruction
-from .monomial import lex_columns
+from .hilbert import _checked_prefix, _growth_bound, _values, aci_obstruction
+from .monomial import _lex_column_block, lex_columns
 
 __all__ = [
     "BoundVerdict",
@@ -328,6 +328,88 @@ def _greedy(hvals, n):
             )
         shifts.append(max(cols[i]))
     return lex_cols, cols, tuple(shifts)
+
+
+def _greedy_step(n):
+    """Function giving an O-sequence's greedy max shifts from state shared with its parent.
+
+    Cancelling acts within one degree, and column i's lex entry at degree j
+    is entry i-1 of monomial._lex_column_block for degree j-i+1, so the
+    greedy vector at degree j depends only on the blocks of degrees
+    j-n+1..j. The function takes vals, of socle degree s, the blocks of
+    degrees s-n+1..s-1 and each column's greedy max shift over degrees below
+    s (0 while it has none); both are shared with the parent, so only
+    degrees s..s+n are new. It returns the blocks and maxima of vals's
+    extensions, and the max shifts of vals (0 for a column the greedy
+    diagram leaves empty).
+    """
+    zero = (0,) * n
+    # Degree s+t: column i (0-based) reads window[n-1+t-i]. Blocks past degree
+    # s+1 are zero, so the chain starts at column max(t-1, 0).
+    rows = []
+    for t in range(n + 1):
+        first = max(t - 1, 0)
+        rows.append((n - 1 + t - first, first, [(n - 1 + t - i, i) for i in range(first + 1, n)]))
+
+    def step(vals, blocks, maxima):
+        s = len(vals) - 1
+        blocks += (_lex_column_block(n, s, vals[-2], vals[-1]) if s else zero,)
+        window = blocks + (_lex_column_block(n, s + 1, vals[-1], 0),)
+        shifts = list(maxima)
+        for j, (first_k, first, row) in enumerate(rows, s):
+            # The pairs cancel left to right, as in betti.greedy_columns.
+            left = window[first_k][first]
+            for k, i in row:
+                count = window[k][i]
+                if left > count:
+                    shifts[i - 1] = j
+                    left = 0
+                else:
+                    left = count - left
+            if left:
+                shifts[n - 1] = j
+            if j == s:
+                extension_maxima = tuple(shifts)
+        return blocks[1:], extension_maxima, tuple(shifts)
+
+    return step
+
+
+def _greedy_shift_walk(n, socle_max, prefix, cursor=None):
+    """Yield (vals, _greedy(vals, n)[2]) in _enumerate_value_tuples's order.
+
+    Each function's shifts come from its parent's state in the DFS (see
+    _greedy_step); a column the greedy diagram leaves empty gets shift 0
+    instead of an error. With cursor, only the functions after it in tuple
+    order come out: a node before the cursor that is not a prefix of it is
+    skipped with its whole subtree, and a prefix of the cursor is descended
+    without being yielded.
+    """
+    start = _checked_prefix(n, prefix)
+    step = _greedy_step(n)
+    zero = (0,) * n
+    node = ((1,), (zero,) * (n - 1), zero)
+    for v in start[1:]:
+        blocks, maxima, _ = step(*node)
+        node = (node[0] + (v,), blocks, maxima)
+    stack = [node] if len(start) <= socle_max + 1 else []
+    cursor = None if cursor is None else tuple(cursor)
+    while stack:
+        vals, blocks, maxima = stack.pop()
+        if cursor is not None:
+            if vals > cursor:
+                # The stack pops in tuple order, so all that is left comes after the cursor.
+                cursor = None
+            elif vals != cursor[:len(vals)]:
+                continue
+        blocks, maxima, shifts = step(vals, blocks, maxima)
+        if cursor is None:
+            yield vals, shifts
+        d = len(vals)
+        if d <= socle_max:
+            # Push descending so extensions pop in ascending value order.
+            for v in range(_growth_bound(n, d, vals[-1]), 0, -1):
+                stack.append((vals + (v,), blocks, maxima))
 
 
 def _classify_values(hvals, n, options):

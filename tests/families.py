@@ -1,0 +1,16 @@
+"""Hypothesis strategy for small O-sequence families below a random admissible prefix."""
+
+from hypothesis import strategies as st
+
+from multbound.hilbert import _growth_bound
+
+
+@st.composite
+def families(draw, depths, max_prefix=5):
+    """(n, socle_max, prefix) with n a key of depths and socle_max at most depths[n] past the prefix."""
+    n = draw(st.sampled_from(sorted(depths)))
+    prefix = [1]
+    for d in range(1, draw(st.integers(1, max_prefix))):
+        prefix.append(draw(st.integers(1, _growth_bound(n, d, prefix[-1]))))
+    socle_max = len(prefix) - 1 + draw(st.integers(0, depths[n]))
+    return n, socle_max, tuple(prefix)

@@ -7,9 +7,13 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
+import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from multbound import (
     NeedsCapError,
@@ -17,12 +21,15 @@ from multbound import (
     check_hf,
     check_ideal,
     classify,
+    koszul,
     scan,
     scanner,
+    verdict,
 )
 from multbound.cli import main
 from multbound.scanner import _scan_chunk, _worker_count
 
+from families import families
 from goldens import (
     IDEAL_STABLE_NONCM,
     IDEAL_TRUNC_CERT,
@@ -129,8 +136,18 @@ def test_scan_checkpoints_consumed_chunks_when_interrupted(baseline, tmp_path, m
 
 
 def _crash_on_an_exception_chunk(args):
-    """Kill the worker process that gets the chunk holding 1,3,6,7,6,2; classify others."""
-    if multiprocessing.parent_process() is not None and (1, 3, 6, 7, 6, 2) in args[0]:
+    """Kill the worker process that gets the chunk holding 1,3,6,7,6,2; classify others.
+
+    Only chunks with exceptions go to workers, so the first of them (holding
+    1,3,4,4,3) may still be in a worker when this one arrives. The kill waits
+    until the log in KILL_AFTER_LOGGING holds a chunk, or 30 s.
+    """
+    (_, _, exceptions, _), _, _ = args
+    if multiprocessing.parent_process() is not None and (1, 3, 6, 7, 6, 2) in exceptions:
+        log = Path(os.environ["KILL_AFTER_LOGGING"])
+        deadline = time.monotonic() + 30
+        while len(log.read_bytes().splitlines()) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
         os.kill(os.getpid(), signal.SIGKILL)
     return _scan_chunk(args)
 
@@ -139,6 +156,7 @@ def test_scan_resumes_after_a_worker_is_killed(baseline, tmp_path, monkeypatch):
     if _worker_count(2) < 2:
         pytest.skip("needs two CPUs for a two-process pool")
     cp = tmp_path / "scan.ckpt"
+    monkeypatch.setenv("KILL_AFTER_LOGGING", str(cp))
     monkeypatch.setattr(scanner, "_scan_chunk", _crash_on_an_exception_chunk)
     with pytest.raises(BrokenProcessPool):
         scan(3, 5, (1, 3), jobs=2, chunk_size=100, checkpoint_path=str(cp))
@@ -163,6 +181,54 @@ def test_scan_resumes_from_every_log_prefix(baseline, tmp_path):
             resumed = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
             assert _without_timing(resumed) == _without_timing(baseline), (kept, tail)
             assert cp.read_bytes() == full.read_bytes(), (kept, tail)
+
+
+def test_scan_resume_evaluates_nothing_before_the_cursor(baseline, tmp_path, monkeypatch):
+    cp = tmp_path / "scan.ckpt"
+    scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp), limit=800)
+    *_, (_, _, _, last) = _log_lines(cp)
+    cursor = tuple(last)
+    real_step = verdict._greedy_step
+    evaluated = []
+
+    def counting_step(n):
+        step = real_step(n)
+
+        def counted(vals, blocks, maxima):
+            evaluated.append(vals)
+            return step(vals, blocks, maxima)
+
+        return counted
+
+    monkeypatch.setattr(verdict, "_greedy_step", counting_step)
+    resumed = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
+    assert _without_timing(resumed) == _without_timing(baseline)
+    # Only the last chunk's 13 functions, and the cursor's prefixes on the way down to it.
+    assert len([vals for vals in evaluated if vals > cursor]) == 13
+    assert all(vals == cursor[:len(vals)] for vals in evaluated if vals <= cursor)
+    assert len(evaluated) <= 13 + len(cursor)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    families({2: 3, 3: 2}, max_prefix=4),
+    st.integers(1, 64),
+    st.integers(1, 2),
+    st.floats(0, 1),
+)
+@example((3, 5, (1, 3)), 100, 2, 0.3)
+def test_scan_report_is_independent_of_jobs_chunks_and_resume_point(family, chunk_size, jobs, stop):
+    n, socle_max, prefix = family
+    base = _without_timing(scan(n, socle_max, prefix, jobs=1))
+    chunked = scan(n, socle_max, prefix, jobs=jobs, chunk_size=chunk_size)
+    assert _without_timing(chunked) == base
+    limit = max(1, round(stop * base["counts"]["scanned"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        cp = os.path.join(tmp, "scan.ckpt")
+        first = scan(n, socle_max, prefix, jobs=jobs, chunk_size=chunk_size, checkpoint_path=cp, limit=limit)
+        assert first.counts["scanned"] == limit
+        resumed = scan(n, socle_max, prefix, jobs=jobs, chunk_size=chunk_size, checkpoint_path=cp)
+    assert _without_timing(resumed) == base
 
 
 def test_scan_rejects_unreadable_checkpoints(tmp_path):
@@ -360,6 +426,25 @@ def test_check_ideal_with_explicit_truncation():
     assert "e = 11, truncation e = 13" in text
     assert "rows >= 3 preserved under truncation: yes" in text
     assert "truncation analysis: NOT_APPLICABLE (no minimal generator of degree 4 or 5)" in text
+
+
+def test_check_ideal_reuses_the_analysis_truncation(monkeypatch):
+    real = koszul.koszul_betti
+    built = []
+
+    def counting(I, *args, **kwargs):
+        built.append(I)
+        return real(I, *args, **kwargs)
+
+    for module in (koszul, scanner):
+        monkeypatch.setattr(module, "koszul_betti", counting)
+    # 6 is the max generator degree, where the analysis truncates.
+    analysis, text, _ = check_ideal(IDEAL_TRUNC_CERT, truncate_at=6)
+    assert analysis.truncation is not None
+    assert built.count(analysis.truncation) == 1
+    assert f"truncation at degree 6: {analysis.truncation}" in text
+    assert f"e = 31, truncation e = {analysis.e_truncation}" in text
+    assert "rows >= 6 preserved under truncation: yes" in text
 
 
 def test_check_ideal_trivial_case():

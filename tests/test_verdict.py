@@ -4,6 +4,7 @@ from itertools import product
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multbound import (
     BettiDiagram,
@@ -22,8 +23,16 @@ from multbound import (
     max_shifts,
     upper_bound_holds,
 )
-from multbound.verdict import DEFAULT_DFS_CAP, DEFAULT_FILTERS, _violating_diagrams
+from multbound.hilbert import _enumerate_value_tuples
+from multbound.verdict import (
+    DEFAULT_DFS_CAP,
+    DEFAULT_FILTERS,
+    _greedy,
+    _greedy_shift_walk,
+    _violating_diagrams,
+)
 
+from families import families
 from goldens import (
     MIN_1_3_6_10_15_15_11,
     MIN_1_3_6_7_3_1,
@@ -214,6 +223,40 @@ def test_violating_search_equals_unpruned_brute_force(n, socle_max, prefix):
         # One cancellation profile per diagram: no diagram is reached twice.
         assert len({tuple(tuple(sorted(col.items())) for col in d) for d in found}) == len(found)
     assert exceptions == {3: 5, 4: 3}[n]
+
+
+WALK_FAMILIES = families({1: 6, 2: 4, 3: 2, 4: 2})
+
+
+@settings(max_examples=40, deadline=None)
+@given(WALK_FAMILIES)
+def test_greedy_shift_walk_gives_the_greedy_max_shifts(family):
+    n, socle_max, prefix = family
+    for vals, shifts in _greedy_shift_walk(n, socle_max, prefix):
+        assert shifts == _greedy(vals, n)[2], vals
+
+
+@settings(max_examples=40, deadline=None)
+@given(WALK_FAMILIES, st.data())
+def test_greedy_shift_walk_yields_the_enumeration_after_the_cursor(family, data):
+    n, socle_max, prefix = family
+    expected = list(_enumerate_value_tuples(n, socle_max, prefix))
+    walk = list(_greedy_shift_walk(n, socle_max, prefix))
+    assert [vals for vals, _ in walk] == expected
+    # A cursor in the family, or any tuple: only what comes after it in tuple order is left.
+    cursor = data.draw(st.one_of(
+        st.sampled_from(expected),
+        st.lists(st.integers(0, 12), min_size=1, max_size=socle_max + 2).map(tuple),
+    ))
+    resumed = list(_greedy_shift_walk(n, socle_max, prefix, cursor))
+    assert resumed == [(vals, shifts) for vals, shifts in walk if vals > cursor]
+
+
+def test_greedy_shift_walk_rejects_bad_prefixes():
+    for prefix in ((1, 3, 7), (1, 3, 0), (2,), ()):
+        with pytest.raises(NotAdmissibleError):
+            list(_greedy_shift_walk(3, 4, prefix))
+    assert list(_greedy_shift_walk(3, 1, (1, 3, 6))) == []
 
 
 def test_classify_rejects_non_o_sequences():
