@@ -156,6 +156,17 @@ def _checked_prefix(n, prefix):
     return start
 
 
+def _extension_values(n, vals):
+    """The nonzero values H(d) may take after vals = H(0..d-1), descending.
+
+    Both enumeration DFS loops, _enumerate_value_tuples and
+    verdict._greedy_shift_walk, push a node's extensions in this order, so
+    they pop in ascending value order and the family comes out in
+    lexicographic tuple order.
+    """
+    return range(_growth_bound(n, len(vals), vals[-1]), 0, -1)
+
+
 def _enumerate_value_tuples(n, socle_max, prefix):
     """Yield O-sequence value tuples extending prefix, socle degree <= socle_max.
 
@@ -169,10 +180,7 @@ def _enumerate_value_tuples(n, socle_max, prefix):
         if d <= socle_max:
             yield vals
         if d < socle_max:
-            top = _growth_bound(n, d + 1, vals[-1])
-            # Push descending so extensions pop in ascending value order.
-            for v in range(top, 0, -1):
-                stack.append(vals + (v,))
+            stack.extend(vals + (v,) for v in _extension_values(n, vals))
 
 
 def enumerate_o_sequences(n, socle_max, prefix=(1,)):

@@ -7,7 +7,7 @@ import json
 import os
 import time
 from collections import Counter, deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from csv import QUOTE_MINIMAL, writer as csv_writer
 from dataclasses import dataclass
@@ -153,13 +153,7 @@ def _pooled_results(executor, args_iter, window):
     pending = deque()
     try:
         for args in args_iter:
-            (_, _, exceptions, _), _, _ = args
-            if exceptions:
-                pending.append(executor.submit(_scan_chunk, args))
-            else:
-                # Nothing to classify: keep the chunk's place without a round trip to a worker.
-                pending.append(Future())
-                pending[-1].set_result(_scan_chunk(args))
+            pending.append(executor.submit(_scan_chunk, args))
             if len(pending) >= window:
                 yield pending.popleft().result()
         while pending:
@@ -247,7 +241,7 @@ def scan(
             f"socle_max {socle_max} is below the prefix's socle degree {len(prefix) - 1}: "
             "the family is empty"
         )
-    _checked_prefix(n, prefix)  # before the log exists
+    prefix = _checked_prefix(n, prefix)  # before the log exists
     filters = tuple(sorted(set(filters)))
     options = ClassifyOptions(filters, dfs_cap)
     if out_format not in ("json", "csv"):

@@ -11,7 +11,7 @@ from math import factorial, inf, prod
 
 from .betti import BettiDiagram, _growth_ok, greedy_columns
 from .errors import MalformedDiagramError
-from .hilbert import _checked_prefix, _growth_bound, _values, aci_obstruction
+from .hilbert import _extension_values, _values, aci_obstruction
 from .monomial import _lex_column_block, lex_columns
 
 __all__ = [
@@ -375,17 +375,17 @@ def _greedy_step(n):
     return step
 
 
-def _greedy_shift_walk(n, socle_max, prefix, cursor=None):
+def _greedy_shift_walk(n, socle_max, start, cursor=None):
     """Yield (vals, _greedy(vals, n)[2]) in _enumerate_value_tuples's order.
 
-    Each function's shifts come from its parent's state in the DFS (see
-    _greedy_step); a column the greedy diagram leaves empty gets shift 0
-    instead of an error. With cursor, only the functions after it in tuple
-    order come out: a node before the cursor that is not a prefix of it is
-    skipped with its whole subtree, and a prefix of the cursor is descended
-    without being yielded.
+    start is a prefix's value tuple as returned by hilbert._checked_prefix,
+    which the caller has already run. Each function's shifts come from its
+    parent's state in the DFS (see _greedy_step); a column the greedy
+    diagram leaves empty gets shift 0 instead of an error. With cursor, only
+    the functions after it in tuple order come out: a node before the cursor
+    that is not a prefix of it is skipped with its whole subtree, and a
+    prefix of the cursor is descended without being yielded.
     """
-    start = _checked_prefix(n, prefix)
     step = _greedy_step(n)
     zero = (0,) * n
     node = ((1,), (zero,) * (n - 1), zero)
@@ -405,11 +405,8 @@ def _greedy_shift_walk(n, socle_max, prefix, cursor=None):
         blocks, maxima, shifts = step(vals, blocks, maxima)
         if cursor is None:
             yield vals, shifts
-        d = len(vals)
-        if d <= socle_max:
-            # Push descending so extensions pop in ascending value order.
-            for v in range(_growth_bound(n, d, vals[-1]), 0, -1):
-                stack.append((vals + (v,), blocks, maxima))
+        if len(vals) <= socle_max:
+            stack.extend((vals + (v,), blocks, maxima) for v in _extension_values(n, vals))
 
 
 def _classify_values(hvals, n, options):

@@ -252,10 +252,7 @@ def test_greedy_shift_walk_yields_the_enumeration_after_the_cursor(family, data)
     assert resumed == [(vals, shifts) for vals, shifts in walk if vals > cursor]
 
 
-def test_greedy_shift_walk_rejects_bad_prefixes():
-    for prefix in ((1, 3, 7), (1, 3, 0), (2,), ()):
-        with pytest.raises(NotAdmissibleError):
-            list(_greedy_shift_walk(3, 4, prefix))
+def test_greedy_shift_walk_below_the_prefix_socle_degree_is_empty():
     assert list(_greedy_shift_walk(3, 1, (1, 3, 6))) == []
 
 
