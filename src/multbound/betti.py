@@ -63,6 +63,14 @@ class BettiDiagram:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_entries", clean)
 
+    @classmethod
+    def _trusted(cls, n, entries):
+        # entries is already clean: positive int counts in columns 0..n, beta_{0,0} = 1.
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_entries", entries)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("BettiDiagram is immutable")
 

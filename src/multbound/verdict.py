@@ -11,7 +11,7 @@ from math import factorial, inf, prod
 
 from .betti import BettiDiagram, _growth_ok, greedy_columns
 from .errors import MalformedDiagramError
-from .hilbert import _extension_values, _values, aci_obstruction
+from .hilbert import _values, aci_obstruction
 from .monomial import _lex_column_block, lex_columns
 
 __all__ = [
@@ -168,12 +168,38 @@ def _degree_options(cols, j):
     return [(v, sum(1 << i for i, x in enumerate(v) if x)) for v in vecs]
 
 
+def _filter_state_failures(state, n, filters):
+    """Names of enabled filters a leaf with this filter state fails, as _diagram_filter_failures.
+
+    None when the state cannot decide: in three variables a column-1 total of
+    3 (the complete-intersection shape for gen) or 4 (aci) needs the column maps.
+    """
+    er, gen, late = state
+    if n == 3 and gen in (3, 4):
+        return None
+    failed = []
+    if "er" in filters and any(count < i for i, count in enumerate(er, 2)):
+        failed.append("er")
+    if "gen" in filters and gen < n:
+        failed.append("gen")
+    if "growth" in filters and late:
+        failed.append("growth")
+    return failed
+
+
+def _path_diagram(n, path):
+    """Diagram that picks vector vec at degree j for each (j, vec) in path (see _degree_options)."""
+    entries = {(i, j): count for j, vec in path for i, count in enumerate(vec, 1) if count}
+    entries[0, 0] = 1
+    return BettiDiagram._trusted(n, entries)
+
+
 class _CapReached(Exception):
     pass
 
 
 def _violating_diagrams(cols, lhs, cap, visit):
-    """Call visit on every cancellation-reachable diagram whose max-shift product is below lhs.
+    """Call visit(state, path) on each cancellation-reachable diagram with max-shift product below lhs.
 
     cols is the lex diagram's column maps. Cancelling at degree j only changes
     degree-j entries, so a diagram is one reachable column vector per degree
@@ -183,10 +209,20 @@ def _violating_diagrams(cols, lhs, cap, visit):
     give to the columns in U, the set of columns still empty (inf when one can
     never become nonzero); a child is entered only when the pinned product
     times its share and best stays below lhs, so every visited node has a
-    violating leaf below it. Leaves come out in profile order; visit gets the
-    live column maps, valid only during the call. Returns stats: nodes visited
-    (at most cap + 1), children cut because some column can no longer become
-    nonzero (degenerate), and whether the cap stopped the search.
+    violating leaf below it. Leaves come out in profile order.
+
+    path is the live list of the (degree, vector) choices, top degree
+    first, valid only during the call; _path_diagram turns it into a diagram.
+    state is the leaf's filter state (er, gen, late), carried down the path
+    so that no leaf rescans its columns (see _filter_state_failures):
+    er[i-2] counts column i-1's entries strictly below column i's current
+    min shift, capped at i, for each column i >= 2 (0 while column i is
+    empty); gen is column 1's total, capped at 5 for n = 3 and at n
+    otherwise; late is set once a column becomes nonzero while the next one
+    is still empty, so its max shift is not below the next one's. The
+    transitions are cached on (state, U, vec) for the call. Returns stats:
+    nodes visited (at most cap + 1), children cut because some column can no
+    longer become nonzero (degenerate), and whether the cap stopped the search.
     """
     n = len(cols) - 1
     degrees = sorted({j for col in cols[1:] for j in col}, reverse=True)
@@ -200,7 +236,9 @@ def _violating_diagrams(cols, lhs, cap, visit):
             min(j ** (U & m).bit_count() * below[U & ~m] for m in masks)
             for U in range(full + 1)
         ]
-    live = cols[1:]
+    path = [None] * len(degrees)
+    gen_cap = 5 if n == 3 else n
+    transitions = {}
     stats = {"nodes": 0, "degenerate": 0, "cap_exceeded": False}
 
     @cache
@@ -212,17 +250,17 @@ def _violating_diagrams(cols, lhs, cap, visit):
         for vec, mask in options[level]:
             if below[U & ~mask] < inf:
                 share = j ** (U & mask).bit_count()
-                kept.append((share * below[U & ~mask], (vec, U & ~mask, share)))
+                kept.append((share * below[U & ~mask], ((j, vec), mask, U & ~mask, share)))
         bounds = sorted({bound for bound, _ in kept})
         entered = [[child for bound, child in kept if bound <= top] for top in bounds]
         return len(options[level]) - len(kept), bounds, entered
 
-    def descend(level, pinned, U):
+    def descend(level, pinned, U, state):
         stats["nodes"] += 1
         if stats["nodes"] > cap:
             raise _CapReached
         if level == len(degrees):
-            visit(cols)
+            visit(state, path)
             return
         degenerate, bounds, entered = children(level, U)
         stats["degenerate"] += degenerate
@@ -230,17 +268,25 @@ def _violating_diagrams(cols, lhs, cap, visit):
         fit = bisect_right(bounds, (lhs - 1) // pinned)
         if not fit:
             return
-        j = degrees[level]
-        for vec, rest, share in entered[fit - 1]:
-            for col, count in zip(live, vec):
-                if count:
-                    col[j] = count
-                else:
-                    col.pop(j, None)
-            descend(level + 1, pinned * share, rest)
+        for pick, mask, rest, share in entered[fit - 1]:
+            vec = pick[1]
+            key = (state, U, vec)
+            child = transitions.get(key)
+            if child is None:
+                er, gen, late = state
+                child = transitions[key] = (
+                    tuple(
+                        0 if vec[i] or U >> i & 1 else min(count + vec[i - 1], i + 1)
+                        for i, count in enumerate(er, 1)
+                    ),
+                    min(gen + vec[0], gen_cap),
+                    late or bool(U & mask & (U >> 1)),
+                )
+            path[level] = pick
+            descend(level + 1, pinned * share, rest, child)
 
     try:
-        descend(0, 1, full)
+        descend(0, 1, full, ((0,) * (n - 1), 0, False))
     except _CapReached:
         stats["cap_exceeded"] = True
     return stats
@@ -340,8 +386,8 @@ def _greedy_step(n):
     degrees s-n+1..s-1 and each column's greedy max shift over degrees below
     s (0 while it has none); both are shared with the parent, so only
     degrees s..s+n are new. It returns the blocks and maxima of vals's
-    extensions, and the max shifts of vals (0 for a column the greedy
-    diagram leaves empty).
+    extensions, the max shifts of vals (0 for a column the greedy diagram
+    leaves empty), and the largest value H(s+1) may take after vals.
     """
     zero = (0,) * n
     # Degree s+t: column i (0-based) reads window[n-1+t-i]. Blocks past degree
@@ -370,7 +416,9 @@ def _greedy_step(n):
                 shifts[n - 1] = j
             if j == s:
                 extension_maxima = tuple(shifts)
-        return blocks[1:], extension_maxima, tuple(shifts)
+        # With H(s+1) = 0 every degree-(s+1) monomial outside the shadow of
+        # H(s) is a generator, and Macaulay's growth bound counts exactly those.
+        return blocks[1:], extension_maxima, tuple(shifts), window[-1][0]
 
     return step
 
@@ -390,7 +438,7 @@ def _greedy_shift_walk(n, socle_max, start, cursor=None):
     zero = (0,) * n
     node = ((1,), (zero,) * (n - 1), zero)
     for v in start[1:]:
-        blocks, maxima, _ = step(*node)
+        blocks, maxima, _, _ = step(*node)
         node = (node[0] + (v,), blocks, maxima)
     stack = [node] if len(start) <= socle_max + 1 else []
     cursor = None if cursor is None else tuple(cursor)
@@ -402,11 +450,12 @@ def _greedy_shift_walk(n, socle_max, start, cursor=None):
                 cursor = None
             elif vals != cursor[:len(vals)]:
                 continue
-        blocks, maxima, shifts = step(vals, blocks, maxima)
+        blocks, maxima, shifts, bound = step(vals, blocks, maxima)
         if cursor is None:
             yield vals, shifts
         if len(vals) <= socle_max:
-            stack.extend((vals + (v,), blocks, maxima) for v in _extension_values(n, vals))
+            # Pushed descending, as in _enumerate_value_tuples, so values pop ascending.
+            stack.extend((vals + (v,), blocks, maxima) for v in range(bound, 0, -1))
 
 
 def _classify_values(hvals, n, options):
@@ -419,17 +468,23 @@ def _classify_values(hvals, n, options):
     histogram = Counter()
     failed_filters = set()
     survivors = []
+    verdicts = {}
 
-    def visit(diag_cols):
-        failed = _diagram_filter_failures(diag_cols, hvals, n, options.filters, aci_cache)
+    def visit(state, path):
+        if state not in verdicts:
+            verdicts[state] = _filter_state_failures(state, n, options.filters)
+        failed = verdicts[state]
+        if failed is None:
+            cols = _path_diagram(n, path).columns()
+            failed = _diagram_filter_failures(cols, hvals, n, options.filters, aci_cache)
         if failed:
             histogram["+".join(failed)] += 1
             failed_filters.update(failed)
         else:
-            survivors.append(BettiDiagram.from_columns(n, diag_cols))
+            survivors.append(_path_diagram(n, path))
 
     aci_cache = {}
-    stats = _violating_diagrams([dict(col) for col in lex_cols], bound.lhs, options.dfs_cap, visit)
+    stats = _violating_diagrams(lex_cols, bound.lhs, options.dfs_cap, visit)
     if stats["cap_exceeded"]:
         status, reason = "UNRESOLVED", "CAP_EXCEEDED"
     elif survivors:

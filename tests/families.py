@@ -14,3 +14,11 @@ def families(draw, depths, max_prefix=5):
         prefix.append(draw(st.integers(1, _growth_bound(n, d, prefix[-1]))))
     socle_max = len(prefix) - 1 + draw(st.integers(0, depths[n]))
     return n, socle_max, tuple(prefix)
+
+
+@st.composite
+def families_around(draw, hfs):
+    """(n, socle_max, prefix) whose family holds a drawn (n, vals) of hfs, below a prefix of vals."""
+    n, vals = draw(st.sampled_from(hfs))
+    prefix = vals[:draw(st.integers(len(vals) - 1, len(vals)))]
+    return n, len(vals) - 1 + draw(st.integers(0, 1)), prefix

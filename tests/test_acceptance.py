@@ -58,6 +58,7 @@ from goldens import (
     MIN_1_3_6_9_9_6_2,
     diagram,
 )
+from leaves import path_columns
 
 H_HARD = (1, 3, 6, 10, 15, 17, 17, 17, 15, 10)
 
@@ -226,8 +227,7 @@ def test_cross_engine_and_property_checks():
         greedy_prod = _product(max(col) for col in greedy[1:])
         found = []
         stats = _violating_diagrams(
-            [dict(col) for col in cols], 10**30, 10**7,
-            lambda diag: found.append([dict(col) for col in diag]),
+            cols, 10**30, 10**7, lambda state, path: found.append(path_columns(path, 3)),
         )
         assert not stats["cap_exceeded"]
         reachable_total += len(found)

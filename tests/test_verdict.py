@@ -4,7 +4,7 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multbound import (
     BettiDiagram,
@@ -23,22 +23,27 @@ from multbound import (
     max_shifts,
     upper_bound_holds,
 )
+from multbound import verdict
 from multbound.hilbert import _enumerate_value_tuples
 from multbound.verdict import (
     DEFAULT_DFS_CAP,
     DEFAULT_FILTERS,
+    _classify_values,
+    _diagram_filter_failures,
+    _filter_state_failures,
     _greedy,
     _greedy_shift_walk,
     _violating_diagrams,
 )
 
-from families import families
+from families import families, families_around
 from goldens import (
     MIN_1_3_6_10_15_15_11,
     MIN_1_3_6_7_3_1,
     MIN_1_3_6_9_9_6_2,
     diagram,
 )
+from leaves import path_columns, reference_evidence
 
 H_HARD = (1, 3, 6, 10, 15, 17, 17, 17, 15, 10)
 
@@ -214,8 +219,7 @@ def test_violating_search_equals_unpruned_brute_force(n, socle_max, prefix):
         cols = lex_columns(H, n)
         found = []
         stats = _violating_diagrams(
-            [dict(col) for col in cols], res.lhs, DEFAULT_DFS_CAP,
-            lambda diag: found.append([dict(col) for col in diag]),
+            cols, res.lhs, DEFAULT_DFS_CAP, lambda state, path: found.append(path_columns(path, n)),
         )
         assert not stats["cap_exceeded"]
         assert found == _brute_force_violating(cols, res.lhs)
@@ -223,6 +227,100 @@ def test_violating_search_equals_unpruned_brute_force(n, socle_max, prefix):
         # One cancellation profile per diagram: no diagram is reached twice.
         assert len({tuple(tuple(sorted(col.items())) for col in d) for d in found}) == len(found)
     assert exceptions == {3: 5, 4: 3}[n]
+
+
+FILTER_SUBSETS = [(), *((name,) for name in DEFAULT_FILTERS), DEFAULT_FILTERS]
+
+
+def _evidence(res):
+    return {
+        "status": res.status,
+        "reason": res.reason,
+        "filter_histogram": res.filter_histogram,
+        "survivors": res.survivors,
+        "violating": res.violating,
+        "nodes": res.nodes,
+        "degenerate": res.degenerate,
+        "cap_exceeded": res.cap_exceeded,
+    }
+
+
+# Exceptions of n=3 prefix 1,3 socle <= 9 and of n=4 prefix 1,4 socle <= 5, some with leaves
+# that pass er or sit one below its threshold: random families rarely hold one.
+EXCEPTIONS = [(3, vals) for vals in [
+    (1, 3, 4, 4, 3), (1, 3, 6, 7, 6, 2), (1, 3, 6, 8, 9, 9, 7, 2), (1, 3, 6, 10, 11, 9, 3),
+    (1, 3, 6, 10, 12, 12, 9, 1), (1, 3, 6, 10, 15, 15, 11), (1, 3, 6, 10, 15, 16, 15, 10),
+    (1, 3, 6, 10, 15, 21, 21, 15), (1, 3, 6, 10, 15, 21, 22, 21, 15), H_HARD,
+]] + [(4, vals) for vals in [
+    (1, 4, 7, 8, 4), (1, 4, 7, 9, 8), (1, 4, 10, 9, 5), (1, 4, 10, 10, 8, 4), (1, 4, 10, 20, 17, 9),
+]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(families({2: 5, 3: 3, 4: 2}), families_around(EXCEPTIONS)),
+    st.sampled_from([DEFAULT_DFS_CAP, 1, 9, 60]),
+)
+@example((3, 6, (1, 3)), DEFAULT_DFS_CAP)
+@example((4, 4, (1,)), DEFAULT_DFS_CAP)
+def test_filter_state_gives_the_filter_verdicts_of_the_leaf_maps(family, cap):
+    n, socle_max, prefix = family
+    for vals in _enumerate_value_tuples(n, socle_max, prefix):
+        if upper_bound_holds(sum(vals), _greedy(vals, n)[2], n).holds:
+            continue
+        for filters in FILTER_SUBSETS:
+            res = _classify_values(vals, n, ClassifyOptions(filters, cap))
+            expected = reference_evidence(vals, n, filters, cap)
+            assert _evidence(res) == expected, (vals, filters)
+            assert res.nodes == cap + 1 if res.cap_exceeded else res.nodes <= cap
+
+
+@settings(max_examples=100, deadline=None)
+@given(families({1: 4, 2: 4, 3: 2, 4: 1}, max_prefix=4))
+def test_filter_state_decides_every_reachable_diagram_as_its_maps(family):
+    # lhs far above every product: reachable diagrams that fail growth too, 5,000 nodes per function.
+    n, socle_max, prefix = family
+    for vals in _enumerate_value_tuples(n, socle_max, prefix):
+        def visit(state, path):
+            failed = _filter_state_failures(state, n, DEFAULT_FILTERS)
+            if failed is not None:
+                cols = path_columns(path, n)
+                assert failed == _diagram_filter_failures(cols, vals, n, DEFAULT_FILTERS, {})
+
+        _violating_diagrams(lex_columns(vals, n), 10**30, 5_000, visit)
+
+
+def _count_map_verdicts(monkeypatch):
+    calls = []
+    real = verdict._diagram_filter_failures
+
+    def counted(cols, *args):
+        calls.append(sum(cols[1].values()))
+        return real(cols, *args)
+
+    monkeypatch.setattr(verdict, "_diagram_filter_failures", counted)
+    return calls
+
+
+def test_four_generator_leaves_take_the_aci_verdict_from_the_maps(monkeypatch):
+    # Every violating diagram of H_HARD has four generators: only the maps decide aci.
+    calls = _count_map_verdicts(monkeypatch)
+    res = classify(H_HARD, 3)
+    assert (res.status, res.reason) == ("ELIMINATED", "aci,er")
+    assert res.filter_histogram == {"aci": 28, "er+aci": 28}
+    assert calls == [4] * 56
+    assert _evidence(res) == reference_evidence(H_HARD, 3, DEFAULT_FILTERS, DEFAULT_DFS_CAP)
+
+
+def test_three_generator_leaves_take_the_gen_verdict_from_the_maps(monkeypatch):
+    # Three generators pass gen only in the complete-intersection shape, which only the maps show.
+    calls = _count_map_verdicts(monkeypatch)
+    H = (1, 3, 6, 7, 6, 2)
+    res = classify(H, 3)
+    assert (res.status, res.reason) == ("ELIMINATED", "er,gen")
+    assert res.filter_histogram == {"er+gen": 3}
+    assert calls == [3] * 3
+    assert _evidence(res) == reference_evidence(H, 3, DEFAULT_FILTERS, DEFAULT_DFS_CAP)
 
 
 WALK_FAMILIES = families({1: 6, 2: 4, 3: 2, 4: 2})
