@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from operator import mul
 
 from .betti import BettiDiagram, is_quasipure, max_shifts
 from .errors import NeedsCapError
 from .hilbert import HilbertFunction, multiplicity
-from .monomial import MonomialIdeal, _exponents_of_degree, quotient_hilbert_function, truncate
+from .monomial import MonomialIdeal, _standard_layers, quotient_hilbert_function, truncate
 from .verdict import BoundVerdict, upper_bound_holds
 
 __all__ = [
@@ -34,7 +36,12 @@ def _is_prime(p):
 
 
 def rank_mod_p(rows, p):
-    """Rank of an integer matrix over the field with p elements, by elimination."""
+    """Rank of an integer matrix over the field with p elements, by elimination.
+
+    Raises ValueError when p is not prime.
+    """
+    if not _is_prime(p):
+        raise ValueError(f"field characteristic must be prime, got {p}")
     mat = [[v % p for v in row] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
@@ -58,37 +65,19 @@ def rank_mod_p(rows, p):
     return rank
 
 
-def _standard_exponents(gens, n, degree_cap):
-    """Exponent tuples outside the ideal, degree by degree.
+@cache
+def _block_betti(n, pattern, p):
+    """Betti numbers ((r, beta_r), ...) of one multidegree block mu of the Koszul complex mod I.
 
-    Stops at the first empty degree for Artinian ideals, else at degree_cap.
+    Bit S of pattern is set when the element e_S (x) x^(mu - 1_S) lies in the
+    block, that is when x^(mu - 1_S) is standard (and kept under the degree
+    cap). The homology depends on nothing else, so it is computed once per
+    (n, pattern, p).
     """
-    std = []
-    d = 0
-    while True:
-        layer = [
-            exps
-            for exps in _exponents_of_degree(d, n)
-            if not any(all(g[k] <= exps[k] for k in range(n)) for g in gens)
-        ]
-        std.extend(layer)
-        if degree_cap is None:
-            if not layer:
-                return std
-        elif d == degree_cap:
-            return std
-        d += 1
-
-
-def _block_betti(basis, n, p):
-    """Betti numbers of one multidegree block mu of the Koszul complex mod I.
-
-    basis maps r to the masks S with |S| = r whose element e_S (x) x^(mu - 1_S)
-    lies in the block, that is those with x^(mu - 1_S) standard. Returns
-    {r: beta_r} for the block.
-    """
-    for masks in basis.values():
-        masks.sort()
+    basis = {}
+    for mask in range(1 << n):
+        if pattern >> mask & 1:
+            basis.setdefault(mask.bit_count(), []).append(mask)
     matrices = {}
     top = max(basis)
     for r in range(1, top + 1):
@@ -118,13 +107,13 @@ def _block_betti(basis, n, p):
                     )
                     assert acc % p == 0, "Koszul differential does not square to zero"
     ranks = {r: rank_mod_p(mat, p) if mat and mat[0] else 0 for r, mat in matrices.items()}
-    out = {}
+    out = []
     for r, masks in basis.items():
         beta = len(masks) - ranks.get(r, 0) - ranks.get(r + 1, 0)
         assert beta >= 0
         if beta:
-            out[r] = beta
-    return out
+            out.append((r, beta))
+    return tuple(out)
 
 
 def koszul_betti(I, field_char=DEFAULT_CHAR, degree_cap=None):
@@ -133,7 +122,8 @@ def koszul_betti(I, field_char=DEFAULT_CHAR, degree_cap=None):
     The Koszul complex of S/I has one basis element e_S (x) x^s for each
     standard monomial x^s and subset S of the variables, in multidegree
     mu = s + 1_S. One walk over the standard monomials files every element in
-    its block, and beta_{r,mu} is the homology of block mu in degree r.
+    its block as a bit of the block's subset pattern, and beta_{r,mu} is the
+    homology of block mu in degree r, which depends only on the pattern.
     Exact over the prime field of the given characteristic. Non-Artinian ideals
     need degree_cap >= 0; entries are then complete for internal degrees
     <= degree_cap, and elements of larger degree are dropped.
@@ -147,19 +137,32 @@ def koszul_betti(I, field_char=DEFAULT_CHAR, degree_cap=None):
     if not I.is_artinian() and degree_cap is None:
         raise NeedsCapError(f"ideal ({I}) is not Artinian; pass degree_cap")
     n = I.n
-    gens = [g.exponents for g in I.generators]
+    layers = _standard_layers(I, degree_cap)
+    # A block mu is keyed by the integer |mu| * B^n + sum_k mu_k * B^k. B
+    # exceeds every mu_k (at most the top layer's degree plus one), so an
+    # element's key is its monomial's key plus its mask's offset.
+    base = len(layers) + 1
+    weights = [base**k for k in range(n)]
+    top = base**n
+    offsets = [
+        (mask, mask.bit_count() * top + sum(w for k, w in enumerate(weights) if mask >> k & 1))
+        for mask in range(1 << n)
+    ]
     blocks = {}
-    for exps in _standard_exponents(gens, n, degree_cap):
-        for mask in range(1 << n):
-            r = mask.bit_count()
-            if degree_cap is not None and sum(exps) + r > degree_cap:
-                continue
-            mu = tuple(exps[k] + (mask >> k & 1) for k in range(n))
-            blocks.setdefault(mu, {}).setdefault(r, []).append(mask)
+    for d, layer in enumerate(layers):
+        kept = [
+            (offset, 1 << mask) for mask, offset in offsets
+            if degree_cap is None or d + mask.bit_count() <= degree_cap
+        ]
+        for exps in layer:
+            key = d * top + sum(map(mul, exps, weights))
+            for offset, bit in kept:
+                block = key + offset
+                blocks[block] = blocks.get(block, 0) | bit
     entries = {}
-    for mu, basis in blocks.items():
-        j = sum(mu)
-        for r, beta in _block_betti(basis, n, field_char).items():
+    for block, pattern in blocks.items():
+        j = block // top
+        for r, beta in _block_betti(n, pattern, field_char):
             entries[(r, j)] = entries.get((r, j), 0) + beta
     return BettiDiagram(n, entries)
 

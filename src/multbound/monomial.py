@@ -339,6 +339,35 @@ def truncate(I, d):
     return MonomialIdeal(I.n, gens)
 
 
+def _standard_layers(I, d_max=None):
+    """Exponent tuples outside I, one list per degree 0, 1, 2, ...
+
+    Walks the down-set of standard monomials: a degree-d tuple s is standard
+    iff it is not a minimal generator and every s / x_k with s_k > 0 is
+    standard in degree d-1. Each s is reached once, from s / x_m with m its
+    last nonzero variable. Stops after the first empty layer or after degree
+    d_max, whichever comes first.
+    """
+    n = I.n
+    gens = {g.exponents for g in I.generators}
+    zero = (0,) * n
+    layer = [] if zero in gens else [zero]
+    layers = [layer]
+    while layer and len(layers) - 1 != d_max:
+        prev = set(layer)
+        nxt = []
+        for t in layer:
+            for m in range(max(_max_var(t) - 1, 0), n):
+                s = t[:m] + (t[m] + 1,) + t[m + 1:]
+                if s not in gens and all(
+                    s[:k] + (s[k] - 1,) + s[k + 1:] in prev for k in range(m) if s[k]
+                ):
+                    nxt.append(s)
+        layer = nxt
+        layers.append(layer)
+    return layers
+
+
 def quotient_hilbert_function(I, d_max=None):
     """Hilbert function of the quotient by I.
 
@@ -351,17 +380,8 @@ def quotient_hilbert_function(I, d_max=None):
         raise NeedsCapError(f"ideal ({I}) is not Artinian; pass d_max to cap the computation")
     if d_max is not None and d_max < 0:
         raise ValueError(f"degree cap must be nonnegative, got {d_max}")
-    vals = []
-    d = 0
-    while True:
-        count = len(I.standard_monomials(d))
-        vals.append(count)
-        if artinian:
-            if count == 0:
-                return HilbertFunction(vals)
-        elif d == d_max:
-            return tuple(vals)
-        d += 1
+    vals = [len(layer) for layer in _standard_layers(I, None if artinian else d_max)]
+    return HilbertFunction(vals) if artinian else tuple(vals)
 
 
 def is_stable(I):

@@ -1,4 +1,4 @@
-"""Hypothesis strategy for small O-sequence families below a random admissible prefix."""
+"""Hypothesis strategies for small O-sequences and for O-sequence families below a prefix."""
 
 from hypothesis import strategies as st
 
@@ -22,3 +22,16 @@ def families_around(draw, hfs):
     n, vals = draw(st.sampled_from(hfs))
     prefix = vals[:draw(st.integers(len(vals) - 1, len(vals)))]
     return n, len(vals) - 1 + draw(st.integers(0, 1)), prefix
+
+
+@st.composite
+def o_sequences(draw, ns, max_socle):
+    """(n, vals) with n drawn from ns and vals an O-sequence in n variables of socle <= max_socle.
+
+    Each value is drawn up to its growth bound; vals may end in zeros.
+    """
+    n = draw(st.sampled_from(ns))
+    vals = [1]
+    for d in range(1, draw(st.integers(1, max_socle + 1))):
+        vals.append(draw(st.integers(0, _growth_bound(n, d, vals[-1]))))
+    return n, tuple(vals)

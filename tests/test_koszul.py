@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from multbound import (
     BettiDiagram,
@@ -24,7 +25,9 @@ from multbound import (
     truncation_analysis,
     verify_truncation_rows,
 )
-from multbound.koszul import rank_mod_p
+from multbound.koszul import _block_betti, rank_mod_p
+
+from families import o_sequences
 
 from goldens import (
     DIAG_ROWS_DEMO,
@@ -140,9 +143,35 @@ def test_koszul_betti_equals_the_block_basis_brute_force():
             cases.append((_random_ideal(rng, n, True), rng.randint(0, 8)))
             if n > 1:
                 cases.append((_random_ideal(rng, n, False), rng.randint(0, 8)))
+    for _ in range(2):
+        cases.append((_random_ideal(rng, 5, True), None))
+        cases.append((_random_ideal(rng, 5, False), rng.randint(0, 6)))
     for I, cap in cases:
         for p in (2, 3, 32003):
             assert koszul_betti(I, p, cap).entries() == _brute_force_betti(I, p, cap), (I, cap, p)
+
+
+# Stanley-Reisner ideal of the six-vertex real projective plane: the triples
+# that are not facets (every edge is a face). By Hochster's formula
+# beta_{i,6} is the reduced homology of RP^2 in degree 5 - i, which is F_2 in
+# degrees 1 and 2 over F_2 and zero over fields of odd characteristic.
+RP2_FACETS = ("123", "134", "145", "156", "126", "235", "245", "246", "346", "356")
+RP2_BETTI = {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
+
+
+def test_koszul_betti_depends_on_the_characteristic_for_rp2():
+    facets = {frozenset(int(v) - 1 for v in f) for f in RP2_FACETS}
+    I = MonomialIdeal(6, [
+        [int(k in S) for k in range(6)]
+        for S in map(frozenset, itertools.combinations(range(6), 3)) if S not in facets
+    ])
+    expected = {2: {**RP2_BETTI, (3, 6): 1, (4, 6): 1}, 32003: RP2_BETTI}
+    # Blocks are cached process-wide; each order starts cold, so a cache that
+    # ignored the characteristic would hand the second call the first's homology.
+    for order in ((2, 32003), (32003, 2)):
+        _block_betti.cache_clear()
+        for p in order:
+            assert koszul_betti(I, p, degree_cap=6).entries() == expected[p], (order, p)
 
 
 def test_koszul_betti_is_characteristic_independent_here():
@@ -159,6 +188,14 @@ def test_koszul_betti_matches_closed_form_on_lex_ideals():
         assert koszul_betti(I) == ek_betti(I)
 
 
+@settings(max_examples=40, deadline=None)
+@given(o_sequences((2, 3, 4), max_socle=5))
+def test_koszul_betti_of_a_lex_ideal_is_its_eliahou_kervaire_diagram(case):
+    n, vals = case
+    I = lex_ideal(vals, n)
+    assert koszul_betti(I) == ek_betti(I)
+
+
 def test_koszul_betti_encodes_the_hilbert_function():
     for H in enumerate_o_sequences(3, 4):
         assert hilbert_from_diagram(koszul_betti(lex_ideal(H, 3))) == H
@@ -173,6 +210,11 @@ def test_rank_mod_p():
     assert rank_mod_p([], 5) == 0
     assert rank_mod_p([[0]], 7) == 0
     assert rank_mod_p([[-1, 1], [1, -1]], 3) == 1
+    for p in (1, 0, -3, 4, 32001):
+        with pytest.raises(ValueError, match="must be prime"):
+            rank_mod_p([[1]], p)
+    with pytest.raises(ValueError, match="must be prime"):
+        rank_mod_p([], 4)
 
 
 def test_truncation_rows_preserved_for_demo_ideal():

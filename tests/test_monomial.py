@@ -4,6 +4,7 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multbound import (
     HilbertFunction,
@@ -29,6 +30,8 @@ from multbound import (
 )
 from multbound.betti import columns_from_profile
 from multbound.monomial import _lex_segment, _mono_unrank
+
+from families import o_sequences
 
 from goldens import (
     IDEAL_ROWS_DEMO,
@@ -218,6 +221,43 @@ def test_quotient_hilbert_function_needs_cap_for_non_artinian():
     vals = quotient_hilbert_function(J, d_max=8)
     assert isinstance(vals, tuple)
     assert vals == (1, 3, 6, 4, 4, 4, 4, 4, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(o_sequences((2, 3, 4), max_socle=6))
+def test_quotient_hilbert_function_of_a_lex_ideal_is_its_hilbert_function(case):
+    n, vals = case
+    assert quotient_hilbert_function(lex_ideal(vals, n)) == HilbertFunction(vals)
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Up to five nonconstant generators, and with them x_k^a_k for every k half of the time."""
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any), max_size=5))
+    if draw(st.booleans()):
+        for k, a in enumerate(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))):
+            gens.append([a if j == k else 0 for j in range(n)])
+    return MonomialIdeal(n, gens)
+
+
+def _counts_outside(I, d_max):
+    """Number of degree-d monomials that I does not contain, for d = 0..d_max."""
+    return tuple(
+        sum(not I.contains(m) for m in monomials_of_degree(d, I.n)) for d in range(d_max + 1)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_ideals(), st.integers(0, 6))
+def test_quotient_hilbert_function_counts_the_monomials_outside_the_ideal(I, d_max):
+    if I.is_artinian():
+        # Each x_k^a in I has a <= 4, so I holds every monomial of degree 3n + 1.
+        H = quotient_hilbert_function(I)
+        assert H == quotient_hilbert_function(I, d_max)
+        assert H == HilbertFunction(_counts_outside(I, 3 * I.n + 1))
+    else:
+        assert quotient_hilbert_function(I, d_max) == _counts_outside(I, d_max)
 
 
 def test_is_stable():
