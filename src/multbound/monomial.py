@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import re
 from functools import cache
+from itertools import groupby
 from math import comb
+from operator import le
 
 from .errors import IdealParseError, NeedsCapError, NotAdmissibleError
 from .hilbert import HilbertFunction, _growth_bound, _values
@@ -142,12 +144,19 @@ def _mono_unrank(d, n, rank):
 
 
 def _minimalize(monomials):
-    """Minimal generating set: drop duplicates and multiples of other generators."""
+    """Minimal generating set: drop duplicates and multiples of other generators.
+
+    Only a kept generator of lower degree can divide a monomial: a distinct
+    one of equal degree never does, so each degree is tested against the
+    exponents kept below it.
+    """
     unique = sorted(set(monomials), key=lambda m: (m.degree,) + tuple(-e for e in m.exponents))
     kept = []
-    for m in unique:
-        if not any(g.divides(m) for g in kept):
-            kept.append(m)
+    lower = []
+    for _, same_degree in groupby(unique, key=lambda m: m.degree):
+        new = [m for m in same_degree if not any(all(map(le, g, m.exponents)) for g in lower)]
+        kept += new
+        lower += [m.exponents for m in new]
     return kept
 
 

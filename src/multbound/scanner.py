@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import time
@@ -13,7 +12,7 @@ from csv import QUOTE_MINIMAL, writer as csv_writer
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
-from math import factorial, prod
+from math import factorial, inf, prod
 
 from .betti import (
     BettiDiagram,
@@ -24,7 +23,7 @@ from .betti import (
     min_shifts,
 )
 from .errors import NeedsCapError, NotAdmissibleError
-from .hilbert import HilbertFunction, _checked_prefix, _values, multiplicity
+from .hilbert import HilbertFunction, _checked_prefix, _growth_bound, _values, multiplicity
 from .koszul import DEFAULT_CHAR, _compare_rows, koszul_betti, truncation_analysis
 from .monomial import lex_columns, parse_ideal, quotient_hilbert_function, truncate
 from .verdict import (
@@ -109,26 +108,46 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _chunks(walk, n, chunk_size):
-    """Split walk's (values, greedy max shifts) into chunks of chunk_size functions.
+def _chunks(walk, n, chunk_size, limit=None):
+    """Split walk's runs into chunks of chunk_size functions, stopping after limit functions.
 
+    walk yields runs (parent, first, last, shifts) as verdict._greedy_shift_walk
+    does; a chunk takes functions in tuple order and may end inside a run.
     Yields (count, bound_holds, exception value tuples, last tuple) per chunk;
     the exceptions are the functions whose greedy shifts break the bound.
+    Within a run the shift product P is fixed while n! * e grows with v, so
+    the bound holds exactly for v <= P // n! - e(parent): each run costs
+    O(1) plus one tuple per exception.
     """
     n_factorial = factorial(n)
-    while True:
-        count = holds = 0
-        exceptions = []
-        for hvals, shifts in itertools.islice(walk, chunk_size):
-            count += 1
-            # upper_bound_holds on the greedy shifts, without building a verdict per function.
-            if n_factorial * sum(hvals) <= prod(shifts):
-                holds += 1
-            else:
-                exceptions.append(hvals)
-        if not count:
-            return
-        yield count, holds, exceptions, hvals
+    budget = inf if limit is None else limit
+    size = room = min(chunk_size, budget)  # the current chunk's size and what it can still take
+    holds = 0
+    exceptions = []
+    for parent, first, last, shifts in walk:
+        top = prod(shifts) // n_factorial - sum(parent)
+        if top >= last and last - first + 1 < room:
+            # The common case: the whole run holds and leaves the chunk room.
+            holds += last - first + 1
+            room -= last - first + 1
+            continue
+        while first <= last:
+            end = min(last, first + room - 1)
+            holds += max(0, min(end, top) - first + 1)
+            if top < end:
+                exceptions.extend(parent + (v,) for v in range(max(first, top + 1), end + 1))
+            room -= end - first + 1
+            first = end + 1
+            if not room:
+                yield size, holds, exceptions, parent + (end,)
+                budget -= size
+                if not budget:
+                    return
+                size = room = min(chunk_size, budget)
+                holds = 0
+                exceptions = []
+    if room < size:
+        yield size - room, holds, exceptions, parent + (last,)
 
 
 def _scan_chunk(args):
@@ -222,7 +241,11 @@ def scan(
 
     This process walks the family and settles each function whose greedy
     max shifts satisfy the bound; the jobs worker processes classify the
-    rest, chunk by chunk. Deterministic regardless of jobs. With
+    rest, chunk by chunk. The walk hands over runs of functions that share
+    one parent and one greedy shift vector (each leaf family, of socle
+    degree socle_max, is at most a few runs), and a run's holds are
+    counted at once; a chunk holds chunk_size functions in tuple order and
+    may end inside a run. Deterministic regardless of jobs. With
     checkpoint_path, each consumed chunk is appended to that log file
     before the next one is taken, and a rerun resumes after the last chunk
     logged, so an interrupt or a broken worker pool loses at most the
@@ -265,8 +288,7 @@ def scan(
             log = stack.enter_context(open(checkpoint_path, "a+b"))
             scanned, bound_holds, exceptions, cursor = _replay_log(log, checkpoint_path, parameters)
         family = _greedy_shift_walk(n, socle_max, prefix, cursor)
-        stream = family if limit is None else itertools.islice(family, limit)
-        args_iter = ((chunk, n, options) for chunk in _chunks(stream, n, chunk_size))
+        args_iter = ((chunk, n, options) for chunk in _chunks(family, n, chunk_size, limit))
         if jobs == 1:
             results = map(_scan_chunk, args_iter)
         else:
@@ -279,8 +301,11 @@ def scan(
             count, holds, records, last = result
             scanned, bound_holds, cursor = scanned + count, bound_holds + holds, tuple(last)
             exceptions.extend(records)
-    # islice stops at limit without drawing another function, so this asks whether any are left.
-    complete = limit is None or next(family, None) is None
+    # The family's last function in tuple order takes the largest value at every degree.
+    last = prefix
+    while len(last) <= socle_max:
+        last += (_growth_bound(n, len(last), last[-1]),)
+    complete = cursor == last
 
     statuses = Counter(rec["status"] for rec in exceptions)
     if scanned != bound_holds + statuses["ELIMINATED"] + statuses["UNRESOLVED"]:

@@ -424,15 +424,29 @@ def _greedy_step(n):
 
 
 def _greedy_shift_walk(n, socle_max, start, cursor=None):
-    """Yield (vals, _greedy(vals, n)[2]) in _enumerate_value_tuples's order.
+    """Yield runs (parent, first, last, shifts) in _enumerate_value_tuples's order.
 
-    start is a prefix's value tuple as returned by hilbert._checked_prefix,
-    which the caller has already run. Each function's shifts come from its
-    parent's state in the DFS (see _greedy_step); a column the greedy
-    diagram leaves empty gets shift 0 instead of an error. With cursor, only
-    the functions after it in tuple order come out: a node before the cursor
-    that is not a prefix of it is skipped with its whole subtree, and a
-    prefix of the cursor is descended without being yielded.
+    A run stands for the functions parent + (v,), first <= v <= last, in
+    that order; shifts is the greedy max shifts of each of them,
+    _greedy(vals, n)[2], except that a column the greedy diagram leaves
+    empty gets 0 instead of an error. start is a prefix's value tuple as
+    returned by hilbert._checked_prefix, which the caller has already run.
+
+    A function below socle degree socle_max is its own run, its shifts
+    coming from its parent's state in the DFS (see _greedy_step). The
+    leaves (socle degree socle_max) are not pushed: each leaf parent emits
+    its family of leaves as at most a few runs. A leaf's new degrees read
+    only the parent's value and outgoing blocks, so the leaves' shifts over
+    the degrees past the parent's are cached per walk on (H(s), blocks),
+    as (first, last, shift vector) runs with 0 for a column with no such
+    entry; the parent's extension maxima fill the zeros, since every new
+    degree lies above them.
+
+    With cursor, only the functions after it in tuple order come out: a
+    node before the cursor that is not a prefix of it is skipped with its
+    whole subtree, and a prefix of the cursor is descended without being
+    yielded. A family the cursor lies inside evaluates, uncached, only its
+    leaves after the cursor.
     """
     step = _greedy_step(n)
     zero = (0,) * n
@@ -442,6 +456,8 @@ def _greedy_shift_walk(n, socle_max, start, cursor=None):
         node = (node[0] + (v,), blocks, maxima)
     stack = [node] if len(start) <= socle_max + 1 else []
     cursor = None if cursor is None else tuple(cursor)
+    families = {}
+    vectors = {}  # one copy of each shift vector across the cached runs
     while stack:
         vals, blocks, maxima = stack.pop()
         if cursor is not None:
@@ -452,10 +468,30 @@ def _greedy_shift_walk(n, socle_max, start, cursor=None):
                 continue
         blocks, maxima, shifts, bound = step(vals, blocks, maxima)
         if cursor is None:
-            yield vals, shifts
-        if len(vals) <= socle_max:
+            yield vals[:-1], vals[-1], vals[-1], shifts
+        if len(vals) < socle_max:
             # Pushed descending, as in _enumerate_value_tuples, so values pop ascending.
             stack.extend((vals + (v,), blocks, maxima) for v in range(bound, 0, -1))
+        elif len(vals) == socle_max:
+            if cursor is not None and len(cursor) > len(vals):
+                # The cursor lies in this family: no leaf up to it may be evaluated.
+                for v in range(cursor[len(vals)] + 1, bound + 1):
+                    yield vals, v, v, step(vals + (v,), blocks, maxima)[2]
+                continue
+            key = (vals[-1], blocks)
+            runs = families.get(key)
+            if runs is None:
+                runs = []
+                for v in range(1, bound + 1):
+                    new = step(vals + (v,), blocks, zero)[2]
+                    if runs and runs[-1][2] == new:
+                        runs[-1][1] = v
+                    else:
+                        runs.append([v, v, vectors.setdefault(new, new)])
+                runs = families[key] = tuple(map(tuple, runs))
+            for first, last, new in runs:
+                # A new shift is 0 or lies above every extension maximum.
+                yield vals, first, last, tuple(map(max, new, maxima))
 
 
 def _classify_values(hvals, n, options):

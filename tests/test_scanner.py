@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures.process import BrokenProcessPool
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +26,9 @@ from multbound import (
     verdict,
 )
 from multbound.cli import main
-from multbound.scanner import _scan_chunk, _worker_count
+from multbound.hilbert import _enumerate_value_tuples
+from multbound.scanner import _chunks, _scan_chunk, _worker_count
+from multbound.verdict import _greedy, _greedy_shift_walk
 
 from families import families
 from goldens import (
@@ -173,11 +176,8 @@ def test_scan_resumes_from_every_log_prefix(baseline, tmp_path):
             assert cp.read_bytes() == full.read_bytes(), (kept, tail)
 
 
-def test_scan_resume_evaluates_nothing_before_the_cursor(baseline, tmp_path, monkeypatch):
-    cp = tmp_path / "scan.ckpt"
-    scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp), limit=800)
-    *_, (_, _, _, last) = _log_lines(cp)
-    cursor = tuple(last)
+def _record_greedy_steps(monkeypatch):
+    """List that collects the vals of every verdict._greedy_step evaluation from now on."""
     real_step = verdict._greedy_step
     evaluated = []
 
@@ -191,12 +191,89 @@ def test_scan_resume_evaluates_nothing_before_the_cursor(baseline, tmp_path, mon
         return counted
 
     monkeypatch.setattr(verdict, "_greedy_step", counting_step)
+    return evaluated
+
+
+def test_scan_resume_evaluates_nothing_before_the_cursor(baseline, tmp_path, monkeypatch):
+    cp = tmp_path / "scan.ckpt"
+    scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp), limit=800)
+    *_, (_, _, _, last) = _log_lines(cp)
+    cursor = tuple(last)
+    evaluated = _record_greedy_steps(monkeypatch)
     resumed = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
     assert _without_timing(resumed) == _without_timing(baseline)
     # Only the last chunk's 13 functions, and the cursor's prefixes on the way down to it.
     assert len([vals for vals in evaluated if vals > cursor]) == 13
     assert all(vals == cursor[:len(vals)] for vals in evaluated if vals <= cursor)
     assert len(evaluated) <= 13 + len(cursor)
+
+
+# In n=3, prefix 1,3,6,10,15, socle degree at most 6 (295 functions), the
+# leaves of 1,3,6,10,15,15 are functions 134..151, and their run
+# 1,3,6,10,15,15,10..11 holds at v=10 (function 143) and fails at v=11.
+SPLIT_FAMILY = (3, 6, (1, 3, 6, 10, 15))
+
+
+def _reference_chunks(n, socle_max, prefix, chunk_size, limit, cursor):
+    """_chunks's output built one function at a time from the enumeration and _greedy."""
+    family = _enumerate_value_tuples(n, socle_max, prefix)
+    functions = [vals for vals in family if cursor is None or vals > cursor][:limit]
+    chunks = []
+    for i in range(0, len(functions), chunk_size):
+        part = functions[i:i + chunk_size]
+        exceptions = [vals for vals in part if factorial(n) * sum(vals) > prod(_greedy(vals, n)[2])]
+        chunks.append((len(part), len(part) - len(exceptions), exceptions, part[-1]))
+    return chunks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    families({2: 5, 3: 3, 4: 2}),
+    st.integers(1, 64),
+    st.none() | st.integers(1, 400),
+    st.none() | st.integers(0, 400),
+)
+@example(SPLIT_FAMILY, 64, None, None)  # the family and its run inside chunk 3
+@example(SPLIT_FAMILY, 48, None, None)  # chunk 3 ends at function 143, inside the run
+@example(SPLIT_FAMILY, 3, 5, 143)  # resumed inside the run, before its exception
+@example(SPLIT_FAMILY, 1, None, 140)  # one-function chunks from inside the family
+def test_chunks_of_the_batched_walk_equal_per_function_chunks(family, chunk_size, limit, at):
+    n, socle_max, prefix = family
+    functions = list(_enumerate_value_tuples(n, socle_max, prefix))
+    cursor = None if at is None else functions[at % len(functions)]
+    chunks = list(_chunks(_greedy_shift_walk(n, socle_max, prefix, cursor), n, chunk_size, limit))
+    assert chunks == _reference_chunks(n, socle_max, prefix, chunk_size, limit, cursor)
+
+
+def test_split_family_example_splits_a_family_inside_a_run_with_exceptions():
+    n, socle_max, prefix = SPLIT_FAMILY
+    parent = (1, 3, 6, 10, 15, 15)
+    functions = list(_enumerate_value_tuples(n, socle_max, prefix))
+    family = [i for i, vals in enumerate(functions) if vals[:-1] == parent]
+    assert (family[0], family[-1], functions.index(parent + (10,))) == (134, 151, 143)
+    runs = [run for run in _greedy_shift_walk(n, socle_max, prefix) if run[0] == parent]
+    assert (parent, 10, 11, (5, 8, 9)) in runs
+    assert list(_chunks(runs, n, 64)) == [(18, 17, [parent + (11,)], parent + (18,))]
+    assert 6 * (sum(parent) + 10) <= 5 * 8 * 9 < 6 * (sum(parent) + 11)
+
+
+def test_scan_resume_inside_a_leaf_family_evaluates_no_leaf_up_to_the_cursor(tmp_path, monkeypatch):
+    base = _without_timing(scan(*SPLIT_FAMILY, jobs=1))
+    cp = tmp_path / "scan.ckpt"
+    # Chunks of 48 end at function 143, the leaf 1,3,6,10,15,15,10 of an 18-leaf family.
+    first = scan(*SPLIT_FAMILY, jobs=1, chunk_size=48, checkpoint_path=str(cp), limit=144)
+    assert first.status == "INCOMPLETE"
+    cursor = tuple(_log_lines(cp)[-1][3])
+    assert cursor == (1, 3, 6, 10, 15, 15, 10)
+    evaluated = _record_greedy_steps(monkeypatch)
+    resumed = scan(*SPLIT_FAMILY, jobs=1, chunk_size=48, checkpoint_path=str(cp))
+    assert _without_timing(resumed) == base
+    assert all(vals == cursor[:len(vals)] for vals in evaluated if vals <= cursor)
+    assert cursor not in evaluated
+    # The family's leaves after the cursor, 11..18, each evaluated once, uncached.
+    assert [vals for vals in evaluated if vals[:-1] == cursor[:-1]] == [
+        cursor[:-1] + (v,) for v in range(11, 19)
+    ]
 
 
 @settings(max_examples=10, deadline=None)

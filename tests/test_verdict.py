@@ -326,11 +326,20 @@ def test_three_generator_leaves_take_the_gen_verdict_from_the_maps(monkeypatch):
 WALK_FAMILIES = families({1: 6, 2: 4, 3: 2, 4: 2})
 
 
+def _per_function(runs):
+    """The walk's runs expanded to one (vals, shifts) item per function."""
+    items = []
+    for parent, first, last, shifts in runs:
+        assert first <= last, (parent, first, last)
+        items.extend((parent + (v,), shifts) for v in range(first, last + 1))
+    return items
+
+
 @settings(max_examples=40, deadline=None)
 @given(WALK_FAMILIES)
 def test_greedy_shift_walk_gives_the_greedy_max_shifts(family):
     n, socle_max, prefix = family
-    for vals, shifts in _greedy_shift_walk(n, socle_max, prefix):
+    for vals, shifts in _per_function(_greedy_shift_walk(n, socle_max, prefix)):
         assert shifts == _greedy(vals, n)[2], vals
 
 
@@ -339,14 +348,19 @@ def test_greedy_shift_walk_gives_the_greedy_max_shifts(family):
 def test_greedy_shift_walk_yields_the_enumeration_after_the_cursor(family, data):
     n, socle_max, prefix = family
     expected = list(_enumerate_value_tuples(n, socle_max, prefix))
-    walk = list(_greedy_shift_walk(n, socle_max, prefix))
+    walk = _per_function(_greedy_shift_walk(n, socle_max, prefix))
     assert [vals for vals, _ in walk] == expected
-    # A cursor in the family, or any tuple: only what comes after it in tuple order is left.
+    leaves = [vals for vals in expected if len(vals) == socle_max + 1]
+    # A cursor in the family, a leaf inside a leaf family, a tuple below one
+    # of them, or any tuple: only what comes after it in tuple order is left.
     cursor = data.draw(st.one_of(
         st.sampled_from(expected),
+        st.sampled_from(leaves),
+        st.tuples(st.sampled_from(expected), st.lists(st.integers(0, 12), max_size=2))
+        .map(lambda pair: pair[0] + tuple(pair[1])),
         st.lists(st.integers(0, 12), min_size=1, max_size=socle_max + 2).map(tuple),
     ))
-    resumed = list(_greedy_shift_walk(n, socle_max, prefix, cursor))
+    resumed = _per_function(_greedy_shift_walk(n, socle_max, prefix, cursor))
     assert resumed == [(vals, shifts) for vals, shifts in walk if vals > cursor]
 
 
