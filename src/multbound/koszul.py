@@ -9,7 +9,7 @@ from operator import mul
 from .betti import BettiDiagram, is_quasipure, max_shifts
 from .errors import NeedsCapError
 from .hilbert import HilbertFunction, multiplicity
-from .monomial import MonomialIdeal, _standard_layers, quotient_hilbert_function, truncate
+from .monomial import MonomialIdeal, _hilbert_values, _staircase, _truncate, truncate
 from .verdict import BoundVerdict, upper_bound_holds
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
 DEFAULT_CHAR = 32003
 
 
+@cache
 def _is_prime(p):
     if p < 2:
         return False
@@ -121,13 +122,18 @@ def koszul_betti(I, field_char=DEFAULT_CHAR, degree_cap=None):
 
     The Koszul complex of S/I has one basis element e_S (x) x^s for each
     standard monomial x^s and subset S of the variables, in multidegree
-    mu = s + 1_S. One walk over the standard monomials files every element in
-    its block as a bit of the block's subset pattern, and beta_{r,mu} is the
-    homology of block mu in degree r, which depends only on the pattern.
-    Exact over the prime field of the given characteristic. Non-Artinian ideals
-    need degree_cap >= 0; entries are then complete for internal degrees
-    <= degree_cap, and elements of larger degree are dropped.
+    mu = s + 1_S. One pass over the staircase of standard monomials files
+    every element in its block as a bit of the block's subset pattern, and
+    beta_{r,mu} is the homology of block mu in degree r, which depends only on
+    the pattern. Exact over the prime field of the given characteristic.
+    Non-Artinian ideals need degree_cap >= 0; entries are then complete for
+    internal degrees <= degree_cap, and elements of larger degree are dropped.
     """
+    return _resolution(I, field_char, degree_cap)[0]
+
+
+def _resolution(I, field_char=DEFAULT_CHAR, degree_cap=None):
+    """(koszul_betti(I, field_char, degree_cap), the staircase of I it was filed from)."""
     if not _is_prime(field_char):
         raise ValueError(f"field characteristic must be prime, got {field_char}")
     if degree_cap is not None and degree_cap < 0:
@@ -137,34 +143,36 @@ def koszul_betti(I, field_char=DEFAULT_CHAR, degree_cap=None):
     if not I.is_artinian() and degree_cap is None:
         raise NeedsCapError(f"ideal ({I}) is not Artinian; pass degree_cap")
     n = I.n
-    layers = _standard_layers(I, degree_cap)
+    z = _staircase(I, degree_cap)
     # A block mu is keyed by the integer |mu| * B^n + sum_k mu_k * B^k. B
-    # exceeds every mu_k (at most the top layer's degree plus one), so an
-    # element's key is its monomial's key plus its mask's offset.
-    base = len(layers) + 1
+    # exceeds every mu_k (at most the top standard degree plus one), so an
+    # element's key is its monomial's key plus its mask's offset, and
+    # multiplying the monomial by x_n adds B^n + B^(n-1).
+    base = max(sum(p) + h for p, h in z.items()) + 1
     weights = [base**k for k in range(n)]
     top = base**n
-    offsets = [
-        (mask, mask.bit_count() * top + sum(w for k, w in enumerate(weights) if mask >> k & 1))
-        for mask in range(1 << n)
-    ]
+    step = top + weights[-1]
+    offsets = []
+    for mask in range(1 << n):
+        size = mask.bit_count()
+        offset = size * top + sum(w for k, w in enumerate(weights) if mask >> k & 1)
+        offsets.append((size, offset, 1 << mask))
     blocks = {}
-    for d, layer in enumerate(layers):
-        kept = [
-            (offset, 1 << mask) for mask, offset in offsets
-            if degree_cap is None or d + mask.bit_count() <= degree_cap
-        ]
-        for exps in layer:
-            key = d * top + sum(map(mul, exps, weights))
-            for offset, bit in kept:
-                block = key + offset
+    for p, h in z.items():
+        d = sum(p)
+        key = d * top + sum(map(mul, p, weights))
+        for size, offset, bit in offsets:
+            # Column p holds h elements for this mask, fewer under the cap.
+            count = h if degree_cap is None else min(h, degree_cap - d - size + 1)
+            first = key + offset
+            for block in range(first, first + count * step, step):
                 blocks[block] = blocks.get(block, 0) | bit
     entries = {}
     for block, pattern in blocks.items():
         j = block // top
         for r, beta in _block_betti(n, pattern, field_char):
             entries[(r, j)] = entries.get((r, j), 0) + beta
-    return BettiDiagram(n, entries)
+    return BettiDiagram(n, entries), z
 
 
 @dataclass(frozen=True)
@@ -184,9 +192,10 @@ class TruncationRowsReport:
 
 def verify_truncation_rows(I, d, field_char=DEFAULT_CHAR, degree_cap=None):
     """Check that rows d and higher of the diagram survive truncation at d."""
-    D1 = koszul_betti(I, field_char, degree_cap)
-    D2 = koszul_betti(truncate(I, d), field_char, degree_cap)
-    return _compare_rows(D1, D2, d)
+    D1, z = _resolution(I, field_char, degree_cap)
+    # A cap below d leaves degree d out of I's staircase.
+    T = truncate(I, d) if degree_cap is not None and degree_cap < d else _truncate(I, d, z)
+    return _compare_rows(D1, _resolution(T, field_char, degree_cap)[0], d)
 
 
 def _compare_rows(D1, D2, d):
@@ -243,10 +252,10 @@ def truncation_analysis(I, field_char=DEFAULT_CHAR):
     """
     if not I.is_artinian():
         raise NeedsCapError(f"ideal ({I}) is not Artinian")
-    D = koszul_betti(I, field_char)
+    D, z = _resolution(I, field_char)
     reg = D.regularity
     g = I.max_gen_degree
-    H = quotient_hilbert_function(I)
+    H = HilbertFunction(_hilbert_values(z))
     e = multiplicity(H)
     base = dict(regularity=reg, max_gen_degree=g, hilbert_function=H, e=e, diagram=D)
     if is_quasipure(D):
@@ -263,9 +272,9 @@ def truncation_analysis(I, field_char=DEFAULT_CHAR):
         return TruncationAnalysis(
             "NOT_APPLICABLE", f"no minimal generator of degree {reg} or {reg + 1}", **base
         )
-    T = truncate(I, g)
-    DT = koszul_betti(T, field_char)
-    eT = multiplicity(quotient_hilbert_function(T))
+    T = _truncate(I, g, z)
+    DT, zT = _resolution(T, field_char)
+    eT = sum(zT.values())
     base.update(truncation=T, truncation_diagram=DT, e_truncation=eT)
     if not is_quasipure(DT):
         return TruncationAnalysis("NOT_APPLICABLE", "truncation is not quasipure", **base)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from itertools import groupby
-from math import comb
+from itertools import accumulate, groupby
+from math import comb, inf
 from operator import le
 
 from .errors import IdealParseError, NeedsCapError, NotAdmissibleError
@@ -226,14 +226,6 @@ class MonomialIdeal:
     def max_gen_degree(self):
         return max((g.degree for g in self.generators), default=0)
 
-    def degree_piece(self, d):
-        """All degree-d monomials contained in the ideal, descending lex."""
-        return [m for m in monomials_of_degree(d, self.n) if self.contains(m)]
-
-    def standard_monomials(self, d):
-        """All degree-d monomials outside the ideal, descending lex."""
-        return [m for m in monomials_of_degree(d, self.n) if not self.contains(m)]
-
 
 def _lex_degrees(H, n):
     """(d, H(d-1), H(d)) for d = 1..socle+1 of H with trailing zeros dropped.
@@ -341,40 +333,62 @@ def lex_columns(H, n):
 
 def truncate(I, d):
     """Ideal generated by the degree >= d part of I."""
+    return _truncate(I, d, _staircase(I, d))
+
+
+def _truncate(I, d, z):
+    """truncate(I, d) read off a staircase z of I that holds its standard monomials of degree d."""
     if d < 0:
         raise ValueError(f"truncation degree must be nonnegative, got {d}")
     gens = [g for g in I.generators if g.degree >= d]
-    gens.extend(I.degree_piece(d))
+    gens += [e for e in _exponents_of_degree(d, I.n) if e[-1] >= z.get(e[:-1], 0)]
     return MonomialIdeal(I.n, gens)
 
 
-def _standard_layers(I, d_max=None):
-    """Exponent tuples outside I, one list per degree 0, 1, 2, ...
+def _staircase(I, d_max=None):
+    """Column heights {prefix: h} of the monomials outside I.
 
-    Walks the down-set of standard monomials: a degree-d tuple s is standard
-    iff it is not a minimal generator and every s / x_k with s_k > 0 is
-    standard in degree d-1. Each s is reached once, from s / x_m with m its
-    last nonzero variable. Stops after the first empty layer or after degree
-    d_max, whichever comes first.
+    A prefix is an exponent tuple of x_1..x_{n-1}, and the standard monomials
+    with prefix p are p * x_n^j for j = 0..h(p)-1, where
+    h(p) = min(own(p), h(p - e_k) for p_k > 0) and own(p) is the x_n-exponent
+    of the minimal generator with prefix p, if there is one. Under d_max a
+    height is cut to d_max - |p| + 1, leaving the standard monomials of degree
+    <= d_max. The prefixes with h > 0 form a down-set, walked layer by layer;
+    each is reached once, from p / x_m with m its last nonzero variable.
+    Without d_max the walk ends only for Artinian ideals.
     """
     n = I.n
-    gens = {g.exponents for g in I.generators}
-    zero = (0,) * n
-    layer = [] if zero in gens else [zero]
-    layers = [layer]
-    while layer and len(layers) - 1 != d_max:
-        prev = set(layer)
+    own = {g.exponents[:-1]: g.exponents[-1] for g in I.generators}
+    cap = inf if d_max is None else d_max + 1
+    zero = (0,) * (n - 1)
+    h = min(own.get(zero, cap), cap)
+    z = {zero: h} if h > 0 else {}
+    layer = list(z)
+    while layer:
+        cap -= 1
         nxt = []
         for t in layer:
-            for m in range(max(_max_var(t) - 1, 0), n):
+            ht = min(z[t], cap)
+            for m in range(max(_max_var(t) - 1, 0), n - 1):
                 s = t[:m] + (t[m] + 1,) + t[m + 1:]
-                if s not in gens and all(
-                    s[:k] + (s[k] - 1,) + s[k + 1:] in prev for k in range(m) if s[k]
-                ):
+                h = min(own.get(s, ht), ht)
+                for k in range(m):
+                    if h and s[k]:
+                        h = min(h, z.get(s[:k] + (s[k] - 1,) + s[k + 1:], 0))
+                if h:
+                    z[s] = h
                     nxt.append(s)
         layer = nxt
-        layers.append(layer)
-    return layers
+    return z
+
+
+def _hilbert_values(z):
+    """H(0), H(1), ... of a staircase: column p adds 1 to degrees |p|..|p|+h-1."""
+    diff = [0] * (max((sum(p) + h for p, h in z.items()), default=0) + 1)
+    for p, h in z.items():
+        diff[sum(p)] += 1
+        diff[sum(p) + h] -= 1
+    return list(accumulate(diff[:-1]))
 
 
 def quotient_hilbert_function(I, d_max=None):
@@ -389,7 +403,7 @@ def quotient_hilbert_function(I, d_max=None):
         raise NeedsCapError(f"ideal ({I}) is not Artinian; pass d_max to cap the computation")
     if d_max is not None and d_max < 0:
         raise ValueError(f"degree cap must be nonnegative, got {d_max}")
-    vals = [len(layer) for layer in _standard_layers(I, None if artinian else d_max)]
+    vals = _hilbert_values(_staircase(I, None if artinian else d_max))
     return HilbertFunction(vals) if artinian else tuple(vals)
 
 
@@ -466,21 +480,16 @@ def parse_ideal(text, n=None):
         offset += len(part) + 1
     if not tokens:
         raise IdealParseError("ideal text has no generators")
-    if n is None:
-        width = 0
-        for _, tok in tokens:
-            if tok.startswith("("):
-                width = max(width, len(parse_monomial(tok).exponents))
-            else:
-                for match in re.finditer(r"[a-z]", tok):
-                    width = max(width, _LETTERS.index(match.group(0)) + 1)
-        if width == 0:
-            raise IdealParseError(f"cannot infer variable count from {text!r}")
-        n = width
     gens = []
     for pos, tok in tokens:
         try:
-            gens.append(parse_monomial(tok, n))
+            # With n omitted, each token is parsed at its own width and padded below.
+            gens.append(Monomial(()) if n is None and tok == "1" else parse_monomial(tok, n))
         except IdealParseError as err:
             raise IdealParseError(err.args[0], position=pos) from None
+    if n is None:
+        n = max(m.n for m in gens)
+        if n == 0:
+            raise IdealParseError(f"cannot infer variable count from {text!r}")
+        gens = [m if m.n == n else Monomial(m.exponents + (0,) * (n - m.n)) for m in gens]
     return MonomialIdeal(n, gens)

@@ -24,8 +24,8 @@ from .betti import (
 )
 from .errors import NeedsCapError, NotAdmissibleError
 from .hilbert import HilbertFunction, _checked_prefix, _growth_bound, _values, multiplicity
-from .koszul import DEFAULT_CHAR, _compare_rows, koszul_betti, truncation_analysis
-from .monomial import lex_columns, parse_ideal, quotient_hilbert_function, truncate
+from .koszul import DEFAULT_CHAR, _compare_rows, _resolution, truncation_analysis
+from .monomial import _hilbert_values, lex_columns, parse_ideal, truncate
 from .verdict import (
     DEFAULT_DFS_CAP,
     DEFAULT_FILTERS,
@@ -417,14 +417,13 @@ def check_ideal(text, n=None, truncate_at=None, field_char=DEFAULT_CHAR, degree_
     else:
         if degree_cap is None:
             raise NeedsCapError(f"ideal ({I}) is not Artinian; pass --degree-cap")
-        vals = quotient_hilbert_function(I, degree_cap)
+        D, z = _resolution(I, field_char, degree_cap)
         e = None
         lines.append(
             f"Hilbert function through degree {degree_cap}: "
-            + ",".join(str(v) for v in vals)
+            + ",".join(str(v) for v in _hilbert_values(z))
             + " (not Artinian)"
         )
-        D = koszul_betti(I, field_char, degree_cap)
     lines += ["", "diagram:", D.to_text(), ""]
     mins, maxs = min_shifts(D), max_shifts(D)
     c = D.projective_dimension
@@ -447,8 +446,8 @@ def check_ideal(text, n=None, truncate_at=None, field_char=DEFAULT_CHAR, degree_
             T, DT, eT = analysis.truncation, analysis.truncation_diagram, analysis.e_truncation
         else:
             T = truncate(I, truncate_at)
-            DT = koszul_betti(T, field_char, None if artinian else degree_cap)
-            eT = multiplicity(quotient_hilbert_function(T)) if artinian else None
+            DT, zT = _resolution(T, field_char, None if artinian else degree_cap)
+            eT = sum(zT.values()) if artinian else None
         rows = _compare_rows(D, DT, truncate_at)
         lines += ["", f"truncation at degree {truncate_at}: {T}"]
         if artinian:

@@ -1,7 +1,8 @@
-"""Hypothesis strategies for small O-sequences and for O-sequence families below a prefix."""
+"""Hypothesis strategies: small O-sequences, O-sequence families below a prefix, monomial ideals."""
 
 from hypothesis import strategies as st
 
+from multbound import MonomialIdeal
 from multbound.hilbert import _growth_bound
 
 
@@ -35,3 +36,14 @@ def o_sequences(draw, ns, max_socle):
     for d in range(1, draw(st.integers(1, max_socle + 1))):
         vals.append(draw(st.integers(0, _growth_bound(n, d, vals[-1]))))
     return n, tuple(vals)
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Up to five nonconstant generators, and with them x_k^a_k for every k half of the time."""
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any), max_size=5))
+    if draw(st.booleans()):
+        for k, a in enumerate(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))):
+            gens.append([a if j == k else 0 for j in range(n)])
+    return MonomialIdeal(n, gens)

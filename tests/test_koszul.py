@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from multbound import (
     BettiDiagram,
@@ -27,7 +27,7 @@ from multbound import (
 )
 from multbound.koszul import _block_betti, rank_mod_p
 
-from families import o_sequences
+from families import monomial_ideals, o_sequences
 
 from goldens import (
     DIAG_ROWS_DEMO,
@@ -149,6 +149,14 @@ def test_koszul_betti_equals_the_block_basis_brute_force():
     for I, cap in cases:
         for p in (2, 3, 32003):
             assert koszul_betti(I, p, cap).entries() == _brute_force_betti(I, p, cap), (I, cap, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_ideals(), st.one_of(st.none(), st.integers(0, 8)), st.sampled_from((2, 32003)))
+def test_koszul_betti_equals_the_brute_force_on_drawn_ideals(I, cap, p):
+    if cap is None and not I.is_artinian():
+        cap = 8
+    assert koszul_betti(I, p, cap).entries() == _brute_force_betti(I, p, cap)
 
 
 # Stanley-Reisner ideal of the six-vertex real projective plane: the triples

@@ -29,9 +29,9 @@ from multbound import (
     truncate,
 )
 from multbound.betti import columns_from_profile
-from multbound.monomial import _lex_segment, _mono_unrank
+from multbound.monomial import _lex_segment, _mono_unrank, _staircase
 
-from families import o_sequences
+from families import monomial_ideals, o_sequences
 
 from goldens import (
     IDEAL_ROWS_DEMO,
@@ -39,6 +39,21 @@ from goldens import (
     IDEAL_TRUNC_MULT,
     IDEAL_TRUNC_MULT_AT_3,
 )
+
+
+def degree_piece(I, d):
+    """All degree-d monomials contained in I, descending lex."""
+    return [m for m in monomials_of_degree(d, I.n) if I.contains(m)]
+
+
+def standard_monomials(I, d):
+    """All degree-d monomials outside I, descending lex."""
+    return [m for m in monomials_of_degree(d, I.n) if not I.contains(m)]
+
+
+def reference_truncate(I, d):
+    """The generators of I of degree >= d and the degree-d piece of I."""
+    return MonomialIdeal(I.n, [g for g in I.generators if g.degree >= d] + degree_piece(I, d))
 
 
 def test_monomial_basics():
@@ -152,7 +167,7 @@ def test_lex_ideal_degree_pieces_are_initial_segments():
     for H in enumerate_o_sequences(3, 4):
         I = lex_ideal(H, 3)
         for d in range(0, H.socle_degree + 2):
-            piece = I.degree_piece(d)
+            piece = degree_piece(I, d)
             mons = list(monomials_of_degree(d, 3))
             assert piece == mons[: len(piece)]
 
@@ -200,8 +215,8 @@ def test_truncate_preserves_high_degree_pieces():
     I = parse_ideal(IDEAL_TRUNC_MULT)
     T = truncate(I, 3)
     for d in range(3, 7):
-        assert T.degree_piece(d) == I.degree_piece(d)
-    assert T.degree_piece(2) == []
+        assert degree_piece(T, d) == degree_piece(I, d)
+    assert degree_piece(T, 2) == []
 
 
 def test_quotient_hilbert_function_reference_cases():
@@ -230,22 +245,9 @@ def test_quotient_hilbert_function_of_a_lex_ideal_is_its_hilbert_function(case):
     assert quotient_hilbert_function(lex_ideal(vals, n)) == HilbertFunction(vals)
 
 
-@st.composite
-def monomial_ideals(draw):
-    """Up to five nonconstant generators, and with them x_k^a_k for every k half of the time."""
-    n = draw(st.integers(1, 4))
-    gens = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any), max_size=5))
-    if draw(st.booleans()):
-        for k, a in enumerate(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))):
-            gens.append([a if j == k else 0 for j in range(n)])
-    return MonomialIdeal(n, gens)
-
-
 def _counts_outside(I, d_max):
     """Number of degree-d monomials that I does not contain, for d = 0..d_max."""
-    return tuple(
-        sum(not I.contains(m) for m in monomials_of_degree(d, I.n)) for d in range(d_max + 1)
-    )
+    return tuple(len(standard_monomials(I, d)) for d in range(d_max + 1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -258,6 +260,27 @@ def test_quotient_hilbert_function_counts_the_monomials_outside_the_ideal(I, d_m
         assert H == HilbertFunction(_counts_outside(I, 3 * I.n + 1))
     else:
         assert quotient_hilbert_function(I, d_max) == _counts_outside(I, d_max)
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_ideals(), st.one_of(st.none(), st.integers(0, 8)))
+def test_staircase_columns_are_the_monomials_outside_the_ideal(I, cap):
+    if cap is None and not I.is_artinian():
+        cap = 8
+    # Each x_k^a in I has a <= 4, so an Artinian I holds every monomial of degree 3n + 1.
+    top = 3 * I.n + 1 if cap is None else cap
+    z = _staircase(I, cap)
+    assert all(h > 0 and sum(p) + h - 1 <= top for p, h in z.items())
+    for d in range(top + 1):
+        for m in monomials_of_degree(d, I.n):
+            *prefix, last = m.exponents
+            assert (last < z.get(tuple(prefix), 0)) == (not I.contains(m)), (I, cap, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_ideals(), st.integers(0, 8))
+def test_truncate_equals_the_reference_definition(I, d):
+    assert truncate(I, d) == reference_truncate(I, d)
 
 
 def test_is_stable():
@@ -351,8 +374,10 @@ def test_monomial_ideal_validation():
 
 def test_standard_monomials_complement_degree_pieces():
     I = parse_ideal(IDEAL_TRUNC_MULT)
+    H = quotient_hilbert_function(I)
     for d in range(0, 6):
-        inside = I.degree_piece(d)
-        outside = I.standard_monomials(d)
+        inside = degree_piece(I, d)
+        outside = standard_monomials(I, d)
         assert len(inside) + len(outside) == comb(2 + d, d)
         assert not set(inside) & set(outside)
+        assert len(outside) == H[d]

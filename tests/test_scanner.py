@@ -496,7 +496,7 @@ def test_check_ideal_with_explicit_truncation():
 
 
 def test_check_ideal_reuses_the_analysis_truncation(monkeypatch):
-    real = koszul.koszul_betti
+    real = koszul._resolution
     built = []
 
     def counting(I, *args, **kwargs):
@@ -504,7 +504,7 @@ def test_check_ideal_reuses_the_analysis_truncation(monkeypatch):
         return real(I, *args, **kwargs)
 
     for module in (koszul, scanner):
-        monkeypatch.setattr(module, "koszul_betti", counting)
+        monkeypatch.setattr(module, "_resolution", counting)
     # 6 is the max generator degree, where the analysis truncates.
     analysis, text, _ = check_ideal(IDEAL_TRUNC_CERT, truncate_at=6)
     assert analysis.truncation is not None
