@@ -9,9 +9,9 @@ from functools import cache
 from itertools import combinations
 from math import factorial, inf, prod
 
-from .betti import BettiDiagram, _growth_ok, greedy_columns
+from .betti import BettiDiagram, greedy_columns
 from .errors import MalformedDiagramError
-from .hilbert import _values, aci_obstruction
+from .hilbert import _values, aci_obstruction, ci_hilbert_function
 from .monomial import _lex_column_block, lex_columns
 
 __all__ = [
@@ -132,25 +132,6 @@ def generator_count_ok(D, n):
     return _generator_count_ok(D.columns(), n)
 
 
-def _diagram_filter_failures(cols, hvals, n, filters, aci_cache):
-    """Names of enabled filters this potential diagram fails."""
-    failed = []
-    if "er" in filters and _evans_richert_witness(cols) is not None:
-        failed.append("er")
-    if "gen" in filters and not _generator_count_ok(cols, n):
-        failed.append("gen")
-    if "growth" in filters and not _growth_ok(cols):
-        failed.append("growth")
-    if "aci" in filters and n == 3 and len(cols[1]) == 1:
-        (d, count), = cols[1].items()
-        if count == 4:
-            if d not in aci_cache:
-                aci_cache[d] = aci_obstruction(hvals, d).obstructed
-            if aci_cache[d]:
-                failed.append("aci")
-    return failed
-
-
 def _degree_options(cols, j):
     """Column vectors reachable at degree j, each with its support bitmask.
 
@@ -168,22 +149,32 @@ def _degree_options(cols, j):
     return [(v, sum(1 << i for i, x in enumerate(v) if x)) for v in vecs]
 
 
-def _filter_state_failures(state, n, filters):
-    """Names of enabled filters a leaf with this filter state fails, as _diagram_filter_failures.
+def _filter_state_failures(state, hvals, n, filters):
+    """Names of enabled filters a leaf with this filter state fails (see _violating_diagrams).
 
-    None when the state cannot decide: in three variables a column-1 total of
-    3 (the complete-intersection shape for gen) or 4 (aci) needs the column maps.
+    For n = 3, three generators pass gen iff they are the degrees of a
+    complete intersection of Hilbert function H and column 3 has one entry:
+    every leaf has H's numerator, so columns 2 and 3 are then the Koszul
+    columns plus one common multiset, empty iff column 3's total is 1.
     """
     er, gen, late = state
-    if n == 3 and gen in (3, 4):
-        return None
+    if n == 3:
+        degs, top = gen
+        gen_ok = degs is None or len(degs) == 4 or (
+            len(degs) == 3 and top == 1 and ci_hilbert_function(degs).values == hvals
+        )
+        aci = degs is not None and len(degs) == 4 and len(set(degs)) == 1
+    else:
+        gen_ok, aci = gen >= n, False
     failed = []
     if "er" in filters and any(count < i for i, count in enumerate(er, 2)):
         failed.append("er")
-    if "gen" in filters and gen < n:
+    if "gen" in filters and not gen_ok:
         failed.append("gen")
     if "growth" in filters and late:
         failed.append("growth")
+    if "aci" in filters and aci and aci_obstruction(hvals, degs[0]).obstructed:
+        failed.append("aci")
     return failed
 
 
@@ -217,10 +208,13 @@ def _violating_diagrams(cols, lhs, cap, visit):
     so that no leaf rescans its columns (see _filter_state_failures):
     er[i-2] counts column i-1's entries strictly below column i's current
     min shift, capped at i, for each column i >= 2 (0 while column i is
-    empty); gen is column 1's total, capped at 5 for n = 3 and at n
-    otherwise; late is set once a column becomes nonzero while the next one
-    is still empty, so its max shift is not below the next one's. The
-    transitions are cached on (state, U, vec) for the call. Returns stats:
+    empty); gen is column 1's total capped at n, except for n = 3, where it
+    is (column 1's degrees while there are at most four, else None, and
+    column 3's total capped at 2); late is set once a column becomes
+    nonzero while the next one is still empty, so its max shift is not
+    below the next one's. The transitions are cached for the call on
+    (state, U, vec), and for n = 3 on (state, U, (j, vec)), since its gen
+    reads the degree. Returns stats:
     nodes visited (at most cap + 1), children cut because some column can no
     longer become nonzero (degenerate), and whether the cap stopped the search.
     """
@@ -237,7 +231,6 @@ def _violating_diagrams(cols, lhs, cap, visit):
             for U in range(full + 1)
         ]
     path = [None] * len(degrees)
-    gen_cap = 5 if n == 3 else n
     transitions = {}
     stats = {"nodes": 0, "degenerate": 0, "cap_exceeded": False}
 
@@ -250,7 +243,9 @@ def _violating_diagrams(cols, lhs, cap, visit):
         for vec, mask in options[level]:
             if below[U & ~mask] < inf:
                 share = j ** (U & mask).bit_count()
-                kept.append((share * below[U & ~mask], ((j, vec), mask, U & ~mask, share)))
+                pick = (j, vec)
+                child = (pick, pick if n == 3 else vec, mask, U & ~mask, share)
+                kept.append((share * below[U & ~mask], child))
         bounds = sorted({bound for bound, _ in kept})
         entered = [[child for bound, child in kept if bound <= top] for top in bounds]
         return len(options[level]) - len(kept), bounds, entered
@@ -268,25 +263,31 @@ def _violating_diagrams(cols, lhs, cap, visit):
         fit = bisect_right(bounds, (lhs - 1) // pinned)
         if not fit:
             return
-        for pick, mask, rest, share in entered[fit - 1]:
-            vec = pick[1]
-            key = (state, U, vec)
+        for pick, token, mask, rest, share in entered[fit - 1]:
+            key = (state, U, token)
             child = transitions.get(key)
             if child is None:
                 er, gen, late = state
+                j, vec = pick
+                if n == 3:
+                    degs, top = gen
+                    fits = degs is not None and len(degs) + vec[0] <= 4
+                    gen = (degs + (j,) * vec[0] if fits else None, min(top + vec[2], 2))
+                else:
+                    gen = min(gen + vec[0], n)
                 child = transitions[key] = (
                     tuple(
                         0 if vec[i] or U >> i & 1 else min(count + vec[i - 1], i + 1)
                         for i, count in enumerate(er, 1)
                     ),
-                    min(gen + vec[0], gen_cap),
+                    gen,
                     late or bool(U & mask & (U >> 1)),
                 )
             path[level] = pick
             descend(level + 1, pinned * share, rest, child)
 
     try:
-        descend(0, 1, full, ((0,) * (n - 1), 0, False))
+        descend(0, 1, full, ((0,) * (n - 1), ((), 0) if n == 3 else 0, False))
     except _CapReached:
         stats["cap_exceeded"] = True
     return stats
@@ -508,18 +509,14 @@ def _classify_values(hvals, n, options):
 
     def visit(state, path):
         if state not in verdicts:
-            verdicts[state] = _filter_state_failures(state, n, options.filters)
+            verdicts[state] = _filter_state_failures(state, hvals, n, options.filters)
         failed = verdicts[state]
-        if failed is None:
-            cols = _path_diagram(n, path).columns()
-            failed = _diagram_filter_failures(cols, hvals, n, options.filters, aci_cache)
         if failed:
             histogram["+".join(failed)] += 1
             failed_filters.update(failed)
         else:
             survivors.append(_path_diagram(n, path))
 
-    aci_cache = {}
     stats = _violating_diagrams(lex_cols, bound.lhs, options.dfs_cap, visit)
     if stats["cap_exceeded"]:
         status, reason = "UNRESOLVED", "CAP_EXCEEDED"

@@ -29,10 +29,10 @@ from multbound.verdict import (
     DEFAULT_DFS_CAP,
     DEFAULT_FILTERS,
     _classify_values,
-    _diagram_filter_failures,
     _filter_state_failures,
     _greedy,
     _greedy_shift_walk,
+    _path_diagram,
     _violating_diagrams,
 )
 
@@ -43,7 +43,7 @@ from goldens import (
     MIN_1_3_6_9_9_6_2,
     diagram,
 )
-from leaves import path_columns, reference_evidence
+from leaves import diagram_filter_failures, path_columns, reference_evidence
 
 H_HARD = (1, 3, 6, 10, 15, 17, 17, 17, 15, 10)
 
@@ -208,8 +208,27 @@ def _brute_force_violating(cols, lhs):
     return found
 
 
+# Exceptions of the example families. Random families rarely hold one (none
+# of 30 did), so families around a few with small products are drawn too.
+BRUTE_FORCE_EXCEPTIONS = {(3, 6, (1, 3)): 5, (4, 4, (1,)): 3}
+SMALL_EXCEPTIONS = [
+    (3, (1, 3, 4, 4, 3)), (3, (1, 3, 6, 7, 6, 2)), (3, (1, 3, 6, 10, 11, 9, 3)), (4, (1, 4, 7, 9, 8)),
+]
+
+
 @pytest.mark.parametrize("n, socle_max, prefix", [(3, 6, (1, 3)), (4, 4, (1,))])
 def test_violating_search_equals_unpruned_brute_force(n, socle_max, prefix):
+    _assert_violating_search_equals_brute_force((n, socle_max, prefix))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(families({2: 6, 3: 3, 4: 1}, max_prefix=4), families_around(SMALL_EXCEPTIONS)))
+def test_violating_search_equals_unpruned_brute_force_on_random_families(family):
+    _assert_violating_search_equals_brute_force(family)
+
+
+def _assert_violating_search_equals_brute_force(family):
+    n, socle_max, prefix = family
     exceptions = 0
     for H in enumerate_o_sequences(n, socle_max, prefix):
         res = classify(H, n)
@@ -226,7 +245,7 @@ def test_violating_search_equals_unpruned_brute_force(n, socle_max, prefix):
         assert len(found) == res.violating
         # One cancellation profile per diagram: no diagram is reached twice.
         assert len({tuple(tuple(sorted(col.items())) for col in d) for d in found}) == len(found)
-    assert exceptions == {3: 5, 4: 3}[n]
+    assert exceptions == BRUTE_FORCE_EXCEPTIONS.get(family, exceptions)
 
 
 FILTER_SUBSETS = [(), *((name,) for name in DEFAULT_FILTERS), DEFAULT_FILTERS]
@@ -277,50 +296,59 @@ def test_filter_state_gives_the_filter_verdicts_of_the_leaf_maps(family, cap):
 
 @settings(max_examples=100, deadline=None)
 @given(families({1: 4, 2: 4, 3: 2, 4: 1}, max_prefix=4))
+@example((3, 4, (1, 3)))  # holds the complete intersections 1,3,3,1 and 1,3,4,3,1
+@example((3, 5, (1, 3, 4, 4, 3, 1)))  # one (state, U, vec) move at two degrees: n = 3 keys on the degree
 def test_filter_state_decides_every_reachable_diagram_as_its_maps(family):
     # lhs far above every product: reachable diagrams that fail growth too, 5,000 nodes per function.
     n, socle_max, prefix = family
     for vals in _enumerate_value_tuples(n, socle_max, prefix):
         def visit(state, path):
-            failed = _filter_state_failures(state, n, DEFAULT_FILTERS)
-            if failed is not None:
-                cols = path_columns(path, n)
-                assert failed == _diagram_filter_failures(cols, vals, n, DEFAULT_FILTERS, {})
+            cols = path_columns(path, n)
+            expected = diagram_filter_failures(cols, vals, n, DEFAULT_FILTERS, {})
+            assert _filter_state_failures(state, vals, n, DEFAULT_FILTERS) == expected, (vals, path)
+            # Cancellation keeps the numerator, which the three-generator gen verdict relies on.
+            assert hilbert_from_diagram(_path_diagram(n, path)).values == vals
 
         _violating_diagrams(lex_columns(vals, n), 10**30, 5_000, visit)
 
 
-def _count_map_verdicts(monkeypatch):
+def _count_built_diagrams(monkeypatch):
     calls = []
-    real = verdict._diagram_filter_failures
+    real = verdict._path_diagram
 
-    def counted(cols, *args):
-        calls.append(sum(cols[1].values()))
-        return real(cols, *args)
+    def counted(n, path):
+        calls.append(path)
+        return real(n, path)
 
-    monkeypatch.setattr(verdict, "_diagram_filter_failures", counted)
+    monkeypatch.setattr(verdict, "_path_diagram", counted)
     return calls
 
 
-def test_four_generator_leaves_take_the_aci_verdict_from_the_maps(monkeypatch):
-    # Every violating diagram of H_HARD has four generators: only the maps decide aci.
-    calls = _count_map_verdicts(monkeypatch)
+def test_four_generator_leaves_take_the_aci_verdict_from_the_state(monkeypatch):
+    # Every violating diagram of H_HARD has four generators in one degree.
+    calls = _count_built_diagrams(monkeypatch)
     res = classify(H_HARD, 3)
     assert (res.status, res.reason) == ("ELIMINATED", "aci,er")
     assert res.filter_histogram == {"aci": 28, "er+aci": 28}
-    assert calls == [4] * 56
+    assert calls == []
     assert _evidence(res) == reference_evidence(H_HARD, 3, DEFAULT_FILTERS, DEFAULT_DFS_CAP)
+    # Without aci half of them survive, and only those are built.
+    res = classify(H_HARD, 3, ClassifyOptions(filters=("er", "gen")))
+    assert len(res.survivors) == len(calls) == 28
+    assert _evidence(res) == reference_evidence(H_HARD, 3, ("er", "gen"), DEFAULT_DFS_CAP)
 
 
-def test_three_generator_leaves_take_the_gen_verdict_from_the_maps(monkeypatch):
-    # Three generators pass gen only in the complete-intersection shape, which only the maps show.
-    calls = _count_map_verdicts(monkeypatch)
+def test_three_generator_leaves_take_the_gen_verdict_from_the_state(monkeypatch):
+    # Three generators pass gen only in the complete-intersection shape.
+    calls = _count_built_diagrams(monkeypatch)
     H = (1, 3, 6, 7, 6, 2)
     res = classify(H, 3)
     assert (res.status, res.reason) == ("ELIMINATED", "er,gen")
     assert res.filter_histogram == {"er+gen": 3}
-    assert calls == [3] * 3
+    assert calls == []
     assert _evidence(res) == reference_evidence(H, 3, DEFAULT_FILTERS, DEFAULT_DFS_CAP)
+    res = classify(H, 3, ClassifyOptions(filters=("aci", "growth")))
+    assert len(res.survivors) == len(calls) == 3
 
 
 WALK_FAMILIES = families({1: 6, 2: 4, 3: 2, 4: 2})
