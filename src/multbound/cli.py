@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from .errors import IdealParseError, NeedsCapError, NotAdmissibleError
+from .koszul import DEFAULT_CHAR
 from .scanner import check_hf, check_ideal, scan
 from .verdict import DEFAULT_DFS_CAP, DEFAULT_FILTERS
 
@@ -32,8 +33,8 @@ def _build_parser():
     scan_p.add_argument("--out", help="report file path")
     scan_p.add_argument("--format", choices=["json", "csv"], default="json",
                         help="report file format")
-    scan_p.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default and maximum: the CPU count)")
+    scan_p.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (default 1, at most the CPU count)")
     scan_p.add_argument("--chunk-size", type=int, default=512,
                         help="Hilbert functions per work unit and per checkpoint line")
     scan_p.add_argument("--limit", type=int, default=None,
@@ -52,7 +53,7 @@ def _build_parser():
                       help="number of variables (default: inferred)")
     id_p.add_argument("--truncate", type=int, default=None,
                       help="also report the truncation at this degree")
-    id_p.add_argument("--char", type=int, default=32003, help="field characteristic")
+    id_p.add_argument("--char", type=int, default=DEFAULT_CHAR, help="field characteristic")
     id_p.add_argument("--degree-cap", type=int, default=None,
                       help="degree bound for non-Artinian ideals")
     return parser

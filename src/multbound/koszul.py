@@ -193,9 +193,16 @@ class TruncationRowsReport:
 def verify_truncation_rows(I, d, field_char=DEFAULT_CHAR, degree_cap=None):
     """Check that rows d and higher of the diagram survive truncation at d."""
     D1, z = _resolution(I, field_char, degree_cap)
-    # A cap below d leaves degree d out of I's staircase.
+    return _compare_rows(D1, _truncation(I, d, z, field_char, degree_cap)[1], d)
+
+
+def _truncation(I, d, z, field_char, degree_cap=None):
+    """(T, T's diagram, T's staircase) for T = truncate(I, d), resolved under degree_cap.
+
+    T is read off z, I's staircase under degree_cap, unless the cap leaves degree d out.
+    """
     T = truncate(I, d) if degree_cap is not None and degree_cap < d else _truncate(I, d, z)
-    return _compare_rows(D1, _resolution(T, field_char, degree_cap)[0], d)
+    return (T, *_resolution(T, field_char, degree_cap))
 
 
 def _compare_rows(D1, D2, d):
@@ -252,7 +259,11 @@ def truncation_analysis(I, field_char=DEFAULT_CHAR):
     """
     if not I.is_artinian():
         raise NeedsCapError(f"ideal ({I}) is not Artinian")
-    D, z = _resolution(I, field_char)
+    return _analysis(I, *_resolution(I, field_char), field_char)
+
+
+def _analysis(I, D, z, field_char):
+    """truncation_analysis(I, field_char) from I's diagram D and uncapped staircase z."""
     reg = D.regularity
     g = I.max_gen_degree
     H = HilbertFunction(_hilbert_values(z))
@@ -272,8 +283,7 @@ def truncation_analysis(I, field_char=DEFAULT_CHAR):
         return TruncationAnalysis(
             "NOT_APPLICABLE", f"no minimal generator of degree {reg} or {reg + 1}", **base
         )
-    T = _truncate(I, g, z)
-    DT, zT = _resolution(T, field_char)
+    T, DT, zT = _truncation(I, g, z, field_char)
     eT = sum(zT.values())
     base.update(truncation=T, truncation_diagram=DT, e_truncation=eT)
     if not is_quasipure(DT):

@@ -24,8 +24,8 @@ from .betti import (
 )
 from .errors import NeedsCapError, NotAdmissibleError
 from .hilbert import HilbertFunction, _checked_prefix, _growth_bound, _values, multiplicity
-from .koszul import DEFAULT_CHAR, _compare_rows, _resolution, truncation_analysis
-from .monomial import _hilbert_values, lex_columns, parse_ideal, truncate
+from .koszul import DEFAULT_CHAR, _analysis, _compare_rows, _resolution, _truncation
+from .monomial import _hilbert_values, lex_columns, parse_ideal
 from .verdict import (
     DEFAULT_DFS_CAP,
     DEFAULT_FILTERS,
@@ -163,9 +163,8 @@ def _scan_chunk(args):
 
 
 def _worker_count(jobs):
-    """Worker processes for a scan: jobs, at most the CPU count; the CPU count if None."""
-    cpus = os.cpu_count() or 1
-    return cpus if jobs is None else min(jobs, cpus)
+    """Worker processes for a scan: jobs, at most the CPU count."""
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _pooled_results(executor, args_iter, window):
@@ -230,7 +229,7 @@ def scan(
     *,
     filters=DEFAULT_FILTERS,
     dfs_cap=DEFAULT_DFS_CAP,
-    jobs=None,
+    jobs=1,
     chunk_size=512,
     checkpoint_path=None,
     out_path=None,
@@ -240,12 +239,12 @@ def scan(
     """Classify every O-sequence extending prefix up to socle_max.
 
     This process walks the family and settles each function whose greedy
-    max shifts satisfy the bound; the jobs worker processes classify the
-    rest, chunk by chunk. The walk hands over runs of functions that share
-    one parent and one greedy shift vector (each leaf family, of socle
-    degree socle_max, is at most a few runs), and a run's holds are
-    counted at once; a chunk holds chunk_size functions in tuple order and
-    may end inside a run. Deterministic regardless of jobs. With
+    max shifts satisfy the bound; the rest are classified chunk by chunk,
+    in this process at jobs=1 (the default), else by jobs worker processes.
+    The walk hands over runs of functions that share one parent and one
+    greedy shift vector (each leaf family, of socle degree socle_max, is at
+    most a few runs), and a run's holds are counted at once; a chunk holds
+    chunk_size functions in tuple order and may end inside a run. Deterministic regardless of jobs. With
     checkpoint_path, each consumed chunk is appended to that log file
     before the next one is taken, and a rerun resumes after the last chunk
     logged, so an interrupt or a broken worker pool loses at most the
@@ -338,10 +337,18 @@ def scan(
     return report
 
 
-def _bounds_line(e, mins, maxs, c):
-    lower = Fraction(prod(mins), factorial(c))
-    upper = Fraction(prod(maxs), factorial(c))
-    return f"bounds: {lower} <= {e} <= {upper}"
+def _shift_lines(D, e, c):
+    """D's min and max shifts, then, unless e is None, the bounds on e and both verdicts."""
+    mins, maxs = min_shifts(D), max_shifts(D)
+    lines = ["min shifts: " + " ".join(map(str, mins)), "max shifts: " + " ".join(map(str, maxs))]
+    if e is not None:
+        lower, upper = Fraction(prod(mins), factorial(c)), Fraction(prod(maxs), factorial(c))
+        lines += [
+            f"bounds: {lower} <= {e} <= {upper}",
+            str(upper_bound_holds(e, maxs, c)),
+            str(lower_bound_holds(e, mins, c)),
+        ]
+    return lines
 
 
 def check_hf(sequence, n=None, filters=DEFAULT_FILTERS, dfs_cap=DEFAULT_DFS_CAP):
@@ -369,15 +376,7 @@ def check_hf(sequence, n=None, filters=DEFAULT_FILTERS, dfs_cap=DEFAULT_DFS_CAP)
     for i, stage in enumerate(stages, start=1):
         lines += ["", f"after cancellations in columns ({i},{i + 1}):", stage.to_text()]
     result = classify(H, n, options)
-    mins, maxs = min_shifts(result.greedy), max_shifts(result.greedy)
-    lines += [
-        "",
-        "min shifts: " + " ".join(str(s) for s in mins),
-        "max shifts: " + " ".join(str(s) for s in maxs),
-        _bounds_line(result.e, mins, maxs, n),
-        str(upper_bound_holds(result.e, maxs, n)),
-        str(lower_bound_holds(result.e, mins, n)),
-    ]
+    lines += ["", *_shift_lines(result.greedy, result.e, n)]
     if result.status != "BOUND_HOLDS":
         lines += [
             "",
@@ -408,35 +407,23 @@ def check_ideal(text, n=None, truncate_at=None, field_char=DEFAULT_CHAR, degree_
         raise ValueError(f"degree cap must be nonnegative, got {degree_cap}")
     I = parse_ideal(text, n)
     artinian = I.is_artinian()
+    if not artinian and degree_cap is None:
+        raise NeedsCapError(f"ideal ({I}) is not Artinian; pass --degree-cap")
+    cap = None if artinian else degree_cap
+    D, z = _resolution(I, field_char, cap)
     lines = [f"ideal: {I} (n={I.n})"]
-    analysis = None
+    analysis = e = None
     if artinian:
-        analysis = truncation_analysis(I, field_char)
-        e, D = analysis.e, analysis.diagram
+        analysis = _analysis(I, D, z, field_char)
+        e = analysis.e
         lines += [f"Hilbert function: {analysis.hilbert_function}", f"e = {e}"]
     else:
-        if degree_cap is None:
-            raise NeedsCapError(f"ideal ({I}) is not Artinian; pass --degree-cap")
-        D, z = _resolution(I, field_char, degree_cap)
-        e = None
         lines.append(
             f"Hilbert function through degree {degree_cap}: "
             + ",".join(str(v) for v in _hilbert_values(z))
             + " (not Artinian)"
         )
-    lines += ["", "diagram:", D.to_text(), ""]
-    mins, maxs = min_shifts(D), max_shifts(D)
-    c = D.projective_dimension
-    lines += [
-        "min shifts: " + " ".join(str(s) for s in mins),
-        "max shifts: " + " ".join(str(s) for s in maxs),
-    ]
-    if artinian:
-        lines += [
-            _bounds_line(e, mins, maxs, c),
-            str(upper_bound_holds(e, maxs, c)),
-            str(lower_bound_holds(e, mins, c)),
-        ]
+    lines += ["", "diagram:", D.to_text(), "", *_shift_lines(D, e, D.projective_dimension)]
     lines.append(
         f"pure: {'yes' if is_pure(D) else 'no'}   quasipure: {'yes' if is_quasipure(D) else 'no'}"
     )
@@ -445,8 +432,7 @@ def check_ideal(text, n=None, truncate_at=None, field_char=DEFAULT_CHAR, degree_
             # The analysis already truncated at this degree.
             T, DT, eT = analysis.truncation, analysis.truncation_diagram, analysis.e_truncation
         else:
-            T = truncate(I, truncate_at)
-            DT, zT = _resolution(T, field_char, None if artinian else degree_cap)
+            T, DT, zT = _truncation(I, truncate_at, z, field_char, cap)
             eT = sum(zT.values()) if artinian else None
         rows = _compare_rows(D, DT, truncate_at)
         lines += ["", f"truncation at degree {truncate_at}: {T}"]

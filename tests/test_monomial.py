@@ -29,6 +29,7 @@ from multbound import (
     truncate,
 )
 from multbound.betti import columns_from_profile
+from multbound.koszul import DEFAULT_CHAR, _truncation
 from multbound.monomial import _lex_segment, _mono_unrank, _staircase
 
 from families import monomial_ideals, o_sequences
@@ -278,9 +279,12 @@ def test_staircase_columns_are_the_monomials_outside_the_ideal(I, cap):
 
 
 @settings(max_examples=80, deadline=None)
-@given(monomial_ideals(), st.integers(0, 8))
-def test_truncate_equals_the_reference_definition(I, d):
+@given(monomial_ideals(), st.integers(0, 8), st.integers(0, 10))
+def test_truncate_equals_the_reference_definition(I, d, cap):
     assert truncate(I, d) == reference_truncate(I, d)
+    # The cross-check's truncation, off a staircase capped above or below d.
+    cap = None if I.is_artinian() else cap
+    assert _truncation(I, d, _staircase(I, cap), DEFAULT_CHAR, cap)[0] == reference_truncate(I, d)
 
 
 def test_is_stable():

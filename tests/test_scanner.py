@@ -1,5 +1,6 @@
 """Tests for family scans, checkpoint resume, reports, and the command line."""
 
+import inspect
 import json
 import multiprocessing
 import os
@@ -21,11 +22,12 @@ from multbound import (
     check_ideal,
     classify,
     koszul,
+    monomial,
     scan,
     scanner,
     verdict,
 )
-from multbound.cli import main
+from multbound.cli import _build_parser, main
 from multbound.hilbert import _enumerate_value_tuples
 from multbound.scanner import _chunks, _scan_chunk, _worker_count
 from multbound.verdict import _greedy, _greedy_shift_walk
@@ -407,9 +409,11 @@ def test_scan_rejects_bad_arguments(tmp_path):
 
 def test_worker_count_is_clamped_to_the_cpu_count():
     cpus = os.cpu_count() or 1
-    assert _worker_count(None) == cpus
     assert _worker_count(10**9) == cpus
     assert _worker_count(1) == 1
+    # Scans run in one process unless more are asked for.
+    assert inspect.signature(scan).parameters["jobs"].default == 1
+    assert _build_parser().parse_args(["scan", "--vars", "3", "--socle-max", "3"]).jobs == 1
 
 
 def test_check_hf_prints_the_full_pipeline():
@@ -495,23 +499,34 @@ def test_check_ideal_with_explicit_truncation():
     assert "truncation analysis: NOT_APPLICABLE (no minimal generator of degree 4 or 5)" in text
 
 
-def test_check_ideal_reuses_the_analysis_truncation(monkeypatch):
-    real = koszul._resolution
-    built = []
+@pytest.mark.parametrize("truncate_at", [5, 6])
+def test_check_ideal_reuses_the_analysis_truncation(monkeypatch, truncate_at):
+    real_resolution, real_staircase = koszul._resolution, monomial._staircase
+    resolved, walked = [], []
 
-    def counting(I, *args, **kwargs):
-        built.append(I)
-        return real(I, *args, **kwargs)
+    def counting_resolution(I, *args, **kwargs):
+        resolved.append(I)
+        return real_resolution(I, *args, **kwargs)
+
+    def counting_staircase(I, d_max=None):
+        walked.append((I, d_max))
+        return real_staircase(I, d_max)
 
     for module in (koszul, scanner):
-        monkeypatch.setattr(module, "_resolution", counting)
-    # 6 is the max generator degree, where the analysis truncates.
-    analysis, text, _ = check_ideal(IDEAL_TRUNC_CERT, truncate_at=6)
+        monkeypatch.setattr(module, "_resolution", counting_resolution)
+    for module in (monomial, koszul):
+        monkeypatch.setattr(module, "_staircase", counting_staircase)
+    analysis, text, _ = check_ideal(IDEAL_TRUNC_CERT, truncate_at=truncate_at)
+    # One uncapped staircase of I serves the report, the analysis and the truncation.
+    I = monomial.parse_ideal(IDEAL_TRUNC_CERT)
+    assert [cap for J, cap in walked if J == I] == [None]
     assert analysis.truncation is not None
-    assert built.count(analysis.truncation) == 1
-    assert f"truncation at degree 6: {analysis.truncation}" in text
-    assert f"e = 31, truncation e = {analysis.e_truncation}" in text
-    assert "rows >= 6 preserved under truncation: yes" in text
+    assert f"rows >= {truncate_at} preserved under truncation: yes" in text
+    if truncate_at == 6:
+        # 6 is the max generator degree, where the analysis truncates.
+        assert resolved.count(analysis.truncation) == 1
+        assert f"truncation at degree 6: {analysis.truncation}" in text
+        assert f"e = 31, truncation e = {analysis.e_truncation}" in text
 
 
 def test_check_ideal_trivial_case():
