@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, prod
 
 from .errors import (
@@ -32,6 +34,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class BettiDiagram:
     """Table of graded Betti numbers beta_{i,j} for a quotient in n variables.
 
@@ -39,7 +42,8 @@ class BettiDiagram:
     shape: beta_{0,0} = 1 is the only entry in column 0 and columns stop at n.
     """
 
-    __slots__ = ("n", "_entries")
+    n: int
+    _entries: dict
 
     def __init__(self, n, entries, validate=True):
         n = int(n)
@@ -70,9 +74,6 @@ class BettiDiagram:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_entries", entries)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BettiDiagram is immutable")
 
     @classmethod
     def from_columns(cls, n, columns):
@@ -111,11 +112,6 @@ class BettiDiagram:
     @property
     def regularity(self):
         return max((j - i for i, j in self._entries), default=0)
-
-    def __eq__(self, other):
-        if isinstance(other, BettiDiagram):
-            return self.n == other.n and self._entries == other._entries
-        return NotImplemented
 
     def __hash__(self):
         return hash((self.n, frozenset(self._entries.items())))
@@ -338,11 +334,7 @@ def hilbert_from_diagram(D):
     for (i, j), c in entries.items():
         coeffs[j] += c if i % 2 == 0 else -c
     for _ in range(D.n):
-        run = 0
-        sums = []
-        for v in coeffs:
-            run += v
-            sums.append(run)
+        sums = list(accumulate(coeffs))
         if not sums or sums[-1] != 0:
             raise InconsistentDiagramError("numerator is not divisible by (1-t)^n")
         coeffs = sums[:-1]

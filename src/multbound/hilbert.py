@@ -20,13 +20,14 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class HilbertFunction:
     """Finite sequence of nonnegative values H(0), H(1), ... with H(d) = 0 beyond.
 
     Trailing zeros are stripped, so ``len`` is socle degree plus one.
     """
 
-    __slots__ = ("values",)
+    values: tuple
 
     def __init__(self, values):
         vals = tuple(int(v) for v in values)
@@ -43,9 +44,6 @@ class HilbertFunction:
         object.__setattr__(self, "values", vals)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HilbertFunction is immutable")
-
     def __getitem__(self, d):
         if isinstance(d, slice):
             return self.values[d]
@@ -58,14 +56,6 @@ class HilbertFunction:
 
     def __iter__(self):
         return iter(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, HilbertFunction):
-            return self.values == other.values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.values)
 
     def __repr__(self):
         return f"HilbertFunction({self.values})"

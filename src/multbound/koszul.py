@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import isqrt
 from operator import mul
 
 from .betti import BettiDiagram, is_quasipure, max_shifts
@@ -26,14 +27,7 @@ DEFAULT_CHAR = 32003
 
 @cache
 def _is_prime(p):
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
+    return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
 
 
 def rank_mod_p(rows, p):

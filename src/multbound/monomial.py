@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, groupby
 from math import comb, inf
@@ -37,19 +38,17 @@ def _max_var(exps):
     return mv
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Monomial:
     """Monomial in n variables, stored as an exponent tuple."""
 
-    __slots__ = ("exponents",)
+    exponents: tuple
 
     def __init__(self, exponents):
         exps = tuple(int(e) for e in exponents)
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
 
     @property
     def n(self):
@@ -73,14 +72,6 @@ class Monomial:
         if len(self.exponents) != len(other.exponents):
             raise ValueError("monomials live in different variable counts")
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def __eq__(self, other):
-        if isinstance(other, Monomial):
-            return self.exponents == other.exponents
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.exponents)
 
     def __repr__(self):
         return f"Monomial({self.exponents})"
@@ -160,6 +151,7 @@ def _minimalize(monomials):
     return kept
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class MonomialIdeal:
     """Monomial ideal given by minimal generators, canonically ordered.
 
@@ -167,7 +159,8 @@ class MonomialIdeal:
     descending lex within a degree.
     """
 
-    __slots__ = ("n", "generators")
+    n: int
+    generators: tuple
 
     def __init__(self, n, generators):
         n = int(n)
@@ -181,17 +174,6 @@ class MonomialIdeal:
             gens.append(m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "generators", tuple(_minimalize(gens)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialIdeal is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, MonomialIdeal):
-            return self.n == other.n and self.generators == other.generators
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.generators))
 
     def __repr__(self):
         return f"MonomialIdeal(n={self.n}, generators={list(map(str, self.generators))})"

@@ -52,15 +52,7 @@ class ScanReport:
     status: str
 
     def to_json(self):
-        payload = {
-            "parameters": self.parameters,
-            "counts": self.counts,
-            "exceptions": self.exceptions,
-            "timing": self.timing,
-            "checkpoint_cursor": self.checkpoint_cursor,
-            "status": self.status,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self):
         out = StringIO()
@@ -250,9 +242,9 @@ def scan(
     logged, so an interrupt or a broken worker pool loses at most the
     chunks in flight. limit caps the number of functions processed in this
     invocation, leaving an INCOMPLETE report when the family has functions
-    left. n, chunk_size, limit and jobs must each be at least 1 when
-    given; jobs above the CPU count is lowered to it, and socle_max must
-    be at least the prefix's socle degree.
+    left. n, chunk_size and jobs must each be at least 1, and so must
+    limit unless it is None; jobs above the CPU count is lowered to it, and
+    socle_max must be at least the prefix's socle degree.
     """
     start = time.perf_counter()
     if n < 1:
@@ -268,8 +260,10 @@ def scan(
     options = ClassifyOptions(filters, dfs_cap)
     if out_format not in ("json", "csv"):
         raise ValueError(f"unknown report format {out_format!r}")
-    for name, value in (("chunk_size", chunk_size), ("limit", limit), ("jobs", jobs)):
-        if value is not None and value < 1:
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+    for name, value in (("chunk_size", chunk_size), ("jobs", jobs)):
+        if value is None or value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     parameters = {
         "n": int(n),

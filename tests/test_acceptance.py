@@ -1,13 +1,20 @@
 """End-to-end acceptance checks, one test per guaranteed behavior."""
 
+import copy
+import pickle
 import random
 import time
+from dataclasses import fields
 from fractions import Fraction
 from math import comb
+
+import pytest
 
 from multbound import (
     BettiDiagram,
     ClassifyOptions,
+    HilbertFunction,
+    Monomial,
     aci_obstruction,
     cancel,
     check_hf,
@@ -204,6 +211,33 @@ def test_truncation_preserves_rows_and_certifies_bound():
     assert result.e == 31
     assert result.e_truncation == 57
     assert result.e <= result.e_truncation
+
+
+def test_values_and_results_pickle_and_deepcopy():
+    # Results must cross a process pool and survive copy.deepcopy intact.
+    unresolved = classify((1, 3, 6, 10, 15, 21, 22, 21, 15), 3)
+    assert unresolved.status == "UNRESOLVED" and len(unresolved.survivors) == 8
+    certified = truncation_analysis(parse_ideal(IDEAL_TRUNC_CERT))
+    assert certified.status == "CERTIFIED"
+    objects = [
+        HilbertFunction(H_HARD),
+        Monomial((2, 0, 1)),
+        parse_ideal(IDEAL_TRUNC_CERT),
+        diagram(MIN_1_3_6_9_9_6_2),
+        classify(H_HARD, 3),
+        unresolved,
+        certified,
+    ]
+    for obj in objects:
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert type(clone) is type(obj)
+            assert clone == obj
+            assert repr(clone) == repr(obj)
+    for value in objects[:4]:
+        clone = copy.deepcopy(value)
+        assert hash(clone) == hash(value)
+        with pytest.raises(AttributeError):
+            setattr(clone, fields(clone)[0].name, None)
 
 
 def test_cross_engine_and_property_checks():

@@ -1,5 +1,6 @@
 """Tests for family scans, checkpoint resume, reports, and the command line."""
 
+import importlib
 import inspect
 import json
 import multiprocessing
@@ -15,12 +16,15 @@ from math import factorial, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import multbound
 from multbound import (
     NeedsCapError,
     NotAdmissibleError,
+    betti,
     check_hf,
     check_ideal,
     classify,
+    hilbert,
     koszul,
     monomial,
     scan,
@@ -388,9 +392,11 @@ def test_scan_rejects_bad_arguments(tmp_path):
         {"filters": ("bogus",)},
         {"out_format": "xml"},
         {"chunk_size": 0},
+        {"chunk_size": None},
         {"limit": 0},
         {"jobs": 0},
         {"jobs": -2},
+        {"jobs": None},
         {"dfs_cap": 0},
         {"dfs_cap": -5},
     ):
@@ -640,3 +646,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "status: BOUND_HOLDS" in proc.stdout
+
+
+def test_package_exports_every_module_name():
+    for module in (betti, hilbert, koszul, monomial, scanner, verdict):
+        missing = set(module.__all__) - set(multbound.__all__)
+        assert not missing, f"{module.__name__} exports {sorted(missing)} the package does not"
+    assert [name for name in multbound.__all__ if not hasattr(multbound, name)] == []
+
+
+def test_console_script_target():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["multbound"]
+    module_name, _, attr = target.partition(":")
+    script = getattr(importlib.import_module(module_name), attr)
+    assert script(["check-hf", "1,3,6,7,3,1"]) == 0
+    assert script(["check-hf", "1,3,6,10,15,21,22,21,15"]) == 2
