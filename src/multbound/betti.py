@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, prod
@@ -14,7 +13,7 @@ from .errors import (
     NotPureError,
     NotStableError,
 )
-from .hilbert import HilbertFunction
+from .hilbert import HilbertFunction, _value_type
 from .monomial import is_stable
 
 __all__ = [
@@ -34,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_value_type
 class BettiDiagram:
     """Table of graded Betti numbers beta_{i,j} for a quotient in n variables.
 

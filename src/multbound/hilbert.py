@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from math import comb
 
 from .errors import NotAdmissibleError
@@ -20,7 +20,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+def _refuse_setattr(self, name, value=None):
+    raise FrozenInstanceError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+def _value_type(cls):
+    """cls as a frozen slotted dataclass on which every attribute assignment or deletion raises FrozenInstanceError.
+
+    The __setattr__ and __delattr__ that dataclass generates for such a class
+    call super() with the class from before its slots rebuild, which on
+    Python 3.10 and 3.11 raises TypeError for a name that is not a field.
+    """
+    cls = dataclass(frozen=True, slots=True, repr=False)(cls)
+    cls.__setattr__ = cls.__delattr__ = _refuse_setattr
+    return cls
+
+
+@_value_type
 class HilbertFunction:
     """Finite sequence of nonnegative values H(0), H(1), ... with H(d) = 0 beyond.
 

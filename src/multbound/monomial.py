@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, groupby
 from math import comb, inf
 from operator import le
 
 from .errors import IdealParseError, NeedsCapError, NotAdmissibleError
-from .hilbert import HilbertFunction, _growth_bound, _values
+from .hilbert import HilbertFunction, _growth_bound, _value_type, _values
 
 __all__ = [
     "Monomial",
@@ -38,7 +37,7 @@ def _max_var(exps):
     return mv
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_value_type
 class Monomial:
     """Monomial in n variables, stored as an exponent tuple."""
 
@@ -151,7 +150,7 @@ def _minimalize(monomials):
     return kept
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_value_type
 class MonomialIdeal:
     """Monomial ideal given by minimal generators, canonically ordered.
 

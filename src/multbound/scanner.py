@@ -256,8 +256,8 @@ def scan(
             "the family is empty"
         )
     prefix = _checked_prefix(n, prefix)  # before the log exists
-    filters = tuple(sorted(set(filters)))
     options = ClassifyOptions(filters, dfs_cap)
+    filters = sorted(set(options.filters))
     if out_format not in ("json", "csv"):
         raise ValueError(f"unknown report format {out_format!r}")
     if limit is not None and limit < 1:
@@ -269,8 +269,8 @@ def scan(
         "n": int(n),
         "socle_max": int(socle_max),
         "prefix": list(prefix),
-        "filters": list(filters),
-        "dfs_cap": int(dfs_cap),
+        "filters": filters,
+        "dfs_cap": dfs_cap,
     }
     jobs = _worker_count(jobs)
     scanned = bound_holds = 0
@@ -351,7 +351,7 @@ def check_hf(sequence, n=None, filters=DEFAULT_FILTERS, dfs_cap=DEFAULT_DFS_CAP)
     Returns (classification or None, report text, exit code): 0 for a
     determination, 2 when unresolved diagrams remain.
     """
-    options = ClassifyOptions(filters=tuple(filters), dfs_cap=dfs_cap)
+    options = ClassifyOptions(filters, dfs_cap)
     if isinstance(sequence, str):
         H = HilbertFunction.parse(sequence)
     else:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
@@ -150,7 +151,7 @@ def _degree_options(cols, j):
 
 
 def _filter_state_failures(state, hvals, n, filters):
-    """Names of enabled filters a leaf with this filter state fails (see _violating_diagrams).
+    """Names of enabled filters a leaf with this filter state fails (see _violating_search).
 
     For n = 3, three generators pass gen iff they are the degrees of a
     complete intersection of Hilbert function H and column 3 has one entry:
@@ -189,23 +190,23 @@ class _CapReached(Exception):
     pass
 
 
-def _violating_diagrams(cols, lhs, cap, visit):
-    """Call visit(state, path) on each cancellation-reachable diagram with max-shift product below lhs.
+def _violating_search(cols, lhs, cap, failures):
+    """Search the cancellation-reachable diagrams with max-shift product below lhs.
 
     cols is the lex diagram's column maps. Cancelling at degree j only changes
     degree-j entries, so a diagram is one reachable column vector per degree
-    (see _degree_options). The degrees are chosen in descending order, so a
-    column's max shift is fixed by the first degree where it is nonzero.
+    (see _degree_options). The search tree picks them in descending degree
+    order, so a column's max shift is fixed by the first degree where it is
+    nonzero; its leaves are the violating diagrams, in profile order.
     best[L][U] is the least product of max shifts that levels L and below can
-    give to the columns in U, the set of columns still empty (inf when one can
-    never become nonzero); a child is entered only when the pinned product
-    times its share and best stays below lhs, so every visited node has a
-    violating leaf below it. Leaves come out in profile order.
+    give to the columns in U, the set of columns still empty (inf when one
+    can never become nonzero); a child is entered only when the pinned
+    product times its share and best stays below lhs, so every node of the
+    tree has a leaf below it.
 
-    path is the live list of the (degree, vector) choices, top degree
-    first, valid only during the call; _path_diagram turns it into a diagram.
-    state is the leaf's filter state (er, gen, late), carried down the path
-    so that no leaf rescans its columns (see _filter_state_failures):
+    Each node carries the filter state (er, gen, late) of its path, so that
+    no leaf rescans its columns; failures(state) gives the names of the
+    filters a leaf with that state fails (see _filter_state_failures):
     er[i-2] counts column i-1's entries strictly below column i's current
     min shift, capped at i, for each column i >= 2 (0 while column i is
     empty); gen is column 1's total capped at n, except for n = 3, where it
@@ -214,25 +215,40 @@ def _violating_diagrams(cols, lhs, cap, visit):
     nonzero while the next one is still empty, so its max shift is not
     below the next one's. The transitions are cached for the call on
     (state, U, vec), and for n = 3 on (state, U, (j, vec)), since its gen
-    reads the degree. Returns stats:
-    nodes visited (at most cap + 1), children cut because some column can no
-    longer become nonzero (degenerate), and whether the cap stopped the search.
+    reads the degree.
+
+    A subtree depends only on its key (level, U, state, q), where
+    q = (lhs - 1) // pinned: which children fit reads the pinned product
+    only through q, and a child's q is q // share. So each key's summary,
+    (tree nodes, degenerate children, histogram of failed-filter tuples,
+    survivors), is computed once, and a leaf's from its state alone. The
+    counts stay the tree's, cap included: a known summary is taken whole
+    while its nodes fit in the cap; otherwise its root is counted and its
+    children entered, so a stopped search has counted the first cap + 1
+    tree nodes in preorder and the degenerate children and leaves among
+    them. The survivors, leaves that fail no filter, are built as diagrams
+    in a second descent that enters only subtrees holding one, in tree
+    order. Returns nodes (at most cap + 1), degenerate (children cut
+    because some column can no longer become nonzero), whether the cap
+    stopped the search, the histogram (a Counter) and the survivors.
     """
     n = len(cols) - 1
     degrees = sorted({j for col in cols[1:] for j in col}, reverse=True)
+    depth = len(degrees)
     options = [_degree_options(cols, j) for j in degrees]
     full = (1 << n) - 1
-    best = [None] * len(degrees) + [[1] + [inf] * full]
-    for level in reversed(range(len(degrees))):
+    best = [None] * depth + [[1] + [inf] * full]
+    for level in reversed(range(depth)):
         j, below = degrees[level], best[level + 1]
         masks = {mask for _, mask in options[level]}
         best[level] = [
             min(j ** (U & m).bit_count() * below[U & ~m] for m in masks)
             for U in range(full + 1)
         ]
-    path = [None] * len(degrees)
     transitions = {}
-    stats = {"nodes": 0, "degenerate": 0, "cap_exceeded": False}
+    summaries = {}
+    nodes = degenerate = alive = 0
+    histogram = Counter()
 
     @cache
     def children(level, U):
@@ -250,64 +266,122 @@ def _violating_diagrams(cols, lhs, cap, visit):
         entered = [[child for bound, child in kept if bound <= top] for top in bounds]
         return len(options[level]) - len(kept), bounds, entered
 
-    def descend(level, pinned, U, state):
-        stats["nodes"] += 1
-        if stats["nodes"] > cap:
-            raise _CapReached
-        if level == len(degrees):
-            visit(state, path)
-            return
-        degenerate, bounds, entered = children(level, U)
-        stats["degenerate"] += degenerate
-        # pinned * bound < lhs iff bound <= (lhs - 1) // pinned.
-        fit = bisect_right(bounds, (lhs - 1) // pinned)
-        if not fit:
-            return
-        for pick, token, mask, rest, share in entered[fit - 1]:
-            key = (state, U, token)
-            child = transitions.get(key)
-            if child is None:
-                er, gen, late = state
-                j, vec = pick
-                if n == 3:
-                    degs, top = gen
-                    fits = degs is not None and len(degs) + vec[0] <= 4
-                    gen = (degs + (j,) * vec[0] if fits else None, min(top + vec[2], 2))
-                else:
-                    gen = min(gen + vec[0], n)
-                child = transitions[key] = (
-                    tuple(
-                        0 if vec[i] or U >> i & 1 else min(count + vec[i - 1], i + 1)
-                        for i, count in enumerate(er, 1)
-                    ),
-                    gen,
-                    late or bool(U & mask & (U >> 1)),
-                )
-            path[level] = pick
-            descend(level + 1, pinned * share, rest, child)
+    def child_state(state, U, token, pick, mask):
+        key = (state, U, token)
+        child = transitions.get(key)
+        if child is None:
+            er, gen, late = state
+            j, vec = pick
+            if n == 3:
+                degs, top = gen
+                fits = degs is not None and len(degs) + vec[0] <= 4
+                gen = (degs + (j,) * vec[0] if fits else None, min(top + vec[2], 2))
+            else:
+                gen = min(gen + vec[0], n)
+            child = transitions[key] = (
+                tuple(
+                    0 if vec[i] or U >> i & 1 else min(count + vec[i - 1], i + 1)
+                    for i, count in enumerate(er, 1)
+                ),
+                gen,
+                late or bool(U & mask & (U >> 1)),
+            )
+        return child
 
+    def summary(level, U, state, q):
+        nonlocal nodes, degenerate, alive
+        key = state if level == depth else (level, U, state, q)
+        known = summaries.get(key)
+        if known is not None and nodes + known[0] <= cap:
+            nodes += known[0]
+            degenerate += known[1]
+            histogram.update(known[2])
+            alive += known[3]
+            return known
+        nodes += 1
+        if nodes > cap:
+            raise _CapReached
+        if level == depth:
+            failed = tuple(failures(state))
+            known = (1, 0, {failed: 1}, 0) if failed else (1, 0, {}, 1)
+            histogram.update(known[2])
+            alive += known[3]
+        else:
+            cut, bounds, entered = children(level, U)
+            degenerate += cut
+            size, cuts, failed, passed = 1, cut, Counter(), 0
+            # pinned * bound < lhs iff bound <= (lhs - 1) // pinned.
+            fit = bisect_right(bounds, q)
+            for pick, token, mask, rest, share in entered[fit - 1] if fit else ():
+                child = summary(level + 1, rest, child_state(state, U, token, pick, mask), q // share)
+                size += child[0]
+                cuts += child[1]
+                failed.update(child[2])
+                passed += child[3]
+            known = (size, cuts, failed, passed)
+        summaries[key] = known
+        return known
+
+    path = [None] * depth
+    survivors = []
+
+    def gather(level, U, state, q):
+        # Only subtrees with a survivor are entered, and a stopped search's
+        # unfinished ones, which hold the survivors it counted last.
+        if level == depth:
+            survivors.append(_path_diagram(n, path))
+            return
+        _, bounds, entered = children(level, U)
+        for pick, token, mask, rest, share in entered[bisect_right(bounds, q) - 1]:
+            child = child_state(state, U, token, pick, mask)
+            known = summaries.get(child if level + 1 == depth else (level + 1, rest, child, q // share))
+            if known is None or known[3]:
+                path[level] = pick
+                gather(level + 1, rest, child, q // share)
+                if len(survivors) == alive:
+                    return
+
+    root = (full, ((0,) * (n - 1), ((), 0) if n == 3 else 0, False), lhs - 1)
+    cap_exceeded = False
     try:
-        descend(0, 1, full, ((0,) * (n - 1), ((), 0) if n == 3 else 0, False))
+        summary(0, *root)
     except _CapReached:
-        stats["cap_exceeded"] = True
-    return stats
+        cap_exceeded = True
+    if alive:
+        gather(0, *root)
+    return {
+        "nodes": nodes,
+        "degenerate": degenerate,
+        "cap_exceeded": cap_exceeded,
+        "histogram": histogram,
+        "survivors": survivors,
+    }
 
 
 @dataclass(frozen=True)
 class ClassifyOptions:
     """Knobs for classify: enabled filters and the DFS node budget.
 
-    Raises ValueError for a filter name outside KNOWN_FILTERS or a dfs_cap
-    below 1.
+    filters is kept as a tuple. Raises ValueError unless filters is an
+    iterable of names in KNOWN_FILTERS (a string is not) and dfs_cap an int
+    (not a bool) of at least 1.
     """
 
     filters: tuple = DEFAULT_FILTERS
     dfs_cap: int = DEFAULT_DFS_CAP
 
     def __post_init__(self):
-        unknown = set(self.filters) - KNOWN_FILTERS
+        filters = self.filters
+        if isinstance(filters, Iterable) and not isinstance(filters, str):
+            filters = tuple(filters)
+        if not isinstance(filters, tuple) or not all(isinstance(name, str) for name in filters):
+            raise ValueError(f"filters must be an iterable of filter names, got {self.filters!r}")
+        unknown = set(filters) - KNOWN_FILTERS
         if unknown:
             raise ValueError(f"unknown filters {sorted(unknown)}; known: {sorted(KNOWN_FILTERS)}")
+        object.__setattr__(self, "filters", filters)
+        if isinstance(self.dfs_cap, bool) or not isinstance(self.dfs_cap, int):
+            raise ValueError(f"dfs_cap must be an int, got {self.dfs_cap!r}")
         if self.dfs_cap < 1:
             raise ValueError(f"dfs_cap must be at least 1, got {self.dfs_cap}")
 
@@ -502,35 +576,24 @@ def _classify_values(hvals, n, options):
     greedy = BettiDiagram.from_columns(n, cols)
     if bound.holds:
         return Classification(hvals, n, "BOUND_HOLDS", "", bound.e, shifts, bound.lhs, bound.rhs, greedy)
-    histogram = Counter()
-    failed_filters = set()
-    survivors = []
-    verdicts = {}
-
-    def visit(state, path):
-        if state not in verdicts:
-            verdicts[state] = _filter_state_failures(state, hvals, n, options.filters)
-        failed = verdicts[state]
-        if failed:
-            histogram["+".join(failed)] += 1
-            failed_filters.update(failed)
-        else:
-            survivors.append(_path_diagram(n, path))
-
-    stats = _violating_diagrams(lex_cols, bound.lhs, options.dfs_cap, visit)
+    stats = _violating_search(
+        lex_cols, bound.lhs, options.dfs_cap,
+        lambda state: _filter_state_failures(state, hvals, n, options.filters),
+    )
+    histogram, survivors = stats["histogram"], stats["survivors"]
     if stats["cap_exceeded"]:
         status, reason = "UNRESOLVED", "CAP_EXCEEDED"
     elif survivors:
         status, reason = "UNRESOLVED", f"{len(survivors)} diagrams pass all filters"
     else:
-        status, reason = "ELIMINATED", ",".join(sorted(failed_filters))
+        status, reason = "ELIMINATED", ",".join(sorted(set().union(*histogram)))
     return Classification(
         hvals, n, status, reason, bound.e, shifts, bound.lhs, bound.rhs, greedy,
         violating=histogram.total() + len(survivors),
         degenerate=stats["degenerate"],
         nodes=stats["nodes"],
         cap_exceeded=stats["cap_exceeded"],
-        filter_histogram=dict(histogram),
+        filter_histogram={"+".join(failed): count for failed, count in histogram.items()},
         survivors=survivors,
     )
 

@@ -1,12 +1,127 @@
-"""Column maps of the violating-diagram search's leaves, their filter verdicts, and a classification built from them."""
+"""The violating-diagram search as a tree walk, its leaves' column maps and filter verdicts, and a classification built from them.
 
+_violating_diagrams is the reference for verdict._violating_search: it visits
+every tree node and leaf one by one, where the search adds up memoized
+subtrees.
+"""
+
+from bisect import bisect_right
 from collections import Counter
-from math import factorial
+from functools import cache
+from math import factorial, inf
 
 from multbound import BettiDiagram
 from multbound.betti import _growth_ok
 from multbound.hilbert import aci_obstruction
-from multbound.verdict import _evans_richert_witness, _generator_count_ok, _greedy, _violating_diagrams
+from multbound.verdict import _degree_options, _evans_richert_witness, _generator_count_ok, _greedy
+
+
+class _CapReached(Exception):
+    pass
+
+
+def _violating_diagrams(cols, lhs, cap, visit):
+    """Call visit(state, path) on each cancellation-reachable diagram with max-shift product below lhs.
+
+    cols is the lex diagram's column maps. Cancelling at degree j only changes
+    degree-j entries, so a diagram is one reachable column vector per degree
+    (see _degree_options). The degrees are chosen in descending order, so a
+    column's max shift is fixed by the first degree where it is nonzero.
+    best[L][U] is the least product of max shifts that levels L and below can
+    give to the columns in U, the set of columns still empty (inf when one can
+    never become nonzero); a child is entered only when the pinned product
+    times its share and best stays below lhs, so every visited node has a
+    violating leaf below it. Leaves come out in profile order.
+
+    path is the live list of the (degree, vector) choices, top degree
+    first, valid only during the call; _path_diagram turns it into a diagram.
+    state is the leaf's filter state (er, gen, late), carried down the path
+    so that no leaf rescans its columns (see _filter_state_failures):
+    er[i-2] counts column i-1's entries strictly below column i's current
+    min shift, capped at i, for each column i >= 2 (0 while column i is
+    empty); gen is column 1's total capped at n, except for n = 3, where it
+    is (column 1's degrees while there are at most four, else None, and
+    column 3's total capped at 2); late is set once a column becomes
+    nonzero while the next one is still empty, so its max shift is not
+    below the next one's. The transitions are cached for the call on
+    (state, U, vec), and for n = 3 on (state, U, (j, vec)), since its gen
+    reads the degree. Returns stats:
+    nodes visited (at most cap + 1), children cut because some column can no
+    longer become nonzero (degenerate), and whether the cap stopped the search.
+    """
+    n = len(cols) - 1
+    degrees = sorted({j for col in cols[1:] for j in col}, reverse=True)
+    options = [_degree_options(cols, j) for j in degrees]
+    full = (1 << n) - 1
+    best = [None] * len(degrees) + [[1] + [inf] * full]
+    for level in reversed(range(len(degrees))):
+        j, below = degrees[level], best[level + 1]
+        masks = {mask for _, mask in options[level]}
+        best[level] = [
+            min(j ** (U & m).bit_count() * below[U & ~m] for m in masks)
+            for U in range(full + 1)
+        ]
+    path = [None] * len(degrees)
+    transitions = {}
+    stats = {"nodes": 0, "degenerate": 0, "cap_exceeded": False}
+
+    @cache
+    def children(level, U):
+        # The children worth entering depend on the pinned product only through
+        # how many distinct bounds fit below lhs: one list per bound, in option order.
+        j, below = degrees[level], best[level + 1]
+        kept = []
+        for vec, mask in options[level]:
+            if below[U & ~mask] < inf:
+                share = j ** (U & mask).bit_count()
+                pick = (j, vec)
+                child = (pick, pick if n == 3 else vec, mask, U & ~mask, share)
+                kept.append((share * below[U & ~mask], child))
+        bounds = sorted({bound for bound, _ in kept})
+        entered = [[child for bound, child in kept if bound <= top] for top in bounds]
+        return len(options[level]) - len(kept), bounds, entered
+
+    def descend(level, pinned, U, state):
+        stats["nodes"] += 1
+        if stats["nodes"] > cap:
+            raise _CapReached
+        if level == len(degrees):
+            visit(state, path)
+            return
+        degenerate, bounds, entered = children(level, U)
+        stats["degenerate"] += degenerate
+        # pinned * bound < lhs iff bound <= (lhs - 1) // pinned.
+        fit = bisect_right(bounds, (lhs - 1) // pinned)
+        if not fit:
+            return
+        for pick, token, mask, rest, share in entered[fit - 1]:
+            key = (state, U, token)
+            child = transitions.get(key)
+            if child is None:
+                er, gen, late = state
+                j, vec = pick
+                if n == 3:
+                    degs, top = gen
+                    fits = degs is not None and len(degs) + vec[0] <= 4
+                    gen = (degs + (j,) * vec[0] if fits else None, min(top + vec[2], 2))
+                else:
+                    gen = min(gen + vec[0], n)
+                child = transitions[key] = (
+                    tuple(
+                        0 if vec[i] or U >> i & 1 else min(count + vec[i - 1], i + 1)
+                        for i, count in enumerate(er, 1)
+                    ),
+                    gen,
+                    late or bool(U & mask & (U >> 1)),
+                )
+            path[level] = pick
+            descend(level + 1, pinned * share, rest, child)
+
+    try:
+        descend(0, 1, full, ((0,) * (n - 1), ((), 0) if n == 3 else 0, False))
+    except _CapReached:
+        stats["cap_exceeded"] = True
+    return stats
 
 
 def path_columns(path, n):

@@ -4,7 +4,7 @@ import copy
 import pickle
 import random
 import time
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from math import comb
 
@@ -43,7 +43,6 @@ from multbound import (
 )
 from multbound.betti import columns_from_profile, greedy_columns
 from multbound.monomial import lex_generator_profile
-from multbound.verdict import _violating_diagrams
 
 from goldens import (
     DIAG_ROWS_DEMO,
@@ -65,7 +64,7 @@ from goldens import (
     MIN_1_3_6_9_9_6_2,
     diagram,
 )
-from leaves import path_columns
+from leaves import _violating_diagrams, path_columns
 
 H_HARD = (1, 3, 6, 10, 15, 17, 17, 17, 15, 10)
 
@@ -238,6 +237,21 @@ def test_values_and_results_pickle_and_deepcopy():
         assert hash(clone) == hash(value)
         with pytest.raises(AttributeError):
             setattr(clone, fields(clone)[0].name, None)
+
+
+@pytest.mark.parametrize("value", [
+    HilbertFunction(H_HARD), Monomial((2, 0, 1)), parse_ideal(IDEAL_TRUNC_CERT), diagram(MIN_1_3_6_9_9_6_2),
+], ids=lambda value: type(value).__name__)
+def test_value_types_refuse_every_assignment_and_deletion(value):
+    # A name that is not a field too: the dataclass-generated methods raised
+    # TypeError for it on Python 3.10 and 3.11.
+    before = copy.deepcopy(value)
+    for name in (fields(value)[0].name, "foo"):
+        with pytest.raises(FrozenInstanceError, match="is immutable"):
+            setattr(value, name, None)
+        with pytest.raises(FrozenInstanceError, match="is immutable"):
+            delattr(value, name)
+    assert value == before and not hasattr(value, "foo")
 
 
 def test_cross_engine_and_property_checks():

@@ -476,6 +476,30 @@ def test_check_hf_rejects_dfs_cap_below_one():
         check_hf("1,3,6,10,15,15,11", dfs_cap=0)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"dfs_cap": None}, "dfs_cap must be an int, got None"),
+    ({"dfs_cap": 2.5}, "dfs_cap must be an int, got 2.5"),
+    ({"dfs_cap": True}, "dfs_cap must be an int, got True"),
+    ({"filters": None}, "filters must be an iterable of filter names, got None"),
+    ({"filters": "er"}, "filters must be an iterable of filter names, got 'er'"),
+    ({"filters": ("er", 1)}, r"filters must be an iterable of filter names, got \('er', 1\)"),
+])
+def test_classify_scan_and_check_hf_reject_options_of_the_wrong_type(bad, message):
+    with pytest.raises(ValueError, match=message):
+        classify((1, 3, 6, 10, 15, 15, 11), 3, verdict.ClassifyOptions(**bad))
+    with pytest.raises(ValueError, match=message):
+        scan(3, 3, jobs=1, **bad)
+    with pytest.raises(ValueError, match=message):
+        check_hf("1,3,6,10,15,15,11", **bad)
+
+
+def test_classify_options_keep_any_iterable_of_filter_names_as_a_tuple():
+    assert verdict.ClassifyOptions(["gen", "er"]).filters == ("gen", "er")
+    assert verdict.ClassifyOptions(iter(["aci"])).filters == ("aci",)
+    report = scan(3, 3, filters=["gen", "er", "gen"], dfs_cap=7, jobs=1)
+    assert report.parameters["filters"] == ["er", "gen"] and report.parameters["dfs_cap"] == 7
+
+
 def test_check_hf_unresolved_case():
     result, text, code = check_hf("1,3,6,10,15,21,22,21,15")
     assert code == 2

@@ -1,7 +1,8 @@
 """Tests for bound verdicts, realizability filters, and the classification pipeline."""
 
+from collections import Counter
 from itertools import product
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,17 +34,17 @@ from multbound.verdict import (
     _greedy,
     _greedy_shift_walk,
     _path_diagram,
-    _violating_diagrams,
+    _violating_search,
 )
 
-from families import families, families_around
+from families import families, families_around, o_sequences
 from goldens import (
     MIN_1_3_6_10_15_15_11,
     MIN_1_3_6_7_3_1,
     MIN_1_3_6_9_9_6_2,
     diagram,
 )
-from leaves import diagram_filter_failures, path_columns, reference_evidence
+from leaves import _violating_diagrams, diagram_filter_failures, path_columns, reference_evidence
 
 H_HARD = (1, 3, 6, 10, 15, 17, 17, 17, 15, 10)
 
@@ -292,6 +293,103 @@ def test_filter_state_gives_the_filter_verdicts_of_the_leaf_maps(family, cap):
             expected = reference_evidence(vals, n, filters, cap)
             assert _evidence(res) == expected, (vals, filters)
             assert res.nodes == cap + 1 if res.cap_exceeded else res.nodes <= cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(families({2: 5, 3: 3, 4: 2}), families_around(EXCEPTIONS)),
+    st.sampled_from(FILTER_SUBSETS),
+    st.data(),
+)
+def test_memoized_search_gives_the_tree_walks_evidence_at_every_cap(family, filters, data):
+    # Caps next to the tree's node total T, and inside the tree, where the
+    # search has to split memoized subtrees to stop at the same node.
+    n, socle_max, prefix = family
+    for vals in _enumerate_value_tuples(n, socle_max, prefix):
+        if upper_bound_holds(sum(vals), _greedy(vals, n)[2], n).holds:
+            continue
+        total = reference_evidence(vals, n, filters, DEFAULT_DFS_CAP)["nodes"]
+        cap = data.draw(
+            st.one_of(st.sampled_from([1, max(total - 1, 1), total, total + 1]), st.integers(1, total)),
+            label=f"cap for {vals}",
+        )
+        res = _classify_values(vals, n, ClassifyOptions(filters, cap))
+        assert _evidence(res) == reference_evidence(vals, n, filters, cap), (vals, filters, cap)
+
+
+@st.composite
+def search_inputs(draw):
+    """(cols, lhs, cap): a lex diagram's column maps or random ones, an lhs up to above every product, a cap."""
+    if draw(st.booleans()):
+        n, vals = draw(o_sequences([2, 3, 4], 5))
+        cols = lex_columns(vals, n)
+    else:
+        # Columns whose entries can all cancel: children that leave one empty are cut (degenerate).
+        degrees = st.dictionaries(st.integers(1, 7), st.integers(1, 2), min_size=1, max_size=3)
+        cols = [{0: 1}] + draw(st.lists(degrees, min_size=1, max_size=3))
+    lhs = draw(st.integers(1, prod(max(col) for col in cols[1:]) + 1))
+    return cols, lhs, draw(st.integers(1, 2_000))
+
+
+def _state_failures(state):
+    """A leaf verdict read off the filter state alone, as er's and growth's are."""
+    er, _, late = state
+    return ("er",) * any(count < i for i, count in enumerate(er, 2)) + ("growth",) * late
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_inputs())
+@example((lex_columns((1, 3, 4, 4, 3, 1), 3), 200, 2_000))  # one (level, U, state) under several q
+@example(([{0: 1}, {2: 1}, {1: 2, 2: 2, 7: 2}, {3: 1, 7: 2}], 99, 2_000))  # a subtree with a degenerate cut, twice
+def test_memoized_search_equals_the_tree_walk_for_any_columns_lhs_and_cap(inputs):
+    # An lhs above n! * e lets more children fit, so that one (level, U,
+    # state) is reached under several q = (lhs - 1) // pinned.
+    cols, lhs, cap = inputs
+    n = len(cols) - 1
+    histogram, survivors = Counter(), []
+
+    def visit(state, path):
+        failed = _state_failures(state)
+        if failed:
+            histogram[failed] += 1
+        else:
+            survivors.append(BettiDiagram.from_columns(n, path_columns(path, n)))
+
+    walk = _violating_diagrams(cols, lhs, cap, visit)
+    expected = {**walk, "histogram": histogram, "survivors": survivors}
+    assert _violating_search(cols, lhs, cap, _state_failures) == expected
+
+
+@pytest.mark.parametrize("n, vals", EXCEPTIONS)
+def test_memoized_search_builds_every_violating_diagram_in_tree_order(n, vals):
+    # With no filters every violating diagram survives, so the survivors are
+    # the tree walk's leaves in order, also when the cap stops both halfway.
+    lex_cols, _, _ = _greedy(vals, n)
+    lhs = factorial(n) * sum(vals)
+    total = _violating_diagrams(lex_cols, lhs, DEFAULT_DFS_CAP, lambda state, path: None)["nodes"]
+    for cap in (total, total - 1, total // 2):
+        leaves = []
+        _violating_diagrams(
+            lex_cols, lhs, cap,
+            lambda state, path: leaves.append(BettiDiagram.from_columns(n, path_columns(path, n))),
+        )
+        res = classify(vals, n, ClassifyOptions(filters=(), dfs_cap=cap))
+        assert res.survivors == leaves and res.violating == len(leaves), (vals, cap)
+        assert res.filter_histogram == {}
+
+
+def test_memoized_search_counts_a_three_million_node_tree_exactly():
+    # The tree has 3,006,130 nodes but 29 distinct subtrees, so the search
+    # adds memoized subtrees up where the tree walk visits every node.
+    H = (1, 4, 10, 16, 21, 22, 17)
+    res = classify(H, 4, ClassifyOptions(dfs_cap=3_006_130))
+    assert (res.status, res.reason) == ("ELIMINATED", "er")
+    assert (res.nodes, res.violating, res.cap_exceeded) == (3_006_130, 893_376, False)
+    assert res.filter_histogram == {"er": 893_376} and res.degenerate == 0
+    res = classify(H, 4, ClassifyOptions(dfs_cap=3_006_129))
+    assert (res.status, res.reason) == ("UNRESOLVED", "CAP_EXCEEDED")
+    assert (res.nodes, res.violating, res.cap_exceeded) == (3_006_130, 893_375, True)
+    assert res.filter_histogram == {"er": 893_375} and res.degenerate == 0
 
 
 @settings(max_examples=100, deadline=None)
