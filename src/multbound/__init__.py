@@ -8,27 +8,21 @@ an exact Koszul-homology Betti engine for monomial ideals.
 
 from .betti import (
     BettiDiagram,
-    cancel,
-    check_shift_growth,
-    dual_diagram,
     ek_betti,
     greedy_minimize,
     greedy_stages,
     hilbert_from_diagram,
-    huneke_miller,
     is_pure,
     is_quasipure,
     max_shifts,
     min_shifts,
 )
 from .errors import (
-    CannotCancelError,
     IdealParseError,
     InconsistentDiagramError,
     MalformedDiagramError,
     NeedsCapError,
     NotAdmissibleError,
-    NotPureError,
     NotStableError,
 )
 from .hilbert import (
@@ -55,10 +49,8 @@ from .monomial import (
     MonomialIdeal,
     is_stable,
     lex_columns,
-    lex_compare,
     lex_generator_profile,
     lex_ideal,
-    monomials_of_degree,
     parse_ideal,
     parse_monomial,
     quotient_hilbert_function,
@@ -71,10 +63,7 @@ from .verdict import (
     BoundVerdict,
     Classification,
     ClassifyOptions,
-    EvansRichertCheck,
     classify,
-    evans_richert_ok,
-    generator_count_ok,
     lower_bound_holds,
     upper_bound_holds,
 )
@@ -85,12 +74,10 @@ __all__ = [
     "AciObstruction",
     "BettiDiagram",
     "BoundVerdict",
-    "CannotCancelError",
     "Classification",
     "ClassifyOptions",
     "DEFAULT_DFS_CAP",
     "DEFAULT_FILTERS",
-    "EvansRichertCheck",
     "HilbertFunction",
     "IdealParseError",
     "InconsistentDiagramError",
@@ -99,34 +86,26 @@ __all__ = [
     "MonomialIdeal",
     "NeedsCapError",
     "NotAdmissibleError",
-    "NotPureError",
     "NotStableError",
     "ScanReport",
     "TruncationAnalysis",
     "TruncationRowsReport",
     "aci_obstruction",
-    "cancel",
     "check_hf",
     "check_ideal",
-    "check_shift_growth",
     "ci_hilbert_function",
     "classify",
-    "dual_diagram",
     "ek_betti",
     "enumerate_o_sequences",
-    "evans_richert_ok",
-    "generator_count_ok",
     "greedy_minimize",
     "greedy_stages",
     "hilbert_from_diagram",
-    "huneke_miller",
     "is_o_sequence",
     "is_pure",
     "is_quasipure",
     "is_stable",
     "koszul_betti",
     "lex_columns",
-    "lex_compare",
     "lex_generator_profile",
     "lex_ideal",
     "lower_bound_holds",
@@ -134,7 +113,6 @@ __all__ = [
     "macaulay_expansion",
     "max_shifts",
     "min_shifts",
-    "monomials_of_degree",
     "multiplicity",
     "parse_ideal",
     "parse_monomial",

@@ -1,35 +1,24 @@
-"""Graded Betti diagrams: closed-form resolutions, cancellation, shifts, layouts."""
+"""Graded Betti diagrams: closed-form resolutions, greedy cancellation, shifts, layouts."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, prod
+from math import comb
 
-from .errors import (
-    CannotCancelError,
-    InconsistentDiagramError,
-    MalformedDiagramError,
-    NotPureError,
-    NotStableError,
-)
+from .errors import InconsistentDiagramError, MalformedDiagramError, NotStableError
 from .hilbert import HilbertFunction, _value_type
 from .monomial import is_stable
 
 __all__ = [
     "BettiDiagram",
     "ek_betti",
-    "cancel",
     "greedy_minimize",
     "greedy_stages",
     "max_shifts",
     "min_shifts",
     "is_pure",
     "is_quasipure",
-    "huneke_miller",
     "hilbert_from_diagram",
-    "check_shift_growth",
-    "dual_diagram",
 ]
 
 
@@ -37,14 +26,14 @@ __all__ = [
 class BettiDiagram:
     """Table of graded Betti numbers beta_{i,j} for a quotient in n variables.
 
-    Only nonzero entries are stored. Validation enforces the cyclic-quotient
+    Only nonzero entries are stored. Every diagram has the cyclic-quotient
     shape: beta_{0,0} = 1 is the only entry in column 0 and columns stop at n.
     """
 
     n: int
     _entries: dict
 
-    def __init__(self, n, entries, validate=True):
+    def __init__(self, n, entries):
         n = int(n)
         if n < 1:
             raise ValueError(f"need at least one variable, got n={n}")
@@ -60,9 +49,8 @@ class BettiDiagram:
             if j < 0:
                 raise ValueError(f"negative degree {j} at column {i}")
             clean[(i, j)] = c
-        if validate:
-            if clean.get((0, 0)) != 1 or any(i == 0 and j != 0 for i, j in clean):
-                raise ValueError("column 0 must hold exactly beta_{0,0} = 1")
+        if clean.get((0, 0)) != 1 or any(i == 0 and j != 0 for i, j in clean):
+            raise ValueError("column 0 must hold exactly beta_{0,0} = 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_entries", clean)
 
@@ -106,11 +94,11 @@ class BettiDiagram:
 
     @property
     def projective_dimension(self):
-        return max((i for i, _ in self._entries), default=0)
+        return max(i for i, _ in self._entries)
 
     @property
     def regularity(self):
-        return max((j - i for i, j in self._entries), default=0)
+        return max(j - i for i, j in self._entries)
 
     def __hash__(self):
         return hash((self.n, frozenset(self._entries.items())))
@@ -124,7 +112,7 @@ class BettiDiagram:
     def to_text(self):
         """Human layout: entry beta_{i,j} at row j-i, column i, dots for zeros."""
         width = self.projective_dimension
-        reg = self.regularity if self._entries else -1
+        reg = self.regularity
         grid = [["total:"] + [str(self.column_total(i)) for i in range(width + 1)]]
         for r in range(reg + 1):
             cells = [f"{r}:"]
@@ -209,29 +197,6 @@ def ek_betti(I):
     return BettiDiagram.from_columns(I.n, columns_from_profile(profile, I.n))
 
 
-def cancel(D, i, j, count=None):
-    """Cancel count units from beta_{i,j} and beta_{i+1,j}.
-
-    With count omitted, cancels the maximum possible. Raises CannotCancelError
-    when the entries cannot support the cancellation.
-    """
-    if not 1 <= i <= D.n - 1:
-        raise ValueError(f"column pair ({i},{i + 1}) outside 1..{D.n - 1}")
-    avail = min(D.entry(i, j), D.entry(i + 1, j))
-    if count is None:
-        count = avail
-    if count < 1:
-        raise CannotCancelError(f"nothing to cancel at columns ({i},{i + 1}) degree {j}")
-    if count > avail:
-        raise CannotCancelError(
-            f"cannot cancel {count} at columns ({i},{i + 1}) degree {j}; only {avail} available"
-        )
-    entries = dict(D.entries())
-    entries[(i, j)] -= count
-    entries[(i + 1, j)] -= count
-    return BettiDiagram(D.n, entries)
-
-
 def _cancel_pair(a, b):
     """Cancel everything adjacent column maps a and b share, degrees high to low, in place."""
     for j in sorted(set(a) & set(b), reverse=True):
@@ -310,15 +275,6 @@ def is_quasipure(D):
     return True
 
 
-def huneke_miller(D, c):
-    """Multiplicity of a pure diagram: the shift product over c factorial."""
-    if D.projective_dimension != c:
-        raise ValueError(f"projective dimension {D.projective_dimension} != codimension {c}")
-    if not is_pure(D):
-        raise NotPureError("diagram is not pure")
-    return Fraction(prod(max_shifts(D)), factorial(c))
-
-
 def hilbert_from_diagram(D):
     """Hilbert function encoded by the diagram's alternating numerator.
 
@@ -327,8 +283,6 @@ def hilbert_from_diagram(D):
     numerically consistent with any Artinian quotient.
     """
     entries = D.entries()
-    if not entries:
-        raise InconsistentDiagramError("empty diagram")
     coeffs = [0] * (max(j for _, j in entries) + 1)
     for (i, j), c in entries.items():
         coeffs[j] += c if i % 2 == 0 else -c
@@ -344,32 +298,3 @@ def hilbert_from_diagram(D):
     if 0 in coeffs:
         raise InconsistentDiagramError("Hilbert function vanishes then returns")
     return HilbertFunction(coeffs)
-
-
-def _growth_ok(cols):
-    """True iff max shifts rise by at least one across consecutive nonempty column maps."""
-    prev = None
-    for col in cols:
-        if not col:
-            prev = None
-            continue
-        cur = max(col)
-        if prev is not None and cur < prev + 1:
-            return False
-        prev = cur
-    return True
-
-
-def check_shift_growth(D):
-    """True iff max shifts rise by at least one across consecutive nonempty columns."""
-    return _growth_ok(D.columns())
-
-
-def dual_diagram(D, c, d):
-    """Formal 180-degree rotation: entry (i, j) moves to (c - i, d - j)."""
-    entries = {}
-    for (i, j), count in D.entries().items():
-        if not 0 <= c - i <= D.n or d - j < 0:
-            raise ValueError(f"entry ({i},{j}) has no image under rotation by ({c},{d})")
-        entries[(c - i, d - j)] = count
-    return BettiDiagram(D.n, entries, validate=False)

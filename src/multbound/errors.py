@@ -9,16 +9,8 @@ class NotStableError(ValueError):
     """Monomial ideal is not stable, so the closed-form resolution does not apply."""
 
 
-class CannotCancelError(ValueError):
-    """Requested consecutive cancellation exceeds the available entries."""
-
-
 class MalformedDiagramError(ValueError):
     """Betti diagram has an empty column below its projective dimension."""
-
-
-class NotPureError(ValueError):
-    """Diagram is not pure, so it has no single shift per column."""
 
 
 class InconsistentDiagramError(ValueError):

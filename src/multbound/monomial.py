@@ -14,8 +14,6 @@ from .hilbert import HilbertFunction, _growth_bound, _value_type, _values
 __all__ = [
     "Monomial",
     "MonomialIdeal",
-    "lex_compare",
-    "monomials_of_degree",
     "lex_ideal",
     "lex_generator_profile",
     "lex_columns",
@@ -89,17 +87,6 @@ class Monomial:
         return "*".join(parts)
 
 
-def lex_compare(u, v):
-    """Comparator for lex order with earlier variables larger: a > b > c > ...
-
-    Returns a positive number when u > v, negative when u < v, zero when equal.
-    """
-    ue, ve = u.exponents, v.exponents
-    if len(ue) != len(ve):
-        raise ValueError("monomials live in different variable counts")
-    return (ue > ve) - (ue < ve)
-
-
 def _exponents_of_degree(d, n):
     """Yield degree-d exponent tuples in n variables in descending lex order."""
     if n == 1:
@@ -108,12 +95,6 @@ def _exponents_of_degree(d, n):
     for e in range(d, -1, -1):
         for rest in _exponents_of_degree(d - e, n - 1):
             yield (e,) + rest
-
-
-def monomials_of_degree(d, n):
-    """Yield all degree-d monomials in n variables in descending lex order."""
-    for exps in _exponents_of_degree(d, n):
-        yield Monomial(exps)
 
 
 def _mono_unrank(d, n, rank):
@@ -274,7 +255,9 @@ def lex_generator_profile(H, n):
 
     Returns a tuple of (degree, max_var) pairs in generator order. This is all
     the resolution of a lex ideal depends on; lex_columns turns it into Betti
-    columns without listing generators.
+    columns without listing generators. No scan calls it; it stays because
+    perfbench's scan-n3 replay imports it as its lex layer, until that replay
+    moves to the scan walk (ROADMAP item 7).
     """
     return tuple(
         (d, _max_var(_mono_unrank(d, n, rank)))

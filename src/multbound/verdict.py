@@ -7,7 +7,6 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
 from math import factorial, inf, prod
 
 from .betti import BettiDiagram, greedy_columns
@@ -19,9 +18,6 @@ __all__ = [
     "BoundVerdict",
     "upper_bound_holds",
     "lower_bound_holds",
-    "EvansRichertCheck",
-    "evans_richert_ok",
-    "generator_count_ok",
     "ClassifyOptions",
     "Classification",
     "classify",
@@ -73,64 +69,6 @@ def lower_bound_holds(e, m, c):
     lhs = prod(m)
     rhs = factorial(c) * e
     return BoundVerdict(e, m, c, lhs <= rhs, lhs, rhs, "lower")
-
-
-@dataclass(frozen=True)
-class EvansRichertCheck:
-    """Syzygy-count check result; witness is the failing (column, degree) pair."""
-
-    ok: bool
-    witness: tuple | None
-
-    def __bool__(self):
-        return self.ok
-
-
-def _evans_richert_witness(cols):
-    """First (i, t) where column i's earliest syzygies outnumber column i-1 below t."""
-    for i in range(2, len(cols)):
-        col = cols[i]
-        if not col:
-            continue
-        t = min(col)
-        if sum(c for j, c in cols[i - 1].items() if j < t) < i:
-            return (i, t)
-    return None
-
-
-def evans_richert_ok(D):
-    """Each column i >= 2 needs at least i entries strictly below its min shift in column i-1."""
-    witness = _evans_richert_witness(D.columns())
-    return EvansRichertCheck(witness is None, witness)
-
-
-def _ci_koszul_shape(cols):
-    """True iff columns 1..3 form the Koszul diagram of three forms' degrees."""
-    degs = sorted(j for j, c in cols[1].items() for _ in range(c))
-    if len(degs) != 3:
-        return False
-    pair_sums = sorted(a + b for a, b in combinations(degs, 2))
-    col2 = sorted(j for j, c in cols[2].items() for _ in range(c))
-    if col2 != pair_sums:
-        return False
-    col3 = sorted(j for j, c in cols[3].items() for _ in range(c))
-    return col3 == [sum(degs)]
-
-
-def _generator_count_ok(cols, n):
-    total = sum(cols[1].values())
-    if n != 3:
-        return total >= n
-    if total >= 4:
-        return True
-    if total == 3:
-        return _ci_koszul_shape(cols)
-    return False
-
-
-def generator_count_ok(D, n):
-    """Artinian quotients in n variables need n generators; in three, four unless a CI."""
-    return _generator_count_ok(D.columns(), n)
 
 
 def _degree_options(cols, j):

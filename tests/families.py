@@ -1,8 +1,22 @@
-"""Hypothesis strategies: small O-sequences, O-sequence families below a prefix, monomial ideals."""
+"""Hypothesis strategies: small O-sequences, O-sequence families below a prefix, monomial ideals.
+
+Also monomials_of_degree, a brute-force enumerator that shares no code with
+the package's own.
+"""
+
+from functools import cache
+from itertools import product
 
 from hypothesis import strategies as st
 
-from multbound import MonomialIdeal
+from multbound import Monomial, MonomialIdeal
+
+
+@cache
+def monomials_of_degree(d, n):
+    """All degree-d monomials in n variables, descending lex: exponent tuples sorted descending."""
+    exps = sorted((e for e in product(range(d + 1), repeat=n) if sum(e) == d), reverse=True)
+    return tuple(Monomial(e) for e in exps)
 from multbound.hilbert import _growth_bound
 
 

@@ -2,18 +2,20 @@
 
 _violating_diagrams is the reference for verdict._violating_search: it visits
 every tree node and leaf one by one, where the search adds up memoized
-subtrees.
+subtrees. The er, gen and growth predicates below are the filter reference
+that the search's carried filter state is checked against: they read a
+diagram's column maps directly.
 """
 
 from bisect import bisect_right
 from collections import Counter
 from functools import cache
+from itertools import combinations
 from math import factorial, inf
 
 from multbound import BettiDiagram
-from multbound.betti import _growth_ok
 from multbound.hilbert import aci_obstruction
-from multbound.verdict import _degree_options, _evans_richert_witness, _generator_count_ok, _greedy
+from multbound.verdict import _degree_options, _greedy
 
 
 class _CapReached(Exception):
@@ -127,6 +129,57 @@ def _violating_diagrams(cols, lhs, cap, visit):
 def path_columns(path, n):
     """Column maps 0..n of the leaf that picks vector vec at degree j for each (j, vec) in path."""
     return [{0: 1}] + [{j: vec[i] for j, vec in path if vec[i]} for i in range(n)]
+
+
+def _evans_richert_witness(cols):
+    """First (i, t) where column i's earliest syzygies outnumber column i-1 below t."""
+    for i in range(2, len(cols)):
+        col = cols[i]
+        if not col:
+            continue
+        t = min(col)
+        if sum(c for j, c in cols[i - 1].items() if j < t) < i:
+            return (i, t)
+    return None
+
+
+def _ci_koszul_shape(cols):
+    """True iff columns 1..3 form the Koszul diagram of three forms' degrees."""
+    degs = sorted(j for j, c in cols[1].items() for _ in range(c))
+    if len(degs) != 3:
+        return False
+    pair_sums = sorted(a + b for a, b in combinations(degs, 2))
+    col2 = sorted(j for j, c in cols[2].items() for _ in range(c))
+    if col2 != pair_sums:
+        return False
+    col3 = sorted(j for j, c in cols[3].items() for _ in range(c))
+    return col3 == [sum(degs)]
+
+
+def _generator_count_ok(cols, n):
+    """Artinian quotients in n variables need n generators; in three, four unless a CI."""
+    total = sum(cols[1].values())
+    if n != 3:
+        return total >= n
+    if total >= 4:
+        return True
+    if total == 3:
+        return _ci_koszul_shape(cols)
+    return False
+
+
+def _growth_ok(cols):
+    """True iff max shifts rise by at least one across consecutive nonempty column maps."""
+    prev = None
+    for col in cols:
+        if not col:
+            prev = None
+            continue
+        cur = max(col)
+        if prev is not None and cur < prev + 1:
+            return False
+        prev = cur
+    return True
 
 
 def diagram_filter_failures(cols, hvals, n, filters, aci_cache):

@@ -1,12 +1,14 @@
 """End-to-end acceptance checks, one test per guaranteed behavior."""
 
+import ast
 import copy
 import pickle
 import random
 import time
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -16,18 +18,15 @@ from multbound import (
     HilbertFunction,
     Monomial,
     aci_obstruction,
-    cancel,
     check_hf,
     ci_hilbert_function,
     classify,
-    check_shift_growth,
     ek_betti,
     enumerate_o_sequences,
-    evans_richert_ok,
     greedy_minimize,
     greedy_stages,
     hilbert_from_diagram,
-    huneke_miller,
+    is_pure,
     koszul_betti,
     lex_ideal,
     max_shifts,
@@ -64,7 +63,7 @@ from goldens import (
     MIN_1_3_6_9_9_6_2,
     diagram,
 )
-from leaves import _violating_diagrams, path_columns
+from leaves import _evans_richert_witness, _growth_ok, _violating_diagrams, path_columns
 
 H_HARD = (1, 3, 6, 10, 15, 17, 17, 17, 15, 10)
 
@@ -81,13 +80,6 @@ UNRESOLVED_HFS = {
 }
 
 
-def _product(values):
-    prod = 1
-    for v in values:
-        prod *= v
-    return prod
-
-
 def test_lex_diagram_cancellation_and_bounds_for_1_3_6_9_9_6_2():
     start = time.monotonic()
     D = ek_betti(lex_ideal((1, 3, 6, 9, 9, 6, 2), 3))
@@ -97,8 +89,8 @@ def test_lex_diagram_cancellation_and_bounds_for_1_3_6_9_9_6_2():
     assert M == diagram(MIN_1_3_6_9_9_6_2)
     e = multiplicity((1, 3, 6, 9, 9, 6, 2))
     assert e == 36
-    assert Fraction(_product(min_shifts(M)), 6) == 27
-    assert Fraction(_product(max_shifts(M)), 6) == 42
+    assert Fraction(prod(min_shifts(M)), 6) == 27
+    assert Fraction(prod(max_shifts(M)), 6) == 42
     _, text, code = check_hf("1,3,6,9,9,6,2")
     assert code == 0
     assert "bounds: 27 <= 36 <= 42" in text
@@ -126,9 +118,7 @@ def test_greedy_violation_and_syzygy_filter_for_1_3_6_10_15_15_11():
     verdict = upper_bound_holds(61, max_shifts(M), 3)
     assert not verdict.holds
     assert (verdict.lhs, verdict.rhs) == (366, 360)
-    check = evans_richert_ok(M)
-    assert not check.ok
-    assert check.witness == (3, 7)
+    assert _evans_richert_witness(M.columns()) == (3, 7)
     assert time.monotonic() - start < 1.0
 
 
@@ -181,6 +171,25 @@ def test_full_family_scan_reproduces_exception_classification():
     assert time.monotonic() - start < 1800.0
 
 
+def test_readme_library_example():
+    # Runs the python block under README's "## Library"; each commented value
+    # must be what the expression on its line, or the line before, gives.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, value, checked = {}, None, []
+    for line in block.splitlines():
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        if code:
+            try:
+                value = eval(code, namespace)
+            except SyntaxError:
+                exec(code, namespace)
+        if comment:
+            assert value == ast.literal_eval(comment), line
+            checked.append(value)
+    assert checked == [("ELIMINATED", "aci,er"), (111, (5, 11, 12)), 677546, (1, 6, 8, 3)]
+
+
 def test_koszul_engine_reproduces_reference_diagrams():
     start = time.monotonic()
     I = parse_ideal(IDEAL_ROWS_DEMO)
@@ -193,7 +202,7 @@ def test_koszul_engine_reproduces_reference_diagrams():
     D = koszul_betti(K, degree_cap=8)
     assert D == diagram(DIAG_STABLE_NONCM)
     assert D.column_totals() == (1, 7, 9, 3)
-    assert not check_shift_growth(D)
+    assert not _growth_ok(D.columns())
     assert time.monotonic() - start < 5.0
 
 
@@ -272,7 +281,7 @@ def test_cross_engine_and_property_checks():
     for H in enumerate_o_sequences(3, 4):
         cols = columns_from_profile(lex_generator_profile(H, 3), 3)
         greedy = greedy_columns([dict(col) for col in cols])
-        greedy_prod = _product(max(col) for col in greedy[1:])
+        greedy_prod = prod(max(col) for col in greedy[1:])
         found = []
         stats = _violating_diagrams(
             cols, 10**30, 10**7, lambda state, path: found.append(path_columns(path, 3)),
@@ -280,7 +289,7 @@ def test_cross_engine_and_property_checks():
         assert not stats["cap_exceeded"]
         reachable_total += len(found)
         assert all(
-            greedy_prod <= _product(max(col) for col in d[1:]) for d in found
+            greedy_prod <= prod(max(col) for col in d[1:]) for d in found
         )
     assert reachable_total == 5480
 
@@ -300,7 +309,10 @@ def test_cross_engine_and_property_checks():
                 break
             i, j = pairs[rng.randrange(len(pairs))]
             count = rng.randint(1, min(cols[i][j], cols[i + 1][j]))
-            D = cancel(D, i, j, count)
+            entries = D.entries()
+            entries[i, j] -= count
+            entries[i + 1, j] -= count
+            D = BettiDiagram(D.n, entries)
             assert hilbert_from_diagram(D) == H
             ops += 1
 
@@ -309,7 +321,8 @@ def test_cross_engine_and_property_checks():
     for n in range(1, 5):
         for d in range(1, 7):
             D = BettiDiagram(n, {(i, d * i): comb(n, i) for i in range(n + 1)})
-            assert huneke_miller(D, n) == d**n
+            assert is_pure(D) and D.projective_dimension == n
+            assert Fraction(prod(max_shifts(D)), factorial(n)) == d**n
             assert multiplicity(ci_hilbert_function((d,) * n)) == d**n
     for d in range(1, 4):
         gens = f"a^{d}; b^{d}; c^{d}"

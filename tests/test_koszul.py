@@ -17,7 +17,6 @@ from multbound import (
     koszul_betti,
     lex_ideal,
     max_shifts,
-    monomials_of_degree,
     multiplicity,
     parse_ideal,
     quotient_hilbert_function,
@@ -27,7 +26,7 @@ from multbound import (
 )
 from multbound.koszul import _block_betti, rank_mod_p
 
-from families import monomial_ideals, o_sequences
+from families import monomial_ideals, monomials_of_degree, o_sequences
 
 from goldens import (
     DIAG_ROWS_DEMO,

@@ -18,12 +18,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import multbound
 from multbound import (
+    BettiDiagram,
     NeedsCapError,
     NotAdmissibleError,
     betti,
     check_hf,
     check_ideal,
     classify,
+    errors,
     hilbert,
     koszul,
     monomial,
@@ -677,6 +679,21 @@ def test_package_exports_every_module_name():
         missing = set(module.__all__) - set(multbound.__all__)
         assert not missing, f"{module.__name__} exports {sorted(missing)} the package does not"
     assert [name for name in multbound.__all__ if not hasattr(multbound, name)] == []
+    # Names neither pipeline called: gone from the package and their modules.
+    removed = {
+        betti: ["cancel", "huneke_miller", "dual_diagram", "check_shift_growth", "_growth_ok"],
+        monomial: ["lex_compare", "monomials_of_degree"],
+        verdict: [
+            "EvansRichertCheck", "evans_richert_ok", "generator_count_ok",
+            "_evans_richert_witness", "_generator_count_ok", "_ci_koszul_shape",
+        ],
+        errors: ["CannotCancelError", "NotPureError"],
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert not hasattr(module, name) and not hasattr(multbound, name), (module.__name__, name)
+    with pytest.raises(TypeError):
+        BettiDiagram(1, {(0, 0): 1}, validate=False)
 
 
 def test_console_script_target():

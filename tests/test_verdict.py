@@ -13,8 +13,6 @@ from multbound import (
     NotAdmissibleError,
     classify,
     enumerate_o_sequences,
-    evans_richert_ok,
-    generator_count_ok,
     greedy_minimize,
     ek_betti,
     hilbert_from_diagram,
@@ -44,7 +42,14 @@ from goldens import (
     MIN_1_3_6_9_9_6_2,
     diagram,
 )
-from leaves import _violating_diagrams, diagram_filter_failures, path_columns, reference_evidence
+from leaves import (
+    _evans_richert_witness,
+    _generator_count_ok,
+    _violating_diagrams,
+    diagram_filter_failures,
+    path_columns,
+    reference_evidence,
+)
 
 H_HARD = (1, 3, 6, 10, 15, 17, 17, 17, 15, 10)
 
@@ -82,33 +87,31 @@ def test_bound_input_validation():
 
 
 def test_evans_richert_reference_cases():
-    check = evans_richert_ok(diagram(MIN_1_3_6_10_15_15_11))
-    assert not check.ok
-    assert not check
-    assert check.witness == (3, 7)
-    check = evans_richert_ok(diagram(MIN_1_3_6_7_3_1))
-    assert check.ok and check
-    assert check.witness is None
-    assert evans_richert_ok(diagram(MIN_1_3_6_9_9_6_2)).ok
-    assert evans_richert_ok(BettiDiagram(1, {(0, 0): 1, (1, 1): 1})).ok
+    assert _evans_richert_witness(diagram(MIN_1_3_6_10_15_15_11).columns()) == (3, 7)
+    assert _evans_richert_witness(diagram(MIN_1_3_6_7_3_1).columns()) is None
+    assert _evans_richert_witness(diagram(MIN_1_3_6_9_9_6_2).columns()) is None
+    assert _evans_richert_witness(BettiDiagram(1, {(0, 0): 1, (1, 1): 1}).columns()) is None
 
 
 def test_generator_count_filter():
-    assert generator_count_ok(diagram(MIN_1_3_6_9_9_6_2), 3)
+    def gen_ok(D, n):
+        return _generator_count_ok(D.columns(), n)
+
+    assert gen_ok(diagram(MIN_1_3_6_9_9_6_2), 3)
     ci = BettiDiagram(3, {(0, 0): 1, (1, 5): 3, (2, 10): 3, (3, 15): 1})
-    assert generator_count_ok(ci, 3)
+    assert gen_ok(ci, 3)
     mixed = BettiDiagram(
         3, {(0, 0): 1, (1, 2): 2, (1, 3): 1, (2, 4): 2, (2, 5): 1, (3, 7): 1}
     )
-    assert not generator_count_ok(mixed, 3)
+    assert not gen_ok(mixed, 3)
     bad_top = BettiDiagram(
         3, {(0, 0): 1, (1, 2): 2, (1, 3): 1, (2, 4): 1, (2, 5): 2, (3, 8): 1}
     )
-    assert not generator_count_ok(bad_top, 3)
-    assert not generator_count_ok(BettiDiagram(3, {(0, 0): 1, (1, 2): 2, (2, 3): 1}), 3)
-    assert generator_count_ok(BettiDiagram(2, {(0, 0): 1, (1, 2): 2, (2, 4): 1}), 2)
-    assert not generator_count_ok(BettiDiagram(2, {(0, 0): 1, (1, 2): 1}), 2)
-    assert not generator_count_ok(ci, 4)
+    assert not gen_ok(bad_top, 3)
+    assert not gen_ok(BettiDiagram(3, {(0, 0): 1, (1, 2): 2, (2, 3): 1}), 3)
+    assert gen_ok(BettiDiagram(2, {(0, 0): 1, (1, 2): 2, (2, 4): 1}), 2)
+    assert not gen_ok(BettiDiagram(2, {(0, 0): 1, (1, 2): 1}), 2)
+    assert not gen_ok(ci, 4)
 
 
 def test_classify_bound_holds_case():
