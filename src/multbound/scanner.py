@@ -242,9 +242,10 @@ def scan(
     logged, so an interrupt or a broken worker pool loses at most the
     chunks in flight. limit caps the number of functions processed in this
     invocation, leaving an INCOMPLETE report when the family has functions
-    left. n, chunk_size and jobs must each be at least 1, and so must
-    limit unless it is None; jobs above the CPU count is lowered to it, and
-    socle_max must be at least the prefix's socle degree.
+    left. n must be at least 1; chunk_size and jobs must each be an int
+    (not a bool) of at least 1, and so must limit unless it is None. jobs
+    above the CPU count is lowered to it, and socle_max must be at least
+    the prefix's socle degree.
     """
     start = time.perf_counter()
     if n < 1:
@@ -260,10 +261,12 @@ def scan(
     filters = sorted(set(options.filters))
     if out_format not in ("json", "csv"):
         raise ValueError(f"unknown report format {out_format!r}")
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
-    for name, value in (("chunk_size", chunk_size), ("jobs", jobs)):
-        if value is None or value < 1:
+    for name, value in (("chunk_size", chunk_size), ("jobs", jobs), ("limit", limit)):
+        if value is None and name == "limit":
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     parameters = {
         "n": int(n),

@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
 from math import factorial, inf, prod
@@ -88,6 +89,45 @@ def _degree_options(cols, j):
     return [(v, sum(1 << i for i, x in enumerate(v) if x)) for v in vecs]
 
 
+def _entry_caps(n):
+    """Per column, the largest entry the filter state tells apart (see _violating_search).
+
+    Column c < n enters er capped at c + 1 and column 1 also gen, capped
+    at n; column n enters only through its support. In three variables gen
+    reads up to five column-1 entries (four degrees, then None) and column
+    3's total up to 2.
+    """
+    if n == 3:
+        return (5, 3, 2)
+    return tuple(1 if c == n else max(n, 2) if c == 1 else c + 1 for c in range(1, n + 1))
+
+
+def _option_classes(start, n):
+    """_degree_options's vectors at one degree, counted by their entries capped at _entry_caps(n).
+
+    start is the degree's column vector (entry i is column i+1's count).
+    Returns a dict from each capped vector to its number of options; its
+    nonzero entries are the options' support. A DP over the pairs counts
+    the cancellation profiles without listing them. Its state is the
+    capped entries of the columns already settled and what the last pair
+    left of the next column. That rest is capped at the column's cap plus
+    the following column's entry: with more, the next pair leaves the
+    column at its cap whatever it cancels, with the same choices.
+    """
+    caps = _entry_caps(n)
+    limits = [cap + nxt for cap, nxt in zip(caps, start[1:] + (0,))]
+    states = {((), min(start[0], limits[0])): 1}
+    for i in range(1, n):
+        nxt, cap, limit = start[i], caps[i - 1], limits[i]
+        grown = {}
+        for (done, left), count in states.items():
+            for c in range(min(left, nxt) + 1):
+                key = (done + (min(left - c, cap),), min(nxt - c, limit))
+                grown[key] = grown.get(key, 0) + count
+        states = grown
+    return {done + (left,): count for (done, left), count in states.items()}
+
+
 def _filter_state_failures(state, hvals, n, filters):
     """Names of enabled filters a leaf with this filter state fails (see _violating_search).
 
@@ -128,6 +168,12 @@ class _CapReached(Exception):
     pass
 
 
+def _add(histogram, part, times=1):
+    """Add times * part's counts into the histogram dict."""
+    for failed, count in part.items():
+        histogram[failed] = histogram.get(failed, 0) + times * count
+
+
 def _violating_search(cols, lhs, cap, failures):
     """Search the cancellation-reachable diagrams with max-shift product below lhs.
 
@@ -151,65 +197,88 @@ def _violating_search(cols, lhs, cap, failures):
     is (column 1's degrees while there are at most four, else None, and
     column 3's total capped at 2); late is set once a column becomes
     nonzero while the next one is still empty, so its max shift is not
-    below the next one's. The transitions are cached for the call on
-    (state, U, vec), and for n = 3 on (state, U, (j, vec)), since its gen
-    reads the degree.
+    below the next one's. A move reads a vector only through its entries
+    capped at _entry_caps(n). The transitions are cached for the call on
+    (state, U, token), where token is (None, vec) for a vector vec, a
+    class's capped one or an option's own, and (j, vec) for n = 3, since
+    its gen reads the degree.
 
     A subtree depends only on its key (level, U, state, q), where
     q = (lhs - 1) // pinned: which children fit reads the pinned product
     only through q, and a child's q is q // share. So each key's summary,
-    (tree nodes, degenerate children, histogram of failed-filter tuples,
-    survivors), is computed once, and a leaf's from its state alone. The
-    counts stay the tree's, cap included: a known summary is taken whole
-    while its nodes fit in the cap; otherwise its root is counted and its
-    children entered, so a stopped search has counted the first cap + 1
-    tree nodes in preorder and the degenerate children and leaves among
-    them. The survivors, leaves that fail no filter, are built as diagrams
-    in a second descent that enters only subtrees holding one, in tree
-    order. Returns nodes (at most cap + 1), degenerate (children cut
-    because some column can no longer become nonzero), whether the cap
-    stopped the search, the histogram (a Counter) and the survivors.
+    (tree nodes, degenerate children, histogram dict of failed-filter
+    tuples, survivors), is computed once, and a leaf's from its state
+    alone. Options with one capped vector (see _option_classes) have one
+    child key, so a summary adds up each class's child times its count,
+    and the options themselves are never listed. That pass stops once a
+    subtree has more than cap nodes, or once it would make more than cap
+    summaries, since each is a distinct tree node.
+    When the tree has more than cap nodes, a second pass walks it in option
+    order on the same summaries: a known summary is taken whole while its
+    nodes fit in the cap; otherwise its root is counted and its children
+    entered, so the stopped search has counted the first cap + 1 tree
+    nodes in preorder and the degenerate children and leaves among them.
+    The survivors, leaves that fail no filter, are built as diagrams in a
+    last descent that enters only subtrees holding one, in tree order.
+    Returns nodes (at most cap + 1), degenerate (children cut because some
+    column can no longer become nonzero), whether the cap stopped the
+    search, the histogram (a Counter) and the survivors.
     """
     n = len(cols) - 1
     degrees = sorted({j for col in cols[1:] for j in col}, reverse=True)
     depth = len(degrees)
-    options = [_degree_options(cols, j) for j in degrees]
+
+    # Per level, (count, token, mask) for each class; options(level) lists
+    # ((j, vec), token, mask) for each option, in option order.
+    classes = []
+    for j in degrees:
+        found = _option_classes(tuple(col.get(j, 0) for col in cols[1:]), n)
+        classes.append([
+            (count, (j if n == 3 else None, capped), sum(1 << i for i, x in enumerate(capped) if x))
+            for capped, count in found.items()
+        ])
+
+    @cache
+    def options(level):
+        j = degrees[level]
+        return [((j, vec), (j if n == 3 else None, vec), mask) for vec, mask in _degree_options(cols, j)]
+
     full = (1 << n) - 1
     best = [None] * depth + [[1] + [inf] * full]
     for level in reversed(range(depth)):
         j, below = degrees[level], best[level + 1]
-        masks = {mask for _, mask in options[level]}
+        masks = {mask for _, _, mask in classes[level]}
         best[level] = [
             min(j ** (U & m).bit_count() * below[U & ~m] for m in masks)
             for U in range(full + 1)
         ]
     transitions = {}
     summaries = {}
-    nodes = degenerate = alive = 0
-    histogram = Counter()
 
     @cache
-    def children(level, U):
+    def children(level, U, in_order):
         # The children worth entering depend on the pinned product only through
-        # how many distinct bounds fit below lhs: one list per bound, in option order.
+        # how many distinct bounds fit below lhs: one list per bound, each
+        # child (head, token, mask, U & ~mask, share), where head is a class's
+        # count, or with in_order an option's (j, vec), in option order.
         j, below = degrees[level], best[level + 1]
-        kept = []
-        for vec, mask in options[level]:
+        kept, cut = [], 0
+        for head, token, mask in options(level) if in_order else classes[level]:
             if below[U & ~mask] < inf:
                 share = j ** (U & mask).bit_count()
-                pick = (j, vec)
-                child = (pick, pick if n == 3 else vec, mask, U & ~mask, share)
-                kept.append((share * below[U & ~mask], child))
+                kept.append((share * below[U & ~mask], (head, token, mask, U & ~mask, share)))
+            else:
+                cut += 1 if in_order else head
         bounds = sorted({bound for bound, _ in kept})
         entered = [[child for bound, child in kept if bound <= top] for top in bounds]
-        return len(options[level]) - len(kept), bounds, entered
+        return cut, bounds, entered
 
-    def child_state(state, U, token, pick, mask):
+    def child_state(state, U, token, mask):
         key = (state, U, token)
         child = transitions.get(key)
         if child is None:
             er, gen, late = state
-            j, vec = pick
+            j, vec = token
             if n == 3:
                 degs, top = gen
                 fits = degs is not None and len(degs) + vec[0] <= 4
@@ -226,35 +295,68 @@ def _violating_search(cols, lhs, cap, failures):
             )
         return child
 
-    def summary(level, U, state, q):
+    def leaf(state):
+        failed = tuple(failures(state))
+        return (1, 0, {failed: 1}, 0) if failed else (1, 0, {}, 1)
+
+    def tally(level, U, state, q):
+        # The subtree's summary, adding up each class's child times its count.
+        key = state if level == depth else (level, U, state, q)
+        known = summaries.get(key)
+        if known is not None:
+            return known
+        if level == depth:
+            known = leaf(state)
+        else:
+            cut, bounds, entered = children(level, U, False)
+            size, cuts, failed, passed = 1, cut, {}, 0
+            # pinned * bound < lhs iff bound <= (lhs - 1) // pinned.
+            fit = bisect_right(bounds, q)
+            for count, token, mask, rest, share in entered[fit - 1] if fit else ():
+                child = tally(level + 1, rest, child_state(state, U, token, mask), q // share)
+                size += count * child[0]
+                if size > cap:
+                    raise _CapReached
+                cuts += count * child[1]
+                _add(failed, child[2], count)
+                passed += count * child[3]
+            known = (size, cuts, failed, passed)
+        if len(summaries) == cap:
+            raise _CapReached  # cap + 1 distinct subtrees: the tree has more than cap nodes
+        summaries[key] = known
+        return known
+
+    nodes = degenerate = alive = 0
+    histogram = {}
+
+    def walk(level, U, state, q):
+        # The tree's preorder, counting nodes against the cap.
         nonlocal nodes, degenerate, alive
         key = state if level == depth else (level, U, state, q)
         known = summaries.get(key)
         if known is not None and nodes + known[0] <= cap:
             nodes += known[0]
             degenerate += known[1]
-            histogram.update(known[2])
+            _add(histogram, known[2])
             alive += known[3]
             return known
         nodes += 1
         if nodes > cap:
             raise _CapReached
         if level == depth:
-            failed = tuple(failures(state))
-            known = (1, 0, {failed: 1}, 0) if failed else (1, 0, {}, 1)
-            histogram.update(known[2])
+            known = leaf(state)
+            _add(histogram, known[2])
             alive += known[3]
         else:
-            cut, bounds, entered = children(level, U)
+            cut, bounds, entered = children(level, U, True)
             degenerate += cut
-            size, cuts, failed, passed = 1, cut, Counter(), 0
-            # pinned * bound < lhs iff bound <= (lhs - 1) // pinned.
+            size, cuts, failed, passed = 1, cut, {}, 0
             fit = bisect_right(bounds, q)
-            for pick, token, mask, rest, share in entered[fit - 1] if fit else ():
-                child = summary(level + 1, rest, child_state(state, U, token, pick, mask), q // share)
+            for _, token, mask, rest, share in entered[fit - 1] if fit else ():
+                child = walk(level + 1, rest, child_state(state, U, token, mask), q // share)
                 size += child[0]
                 cuts += child[1]
-                failed.update(child[2])
+                _add(failed, child[2])
                 passed += child[3]
             known = (size, cuts, failed, passed)
         summaries[key] = known
@@ -269,9 +371,9 @@ def _violating_search(cols, lhs, cap, failures):
         if level == depth:
             survivors.append(_path_diagram(n, path))
             return
-        _, bounds, entered = children(level, U)
+        _, bounds, entered = children(level, U, True)
         for pick, token, mask, rest, share in entered[bisect_right(bounds, q) - 1]:
-            child = child_state(state, U, token, pick, mask)
+            child = child_state(state, U, token, mask)
             known = summaries.get(child if level + 1 == depth else (level + 1, rest, child, q // share))
             if known is None or known[3]:
                 path[level] = pick
@@ -280,18 +382,23 @@ def _violating_search(cols, lhs, cap, failures):
                     return
 
     root = (full, ((0,) * (n - 1), ((), 0) if n == 3 else 0, False), lhs - 1)
-    cap_exceeded = False
     try:
-        summary(0, *root)
+        nodes, degenerate, histogram, alive = tally(0, *root)
     except _CapReached:
-        cap_exceeded = True
+        nodes = cap + 1
+    cap_exceeded = nodes > cap
+    if cap_exceeded:
+        nodes = degenerate = alive = 0
+        histogram = {}
+        with suppress(_CapReached):
+            walk(0, *root)
     if alive:
         gather(0, *root)
     return {
         "nodes": nodes,
         "degenerate": degenerate,
         "cap_exceeded": cap_exceeded,
-        "histogram": histogram,
+        "histogram": Counter(histogram),
         "survivors": survivors,
     }
 

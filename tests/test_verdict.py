@@ -28,9 +28,12 @@ from multbound.verdict import (
     DEFAULT_DFS_CAP,
     DEFAULT_FILTERS,
     _classify_values,
+    _degree_options,
+    _entry_caps,
     _filter_state_failures,
     _greedy,
     _greedy_shift_walk,
+    _option_classes,
     _path_diagram,
     _violating_search,
 )
@@ -344,6 +347,10 @@ def _state_failures(state):
 @given(search_inputs())
 @example((lex_columns((1, 3, 4, 4, 3, 1), 3), 200, 2_000))  # one (level, U, state) under several q
 @example(([{0: 1}, {2: 1}, {1: 2, 2: 2, 7: 2}, {3: 1, 7: 2}], 99, 2_000))  # a subtree with a degenerate cut, twice
+# At degree 2 the options (7, 8, 5) and (6, 7, 5) share the class (5, 3, 2), which fails er,
+# and (7, 3, 0) of the class (5, 3, 0) between them passes: the cap stops between the two.
+@example(([{0: 1}, {1: 3, 2: 7}, {2: 8, 3: 1}, {2: 5, 4: 1}], 99, 15))
+@example(([{0: 1}, {1: 1, 3: 7}, {3: 8}, {3: 1}], 99, 2_000))  # cut classes of several options each
 def test_memoized_search_equals_the_tree_walk_for_any_columns_lhs_and_cap(inputs):
     # An lhs above n! * e lets more children fit, so that one (level, U,
     # state) is reached under several q = (lhs - 1) // pinned.
@@ -361,6 +368,46 @@ def test_memoized_search_equals_the_tree_walk_for_any_columns_lhs_and_cap(inputs
     walk = _violating_diagrams(cols, lhs, cap, visit)
     expected = {**walk, "histogram": histogram, "survivors": survivors}
     assert _violating_search(cols, lhs, cap, _state_failures) == expected
+
+
+def test_entry_caps():
+    assert [_entry_caps(n) for n in range(1, 6)] == [(1,), (2, 1), (5, 3, 2), (4, 3, 4, 1), (5, 3, 4, 5, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.integers(0, 12), min_size=n, max_size=n)))
+@example([7])  # n = 1: no pairs
+@example([0, 0, 0, 0])
+@example([9, 8, 7, 9, 6])  # every entry above its cap
+def test_option_classes_count_the_options_by_support_and_capped_entries(start):
+    n, start = len(start), tuple(start)
+    caps = _entry_caps(n)
+    cols = [{0: 1}] + [{5: count} for count in start]
+    expected = Counter((mask, tuple(map(min, vec, caps))) for vec, mask in _degree_options(cols, 5))
+    classes = _option_classes(start, n)
+    assert {
+        (sum(1 << i for i, x in enumerate(capped) if x), capped): count for capped, count in classes.items()
+    } == expected
+
+
+def test_a_search_without_survivors_or_cap_hit_never_lists_the_options(monkeypatch):
+    # The classes carry the whole search: the options, in order, are listed
+    # only to build survivors or to stop at the cap.
+    listed = []
+
+    def degree_options(cols, j):
+        listed.append(j)
+        return _degree_options(cols, j)
+
+    monkeypatch.setattr(verdict, "_degree_options", degree_options)
+    H = (1, 4, 10, 16, 20, 16)
+    res = classify(H, 4)
+    assert (res.status, res.reason, res.nodes, res.violating) == ("ELIMINATED", "er", 39_754, 9_792)
+    assert listed == []
+    assert _evidence(res) == reference_evidence(H, 4, DEFAULT_FILTERS, DEFAULT_DFS_CAP)
+    res = classify(H, 4, ClassifyOptions(dfs_cap=20_000))
+    assert res.cap_exceeded and listed
+    assert _evidence(res) == reference_evidence(H, 4, DEFAULT_FILTERS, 20_000)
 
 
 @pytest.mark.parametrize("n, vals", EXCEPTIONS)
