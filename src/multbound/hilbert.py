@@ -183,8 +183,8 @@ def enumerate_o_sequences(n, socle_max, prefix=(1,)):
     """Yield every O-sequence in n variables extending prefix, up to socle_max.
 
     This is the brute-force enumeration oracle: it lists the family one
-    function at a time, independent of verdict._greedy_shift_walk, the walk
-    that scans run, so tests can check that walk against it.
+    function at a time, independent of scanner._chunks, the walk that scans
+    run, so tests can check that walk against it.
     """
     for vals in _enumerate_value_tuples(n, socle_max, prefix):
         yield HilbertFunction._trusted(vals)

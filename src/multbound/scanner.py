@@ -30,8 +30,9 @@ from .verdict import (
     DEFAULT_DFS_CAP,
     DEFAULT_FILTERS,
     ClassifyOptions,
+    _check_int,
     _classify_values,
-    _greedy_shift_walk,
+    _greedy_step,
     classify,
     lower_bound_holds,
     upper_bound_holds,
@@ -100,29 +101,49 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _chunks(walk, n, chunk_size, limit=None):
-    """Split walk's runs into chunks of chunk_size functions, stopping after limit functions.
+def _chunks(n, socle_max, start, chunk_size, limit=None, cursor=None):
+    """Walk the family and yield its chunks (count, bound_holds, exception value tuples, last tuple).
 
-    walk yields runs (parent, first, last, shifts) as verdict._greedy_shift_walk
-    does; a chunk takes functions in tuple order and may end inside a run.
-    Yields (count, bound_holds, exception value tuples, last tuple) per chunk;
-    the exceptions are the functions whose greedy shifts break the bound.
-    Within a run the shift product P is fixed while n! * e grows with v, so
-    the bound holds exactly for v <= P // n! - e(parent): each run costs
-    O(1) plus one tuple per exception.
+    The family is the O-sequences in n variables that extend start (a value
+    tuple checked by hilbert._checked_prefix) up to socle degree socle_max,
+    in _enumerate_value_tuples's order. A chunk takes chunk_size functions,
+    and the walk stops after limit; the exceptions are the functions whose
+    greedy max shifts (see verdict._greedy_step) break the bound.
+
+    Each stack entry carries its function's state and e. The leaves (socle
+    degree socle_max) are not pushed: a leaf parent takes its family's runs
+    and lo, their least vector, from a per-walk cache on (H(s), outgoing
+    blocks), and its extension maxima fill a vector's zeros. In a run the
+    shift product P is fixed while n! * e grows with v, so the bound holds
+    exactly for v <= P // n! - e(parent). lo in place of each run's vector
+    gives a threshold below every run's; when it reaches the family's last
+    leaf and the family fits in the chunk, the family costs O(1).
+
+    With cursor, only the functions after it in tuple order are counted: a
+    node before it that is not a prefix of it is skipped with its subtree, a
+    prefix is descended without being counted, and a family the cursor lies
+    inside evaluates, uncached, only its leaves after it.
     """
+    step, leaves = _greedy_step(n)
     n_factorial = factorial(n)
+    zero = (0,) * n
+    node = ((1,), (zero,) * (n - 1), zero)
+    for v in start[1:]:
+        blocks, maxima, _, _ = step(*node)
+        node = (node[0] + (v,), blocks, maxima)
+    stack = [node + (sum(start),)] if len(start) <= socle_max + 1 else []
+    cursor = None if cursor is None else tuple(cursor)
+    families = {}
+    shared = {}  # one copy of each shift vector and each family across the cache
     budget = inf if limit is None else limit
     size = room = min(chunk_size, budget)  # the current chunk's size and what it can still take
     holds = 0
     exceptions = []
-    for parent, first, last, shifts in walk:
-        top = prod(shifts) // n_factorial - sum(parent)
-        if top >= last and last - first + 1 < room:
-            # The common case: the whole run holds and leaves the chunk room.
-            holds += last - first + 1
-            room -= last - first + 1
-            continue
+
+    def place(parent, first, last, top):
+        # The functions parent + (v,), first <= v <= last, of which those with
+        # v <= top hold, split at chunk ends.
+        nonlocal size, room, holds, exceptions, budget
         while first <= last:
             end = min(last, first + room - 1)
             holds += max(0, min(end, top) - first + 1)
@@ -138,8 +159,53 @@ def _chunks(walk, n, chunk_size, limit=None):
                 size = room = min(chunk_size, budget)
                 holds = 0
                 exceptions = []
+
+    while stack:
+        vals, blocks, maxima, e = stack.pop()
+        if cursor is not None:
+            if vals > cursor:
+                # The stack pops in tuple order, so all that is left comes after the cursor.
+                cursor = None
+            elif vals != cursor[:len(vals)]:
+                continue
+        blocks, maxima, shifts, bound = step(vals, blocks, maxima)
+        if cursor is None:
+            if room > 1 and n_factorial * e <= prod(shifts):
+                holds += 1
+                room -= 1
+            else:
+                yield from place(vals[:-1], vals[-1], vals[-1], prod(shifts) // n_factorial - e + vals[-1])
+                if not budget:
+                    return
+        if len(vals) < socle_max:
+            # Pushed descending, as in _enumerate_value_tuples, so values pop ascending.
+            stack.extend((vals + (v,), blocks, maxima, e + v) for v in range(bound, 0, -1))
+        elif len(vals) == socle_max:
+            if cursor is not None and len(cursor) > len(vals):
+                # The cursor lies in this family: no leaf up to it may be evaluated.
+                runs = leaves(vals, blocks, cursor[len(vals)] + 1, bound)
+            else:
+                key = (vals[-1], blocks)
+                family = families.get(key)
+                if family is None:
+                    found = leaves(vals, blocks, 1, bound)
+                    runs = tuple((first, last, shared.setdefault(new, new)) for first, last, new in found)
+                    family = (runs, tuple(map(min, zip(*(new for _, _, new in runs)))))
+                    family = families[key] = shared.setdefault(family, family)
+                runs, lo = family
+                if bound < room and prod(map(max, lo, maxima)) // n_factorial - e >= bound:
+                    # The common case: the whole family holds and leaves the chunk room.
+                    holds += bound
+                    room -= bound
+                    continue
+            for first, last, new in runs:
+                # A new shift is 0 or lies above every extension maximum.
+                yield from place(vals, first, last, prod(map(max, new, maxima)) // n_factorial - e)
+                if not budget:
+                    return
     if room < size:
-        yield size - room, holds, exceptions, parent + (last,)
+        # The last node popped is the family's last function or, when that is a leaf, its parent.
+        yield size - room, holds, exceptions, (vals + (bound,) if len(vals) == socle_max else vals)
 
 
 def _scan_chunk(args):
@@ -233,21 +299,28 @@ def scan(
     This process walks the family and settles each function whose greedy
     max shifts satisfy the bound; the rest are classified chunk by chunk,
     in this process at jobs=1 (the default), else by jobs worker processes.
-    The walk hands over runs of functions that share one parent and one
-    greedy shift vector (each leaf family, of socle degree socle_max, is at
-    most a few runs), and a run's holds are counted at once; a chunk holds
-    chunk_size functions in tuple order and may end inside a run. Deterministic regardless of jobs. With
-    checkpoint_path, each consumed chunk is appended to that log file
-    before the next one is taken, and a rerun resumes after the last chunk
-    logged, so an interrupt or a broken worker pool loses at most the
-    chunks in flight. limit caps the number of functions processed in this
-    invocation, leaving an INCOMPLETE report when the family has functions
-    left. n must be at least 1; chunk_size and jobs must each be an int
-    (not a bool) of at least 1, and so must limit unless it is None. jobs
-    above the CPU count is lowered to it, and socle_max must be at least
-    the prefix's socle degree.
+    The walk hands over chunks of chunk_size functions in tuple order, each
+    with its count of holds and its exceptions (see _chunks): a leaf family,
+    of socle degree socle_max, is counted whole when a lower bound on its
+    shifts shows that all of it holds, and split into runs of one greedy
+    shift vector only when that bound fails or a chunk ends inside it.
+    Deterministic regardless of jobs. With checkpoint_path, each consumed
+    chunk is appended to that log file before the next one is taken, and a
+    rerun resumes after the last chunk logged, so an interrupt or a broken
+    worker pool loses at most the chunks in flight. limit caps the number
+    of functions processed in this invocation, leaving an INCOMPLETE report
+    when the family has functions left. n, socle_max, chunk_size and jobs
+    must each be an int (not a bool), and so must limit unless it is None;
+    n, chunk_size, jobs and limit must be at least 1. jobs above the CPU
+    count is lowered to it, and socle_max must be at least the prefix's
+    socle degree.
     """
     start = time.perf_counter()
+    _check_int("n", n)
+    _check_int("socle_max", socle_max)
+    for name, value in (("chunk_size", chunk_size), ("jobs", jobs), ("limit", limit)):
+        if value is not None or name != "limit":
+            _check_int(name, value, 1)
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
     prefix = _values(prefix)
@@ -261,16 +334,9 @@ def scan(
     filters = sorted(set(options.filters))
     if out_format not in ("json", "csv"):
         raise ValueError(f"unknown report format {out_format!r}")
-    for name, value in (("chunk_size", chunk_size), ("jobs", jobs), ("limit", limit)):
-        if value is None and name == "limit":
-            continue
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
     parameters = {
-        "n": int(n),
-        "socle_max": int(socle_max),
+        "n": n,
+        "socle_max": socle_max,
         "prefix": list(prefix),
         "filters": filters,
         "dfs_cap": dfs_cap,
@@ -283,8 +349,8 @@ def scan(
         if checkpoint_path:
             log = stack.enter_context(open(checkpoint_path, "a+b"))
             scanned, bound_holds, exceptions, cursor = _replay_log(log, checkpoint_path, parameters)
-        family = _greedy_shift_walk(n, socle_max, prefix, cursor)
-        args_iter = ((chunk, n, options) for chunk in _chunks(family, n, chunk_size, limit))
+        chunks = _chunks(n, socle_max, prefix, chunk_size, limit, cursor)
+        args_iter = ((chunk, n, options) for chunk in chunks)
         if jobs == 1:
             results = map(_scan_chunk, args_iter)
         else:
@@ -352,9 +418,12 @@ def check_hf(sequence, n=None, filters=DEFAULT_FILTERS, dfs_cap=DEFAULT_DFS_CAP)
     """Classify one Hilbert function, printing every intermediate diagram.
 
     Returns (classification or None, report text, exit code): 0 for a
-    determination, 2 when unresolved diagrams remain.
+    determination, 2 when unresolved diagrams remain. Raises ValueError
+    unless n is None or an int (not a bool).
     """
     options = ClassifyOptions(filters, dfs_cap)
+    if n is not None:
+        _check_int("n", n)
     if isinstance(sequence, str):
         H = HilbertFunction.parse(sequence)
     else:

@@ -403,6 +403,14 @@ def _violating_search(cols, lhs, cap, failures):
     }
 
 
+def _check_int(name, value, least=None):
+    """Raise ValueError unless value is an int, not a bool, and at least least when that is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class ClassifyOptions:
     """Knobs for classify: enabled filters and the DFS node budget.
@@ -425,10 +433,7 @@ class ClassifyOptions:
         if unknown:
             raise ValueError(f"unknown filters {sorted(unknown)}; known: {sorted(KNOWN_FILTERS)}")
         object.__setattr__(self, "filters", filters)
-        if isinstance(self.dfs_cap, bool) or not isinstance(self.dfs_cap, int):
-            raise ValueError(f"dfs_cap must be an int, got {self.dfs_cap!r}")
-        if self.dfs_cap < 1:
-            raise ValueError(f"dfs_cap must be at least 1, got {self.dfs_cap}")
+        _check_int("dfs_cap", self.dfs_cap, 1)
 
 
 @dataclass
@@ -497,17 +502,21 @@ def _greedy(hvals, n):
 
 
 def _greedy_step(n):
-    """Function giving an O-sequence's greedy max shifts from state shared with its parent.
+    """Functions (step, leaves) giving greedy max shifts from state shared with a parent.
 
     Cancelling acts within one degree, and column i's lex entry at degree j
     is entry i-1 of monomial._lex_column_block for degree j-i+1, so the
     greedy vector at degree j depends only on the blocks of degrees
-    j-n+1..j. The function takes vals, of socle degree s, the blocks of
-    degrees s-n+1..s-1 and each column's greedy max shift over degrees below
-    s (0 while it has none); both are shared with the parent, so only
-    degrees s..s+n are new. It returns the blocks and maxima of vals's
-    extensions, the max shifts of vals (0 for a column the greedy diagram
-    leaves empty), and the largest value H(s+1) may take after vals.
+    j-n+1..j. step takes vals, of socle degree s, the blocks of degrees
+    s-n+1..s-1 and each column's greedy max shift over degrees below s (0
+    while it has none); both are shared with the parent, so only degrees
+    s..s+n are new. It returns the blocks and maxima of vals's extensions,
+    the max shifts of vals (0 for a column the greedy diagram leaves empty),
+    and the largest value H(s+1) may take after vals. leaves(vals, blocks,
+    first, last), given the blocks step returned for vals, lists the runs
+    [first, last, vector] of vals + (v,), first <= v <= last: maximal ranges
+    of v with one vector of max shifts over the degrees past vals's, 0 for a
+    column with none there; vals's extension maxima fill the zeros.
     """
     zero = (0,) * n
     # Degree s+t: column i (0-based) reads window[n-1+t-i]. Blocks past degree
@@ -516,14 +525,11 @@ def _greedy_step(n):
     for t in range(n + 1):
         first = max(t - 1, 0)
         rows.append((n - 1 + t - first, first, [(n - 1 + t - i, i) for i in range(first + 1, n)]))
+    head, tail = rows[:1], rows[1:]
 
-    def step(vals, blocks, maxima):
-        s = len(vals) - 1
-        blocks += (_lex_column_block(n, s, vals[-2], vals[-1]) if s else zero,)
-        window = blocks + (_lex_column_block(n, s + 1, vals[-1], 0),)
-        shifts = list(maxima)
+    def cancel(shifts, window, s, rows):
+        # Degrees s, s+1, ... read rows, as in betti.greedy_columns; returns a tuple.
         for j, (first_k, first, row) in enumerate(rows, s):
-            # The pairs cancel left to right, as in betti.greedy_columns.
             left = window[first_k][first]
             for k, i in row:
                 count = window[k][i]
@@ -534,84 +540,31 @@ def _greedy_step(n):
                     left = count - left
             if left:
                 shifts[n - 1] = j
-            if j == s:
-                extension_maxima = tuple(shifts)
+        return tuple(shifts)
+
+    def step(vals, blocks, maxima):
+        s = len(vals) - 1
+        blocks += (_lex_column_block(n, s, vals[-2], vals[-1]) if s else zero,)
+        window = blocks + (_lex_column_block(n, s + 1, vals[-1], 0),)
+        shifts = list(maxima)
+        extension_maxima = cancel(shifts, window, s, head)
         # With H(s+1) = 0 every degree-(s+1) monomial outside the shadow of
         # H(s) is a generator, and Macaulay's growth bound counts exactly those.
-        return blocks[1:], extension_maxima, tuple(shifts), window[-1][0]
+        return blocks[1:], extension_maxima, cancel(shifts, window, s + 1, tail), window[-1][0]
 
-    return step
+    def leaves(vals, blocks, first, last):
+        s, h = len(vals), vals[-1]
+        runs = []
+        for v in range(first, last + 1):
+            window = blocks + (_lex_column_block(n, s, h, v), _lex_column_block(n, s + 1, v, 0))
+            new = cancel([0] * n, window, s, rows)
+            if runs and runs[-1][2] == new:
+                runs[-1][1] = v
+            else:
+                runs.append([v, v, new])
+        return runs
 
-
-def _greedy_shift_walk(n, socle_max, start, cursor=None):
-    """Yield runs (parent, first, last, shifts) in _enumerate_value_tuples's order.
-
-    A run stands for the functions parent + (v,), first <= v <= last, in
-    that order; shifts is the greedy max shifts of each of them,
-    _greedy(vals, n)[2], except that a column the greedy diagram leaves
-    empty gets 0 instead of an error. start is a prefix's value tuple as
-    returned by hilbert._checked_prefix, which the caller has already run.
-
-    A function below socle degree socle_max is its own run, its shifts
-    coming from its parent's state in the DFS (see _greedy_step). The
-    leaves (socle degree socle_max) are not pushed: each leaf parent emits
-    its family of leaves as at most a few runs. A leaf's new degrees read
-    only the parent's value and outgoing blocks, so the leaves' shifts over
-    the degrees past the parent's are cached per walk on (H(s), blocks),
-    as (first, last, shift vector) runs with 0 for a column with no such
-    entry; the parent's extension maxima fill the zeros, since every new
-    degree lies above them.
-
-    With cursor, only the functions after it in tuple order come out: a
-    node before the cursor that is not a prefix of it is skipped with its
-    whole subtree, and a prefix of the cursor is descended without being
-    yielded. A family the cursor lies inside evaluates, uncached, only its
-    leaves after the cursor.
-    """
-    step = _greedy_step(n)
-    zero = (0,) * n
-    node = ((1,), (zero,) * (n - 1), zero)
-    for v in start[1:]:
-        blocks, maxima, _, _ = step(*node)
-        node = (node[0] + (v,), blocks, maxima)
-    stack = [node] if len(start) <= socle_max + 1 else []
-    cursor = None if cursor is None else tuple(cursor)
-    families = {}
-    vectors = {}  # one copy of each shift vector across the cached runs
-    while stack:
-        vals, blocks, maxima = stack.pop()
-        if cursor is not None:
-            if vals > cursor:
-                # The stack pops in tuple order, so all that is left comes after the cursor.
-                cursor = None
-            elif vals != cursor[:len(vals)]:
-                continue
-        blocks, maxima, shifts, bound = step(vals, blocks, maxima)
-        if cursor is None:
-            yield vals[:-1], vals[-1], vals[-1], shifts
-        if len(vals) < socle_max:
-            # Pushed descending, as in _enumerate_value_tuples, so values pop ascending.
-            stack.extend((vals + (v,), blocks, maxima) for v in range(bound, 0, -1))
-        elif len(vals) == socle_max:
-            if cursor is not None and len(cursor) > len(vals):
-                # The cursor lies in this family: no leaf up to it may be evaluated.
-                for v in range(cursor[len(vals)] + 1, bound + 1):
-                    yield vals, v, v, step(vals + (v,), blocks, maxima)[2]
-                continue
-            key = (vals[-1], blocks)
-            runs = families.get(key)
-            if runs is None:
-                runs = []
-                for v in range(1, bound + 1):
-                    new = step(vals + (v,), blocks, zero)[2]
-                    if runs and runs[-1][2] == new:
-                        runs[-1][1] = v
-                    else:
-                        runs.append([v, v, vectors.setdefault(new, new)])
-                runs = families[key] = tuple(map(tuple, runs))
-            for first, last, new in runs:
-                # A new shift is 0 or lies above every extension maximum.
-                yield vals, first, last, tuple(map(max, new, maxima))
+    return step, leaves
 
 
 def _classify_values(hvals, n, options):
@@ -651,8 +604,10 @@ def classify(H, n, options=None):
     violating diagram is tested against the enabled filters: ELIMINATED when
     all fail one, UNRESOLVED when survivors remain or the node cap is hit.
     Raises NotAdmissibleError, from lex_columns, when H is not an O-sequence
-    in n variables.
+    in n variables, and ValueError unless n is an int (not a bool) of at
+    least 1.
     """
+    _check_int("n", n)
     hvals = _values(H)
     while hvals and hvals[-1] == 0:
         hvals = hvals[:-1]

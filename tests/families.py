@@ -1,7 +1,7 @@
 """Hypothesis strategies: small O-sequences, O-sequence families below a prefix, monomial ideals.
 
 Also monomials_of_degree, a brute-force enumerator that shares no code with
-the package's own.
+the package's own, and walk_state, the scan walk's state of one function.
 """
 
 from functools import cache
@@ -18,6 +18,21 @@ def monomials_of_degree(d, n):
     exps = sorted((e for e in product(range(d + 1), repeat=n) if sum(e) == d), reverse=True)
     return tuple(Monomial(e) for e in exps)
 from multbound.hilbert import _growth_bound
+from multbound.verdict import _greedy_step
+
+
+def walk_state(n, vals):
+    """verdict._greedy_step's step for vals, stepped down from the root along vals's prefixes.
+
+    That is (outgoing blocks, extension maxima, greedy max shifts, largest next value).
+    """
+    step, _ = _greedy_step(n)
+    zero = (0,) * n
+    node = ((1,), (zero,) * (n - 1), zero)
+    for v in vals[1:]:
+        blocks, maxima, _, _ = step(*node)
+        node = (node[0] + (v,), blocks, maxima)
+    return step(*node)
 
 
 @st.composite

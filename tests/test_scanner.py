@@ -36,9 +36,9 @@ from multbound import (
 from multbound.cli import _build_parser, main
 from multbound.hilbert import _enumerate_value_tuples
 from multbound.scanner import _chunks, _scan_chunk, _worker_count
-from multbound.verdict import _greedy, _greedy_shift_walk
+from multbound.verdict import _greedy, _greedy_step
 
-from families import families
+from families import families, walk_state
 from goldens import (
     IDEAL_STABLE_NONCM,
     IDEAL_TRUNC_CERT,
@@ -185,20 +185,28 @@ def test_scan_resumes_from_every_log_prefix(baseline, tmp_path):
 
 
 def _record_greedy_steps(monkeypatch):
-    """List that collects the vals of every verdict._greedy_step evaluation from now on."""
+    """List that collects the vals of every function the scan walk evaluates from now on.
+
+    That is every call of _greedy_step's step, and every leaf of a family
+    that its leaves function evaluates.
+    """
     real_step = verdict._greedy_step
     evaluated = []
 
     def counting_step(n):
-        step = real_step(n)
+        step, leaves = real_step(n)
 
         def counted(vals, blocks, maxima):
             evaluated.append(vals)
             return step(vals, blocks, maxima)
 
-        return counted
+        def counted_leaves(vals, blocks, first, last):
+            evaluated.extend(vals + (v,) for v in range(first, last + 1))
+            return leaves(vals, blocks, first, last)
 
-    monkeypatch.setattr(verdict, "_greedy_step", counting_step)
+        return counted, counted_leaves
+
+    monkeypatch.setattr(scanner, "_greedy_step", counting_step)
     return evaluated
 
 
@@ -234,6 +242,12 @@ def _reference_chunks(n, socle_max, prefix, chunk_size, limit, cursor):
     return chunks
 
 
+# In n=2, the family of 1,2,3,2 has two runs, (0, 6) at v=1 and (5, 6) at
+# v=2, and extension maxima (3, 0): both leaves hold, but the runs' least
+# vector (0, 6), filled to (3, 6), bounds only v <= 1.
+LO_FAILS_FAMILY = (2, 4, (1, 2, 3, 2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     families({2: 5, 3: 3, 4: 2}),
@@ -245,12 +259,48 @@ def _reference_chunks(n, socle_max, prefix, chunk_size, limit, cursor):
 @example(SPLIT_FAMILY, 48, None, None)  # chunk 3 ends at function 143, inside the run
 @example(SPLIT_FAMILY, 3, 5, 143)  # resumed inside the run, before its exception
 @example(SPLIT_FAMILY, 1, None, 140)  # one-function chunks from inside the family
+@example(LO_FAILS_FAMILY, 64, None, None)  # every leaf holds, but not by the least vector
+@example((3, 5, (1, 3)), 100, None, None)  # whole-holding families straddle chunk ends
 def test_chunks_of_the_batched_walk_equal_per_function_chunks(family, chunk_size, limit, at):
     n, socle_max, prefix = family
     functions = list(_enumerate_value_tuples(n, socle_max, prefix))
     cursor = None if at is None else functions[at % len(functions)]
-    chunks = list(_chunks(_greedy_shift_walk(n, socle_max, prefix, cursor), n, chunk_size, limit))
+    chunks = list(_chunks(n, socle_max, prefix, chunk_size, limit, cursor))
     assert chunks == _reference_chunks(n, socle_max, prefix, chunk_size, limit, cursor)
+
+
+def test_lo_fails_family_example_holds_everywhere_but_not_by_its_least_vector():
+    n, socle_max, parent = LO_FAILS_FAMILY
+    blocks, maxima, _, bound = walk_state(n, parent)
+    _, leaves = _greedy_step(n)
+    assert (maxima, bound) == ((3, 0), 2)
+    assert leaves(parent, blocks, 1, bound) == [[1, 1, (0, 6)], [2, 2, (5, 6)]]
+    assert 2 * (sum(parent) + 1) <= 3 * 6 and 2 * (sum(parent) + 2) <= 5 * 6
+    assert 3 * 6 // 2 - sum(parent) < bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(families({1: 6, 2: 4, 3: 2, 4: 2}), st.data())
+def test_chunks_yield_the_enumeration_after_the_cursor(family, data):
+    n, socle_max, prefix = family
+    expected = list(_enumerate_value_tuples(n, socle_max, prefix))
+    leaves = [vals for vals in expected if len(vals) == socle_max + 1]
+    # A cursor in the family, a leaf inside a leaf family, a tuple below one
+    # of them, or any tuple: only what comes after it in tuple order is left.
+    cursor = data.draw(st.one_of(
+        st.sampled_from(expected),
+        st.sampled_from(leaves),
+        st.tuples(st.sampled_from(expected), st.lists(st.integers(0, 12), max_size=2))
+        .map(lambda pair: pair[0] + tuple(pair[1])),
+        st.lists(st.integers(0, 12), min_size=1, max_size=socle_max + 2).map(tuple),
+    ))
+    # One-function chunks: each chunk's last tuple is its function.
+    resumed = [last for _, _, _, last in _chunks(n, socle_max, prefix, 1, cursor=cursor)]
+    assert resumed == [vals for vals in expected if vals > cursor]
+
+
+def test_chunks_below_the_prefix_socle_degree_are_empty():
+    assert list(_chunks(3, 1, (1, 3, 6), 512)) == []
 
 
 def test_split_family_example_splits_a_family_inside_a_run_with_exceptions():
@@ -259,9 +309,12 @@ def test_split_family_example_splits_a_family_inside_a_run_with_exceptions():
     functions = list(_enumerate_value_tuples(n, socle_max, prefix))
     family = [i for i, vals in enumerate(functions) if vals[:-1] == parent]
     assert (family[0], family[-1], functions.index(parent + (10,))) == (134, 151, 143)
-    runs = [run for run in _greedy_shift_walk(n, socle_max, prefix) if run[0] == parent]
-    assert (parent, 10, 11, (5, 8, 9)) in runs
-    assert list(_chunks(runs, n, 64)) == [(18, 17, [parent + (11,)], parent + (18,))]
+    blocks, maxima, _, bound = walk_state(n, parent)
+    _, leaves = _greedy_step(n)
+    runs = [(first, last, tuple(map(max, new, maxima))) for first, last, new in leaves(parent, blocks, 1, bound)]
+    assert (10, 11, (5, 8, 9)) in runs
+    # The parent and its 18 leaves, of which only v = 11 breaks the bound.
+    assert list(_chunks(n, socle_max, parent, 64)) == [(19, 18, [parent + (11,)], parent + (18,))]
     assert 6 * (sum(parent) + 10) <= 5 * 8 * 9 < 6 * (sum(parent) + 11)
 
 
@@ -430,6 +483,30 @@ def test_scan_rejects_non_int_sizes_before_writing_a_checkpoint(bad, tmp_path):
     with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
         scan(3, 4, (1, 3), checkpoint_path=str(log), **bad)
     assert not log.exists()
+
+
+@pytest.mark.parametrize("args, name, value", [
+    ((True, 3), "n", True),  # once scanned one variable
+    ((3, 4.5), "socle_max", 4.5),  # once scanned socle <= 4 and recorded socle_max 4
+    ((3.0, 4), "n", 3.0),  # once a bare TypeError
+    ((3, True), "socle_max", True),
+    ((3, "4"), "socle_max", "4"),
+])
+def test_scan_rejects_non_int_n_and_socle_max_before_writing_a_checkpoint(args, name, value, tmp_path):
+    log = tmp_path / "scan.log"
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        scan(*args, checkpoint_path=str(log))
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("n", [3.0, True, None, "3"])
+def test_classify_and_check_hf_reject_a_non_int_n(n):
+    # 3.0 was once a bare TypeError and True a NotAdmissibleError "outside 0..True".
+    with pytest.raises(ValueError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
+        classify((1, 3, 6), n)
+    if n is not None:
+        with pytest.raises(ValueError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
+            check_hf("1,3,6", n=n)
 
 
 def test_worker_count_is_clamped_to_the_cpu_count():

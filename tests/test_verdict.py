@@ -32,13 +32,13 @@ from multbound.verdict import (
     _entry_caps,
     _filter_state_failures,
     _greedy,
-    _greedy_shift_walk,
+    _greedy_step,
     _option_classes,
     _path_diagram,
     _violating_search,
 )
 
-from families import families, families_around, o_sequences
+from families import families, families_around, o_sequences, walk_state
 from goldens import (
     MIN_1_3_6_10_15_15_11,
     MIN_1_3_6_7_3_1,
@@ -502,46 +502,30 @@ def test_three_generator_leaves_take_the_gen_verdict_from_the_state(monkeypatch)
 WALK_FAMILIES = families({1: 6, 2: 4, 3: 2, 4: 2})
 
 
-def _per_function(runs):
-    """The walk's runs expanded to one (vals, shifts) item per function."""
-    items = []
-    for parent, first, last, shifts in runs:
-        assert first <= last, (parent, first, last)
-        items.extend((parent + (v,), shifts) for v in range(first, last + 1))
-    return items
-
-
 @settings(max_examples=40, deadline=None)
 @given(WALK_FAMILIES)
-def test_greedy_shift_walk_gives_the_greedy_max_shifts(family):
+def test_greedy_step_and_leaf_family_loop_give_the_greedy_max_shifts(family):
+    # Each function's state is stepped down from the root along its prefixes
+    # (walk_state), independent of the scan walk's stack and family cache.
     n, socle_max, prefix = family
-    for vals, shifts in _per_function(_greedy_shift_walk(n, socle_max, prefix)):
+    _, leaves = _greedy_step(n)
+    for vals in _enumerate_value_tuples(n, socle_max, prefix):
+        blocks, maxima, shifts, bound = walk_state(n, vals)
         assert shifts == _greedy(vals, n)[2], vals
-
-
-@settings(max_examples=40, deadline=None)
-@given(WALK_FAMILIES, st.data())
-def test_greedy_shift_walk_yields_the_enumeration_after_the_cursor(family, data):
-    n, socle_max, prefix = family
-    expected = list(_enumerate_value_tuples(n, socle_max, prefix))
-    walk = _per_function(_greedy_shift_walk(n, socle_max, prefix))
-    assert [vals for vals, _ in walk] == expected
-    leaves = [vals for vals in expected if len(vals) == socle_max + 1]
-    # A cursor in the family, a leaf inside a leaf family, a tuple below one
-    # of them, or any tuple: only what comes after it in tuple order is left.
-    cursor = data.draw(st.one_of(
-        st.sampled_from(expected),
-        st.sampled_from(leaves),
-        st.tuples(st.sampled_from(expected), st.lists(st.integers(0, 12), max_size=2))
-        .map(lambda pair: pair[0] + tuple(pair[1])),
-        st.lists(st.integers(0, 12), min_size=1, max_size=socle_max + 2).map(tuple),
-    ))
-    resumed = _per_function(_greedy_shift_walk(n, socle_max, prefix, cursor))
-    assert resumed == [(vals, shifts) for vals, shifts in walk if vals > cursor]
-
-
-def test_greedy_shift_walk_below_the_prefix_socle_degree_is_empty():
-    assert list(_greedy_shift_walk(3, 1, (1, 3, 6))) == []
+        if len(vals) > socle_max:
+            continue
+        runs = leaves(vals, blocks, 1, bound)
+        # Maximal runs that cover 1..bound in order.
+        assert [run[0] for run in runs] == [1] + [run[1] + 1 for run in runs[:-1]], (vals, runs)
+        assert runs[-1][1] == bound and all(a[2] != b[2] for a, b in zip(runs, runs[1:])), (vals, runs)
+        for first, last, new in runs:
+            for v in range(first, last + 1):
+                assert tuple(map(max, new, maxima)) == _greedy(vals + (v,), n)[2], vals + (v,)
+        # A range from inside the family evaluates the same vectors.
+        first = (bound + 1) // 2
+        assert [(max(a, first), b, new) for a, b, new in runs if b >= first] == [
+            tuple(run) for run in leaves(vals, blocks, first, bound)
+        ], vals
 
 
 def test_classify_rejects_non_o_sequences():
