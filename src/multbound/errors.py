@@ -1,4 +1,4 @@
-"""Error types shared across the package."""
+"""Error types and the int argument check shared across the package."""
 
 
 class NotAdmissibleError(ValueError):
@@ -29,3 +29,11 @@ class IdealParseError(ValueError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+def _check_int(name, value, least=None):
+    """Raise ValueError unless value is an int, not a bool, and at least least when that is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")

@@ -8,7 +8,7 @@ from math import isqrt
 from operator import mul
 
 from .betti import BettiDiagram, is_quasipure, max_shifts
-from .errors import NeedsCapError
+from .errors import NeedsCapError, _check_int
 from .hilbert import HilbertFunction, multiplicity
 from .monomial import MonomialIdeal, _hilbert_values, _staircase, _truncate, truncate
 from .verdict import BoundVerdict, upper_bound_holds
@@ -122,12 +122,16 @@ def koszul_betti(I, field_char=DEFAULT_CHAR, degree_cap=None):
     the pattern. Exact over the prime field of the given characteristic.
     Non-Artinian ideals need degree_cap >= 0; entries are then complete for
     internal degrees <= degree_cap, and elements of larger degree are dropped.
+    field_char and degree_cap (unless None) must be ints, not bools.
     """
     return _resolution(I, field_char, degree_cap)[0]
 
 
 def _resolution(I, field_char=DEFAULT_CHAR, degree_cap=None):
     """(koszul_betti(I, field_char, degree_cap), the staircase of I it was filed from)."""
+    _check_int("field_char", field_char)
+    if degree_cap is not None:
+        _check_int("degree_cap", degree_cap)
     if not _is_prime(field_char):
         raise ValueError(f"field characteristic must be prime, got {field_char}")
     if degree_cap is not None and degree_cap < 0:
@@ -186,6 +190,7 @@ class TruncationRowsReport:
 
 def verify_truncation_rows(I, d, field_char=DEFAULT_CHAR, degree_cap=None):
     """Check that rows d and higher of the diagram survive truncation at d."""
+    _check_int("d", d)
     D1, z = _resolution(I, field_char, degree_cap)
     return _compare_rows(D1, _truncation(I, d, z, field_char, degree_cap)[1], d)
 

@@ -8,7 +8,7 @@ from itertools import accumulate, groupby
 from math import comb, inf
 from operator import le
 
-from .errors import IdealParseError, NeedsCapError, NotAdmissibleError
+from .errors import IdealParseError, NeedsCapError, NotAdmissibleError, _check_int
 from .hilbert import HilbertFunction, _growth_bound, _value_type, _values
 
 __all__ = [
@@ -296,7 +296,8 @@ def lex_columns(H, n):
 
 
 def truncate(I, d):
-    """Ideal generated by the degree >= d part of I."""
+    """Ideal generated by the degree >= d part of I; d must be an int (not a bool) of at least 0."""
+    _check_int("d", d)
     return _truncate(I, d, _staircase(I, d))
 
 
@@ -360,8 +361,10 @@ def quotient_hilbert_function(I, d_max=None):
 
     Artinian ideals give the complete HilbertFunction. Otherwise a d_max cap is
     required and the raw value tuple through degree d_max is returned instead.
-    A negative d_max raises ValueError.
+    A d_max that is not an int (or is a bool), or is negative, raises ValueError.
     """
+    if d_max is not None:
+        _check_int("d_max", d_max)
     artinian = I.is_artinian()
     if not artinian and d_max is None:
         raise NeedsCapError(f"ideal ({I}) is not Artinian; pass d_max to cap the computation")
@@ -433,8 +436,11 @@ def parse_ideal(text, n=None):
 
     With n omitted the variable count is the largest letter used across all
     generators, or the tuple width in exponent-tuple form. Parse errors carry
-    the offending generator's character position in the input.
+    the offending generator's character position in the input. A given n
+    that is not an int, or is a bool, raises ValueError.
     """
+    if n is not None:
+        _check_int("n", n)
     tokens = []
     offset = 0
     for part in text.replace("\n", ";").split(";"):

@@ -7,7 +7,7 @@ import os
 import time
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from csv import QUOTE_MINIMAL, writer as csv_writer
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +22,7 @@ from .betti import (
     max_shifts,
     min_shifts,
 )
-from .errors import NeedsCapError, NotAdmissibleError
+from .errors import NeedsCapError, NotAdmissibleError, _check_int
 from .hilbert import HilbertFunction, _checked_prefix, _growth_bound, _values, multiplicity
 from .koszul import DEFAULT_CHAR, _analysis, _compare_rows, _resolution, _truncation
 from .monomial import _hilbert_values, lex_columns, parse_ideal
@@ -30,7 +30,6 @@ from .verdict import (
     DEFAULT_DFS_CAP,
     DEFAULT_FILTERS,
     ClassifyOptions,
-    _check_int,
     _classify_values,
     _greedy_step,
     classify,
@@ -39,6 +38,8 @@ from .verdict import (
 )
 
 __all__ = ["ScanReport", "scan", "check_hf", "check_ideal"]
+
+SYNC_SECONDS = 1.0  # the longest a consumed chunk's checkpoint line waits for its fsync
 
 
 @dataclass
@@ -277,7 +278,6 @@ def _replay_log(log, path, parameters):
 def _append(log, entry):
     log.write(json.dumps(entry).encode() + b"\n")
     log.flush()
-    os.fsync(log.fileno())
 
 
 def scan(
@@ -305,15 +305,19 @@ def scan(
     shifts shows that all of it holds, and split into runs of one greedy
     shift vector only when that bound fails or a chunk ends inside it.
     Deterministic regardless of jobs. With checkpoint_path, each consumed
-    chunk is appended to that log file before the next one is taken, and a
-    rerun resumes after the last chunk logged, so an interrupt or a broken
-    worker pool loses at most the chunks in flight. limit caps the number
-    of functions processed in this invocation, leaving an INCOMPLETE report
-    when the family has functions left. n, socle_max, chunk_size and jobs
-    must each be an int (not a bool), and so must limit unless it is None;
-    n, chunk_size, jobs and limit must be at least 1. jobs above the CPU
-    count is lowered to it, and socle_max must be at least the prefix's
-    socle degree.
+    chunk is appended and flushed to that log file before the next one is
+    taken, and the log is fsync'd once SYNC_SECONDS have passed since its
+    last fsync and on every exit from scan. A rerun resumes after the last
+    chunk logged, so an interrupt or a broken worker pool loses at most the
+    chunks in flight, and an OS crash or power cut at most the lines of the
+    last SYNC_SECONDS. out_path is written to out_path + ".tmp" and renamed
+    over out_path, so an interrupted write leaves any old report whole.
+    limit caps the number of functions processed in this invocation,
+    leaving an INCOMPLETE report when the family has functions left.
+    n, socle_max, chunk_size and jobs must each be an int (not a bool), and
+    so must limit unless it is None; n, chunk_size, jobs and limit must be
+    at least 1. jobs above the CPU count is lowered to it, and socle_max
+    must be at least the prefix's socle degree.
     """
     start = time.perf_counter()
     _check_int("n", n)
@@ -348,6 +352,8 @@ def scan(
     with ExitStack() as stack:
         if checkpoint_path:
             log = stack.enter_context(open(checkpoint_path, "a+b"))
+            stack.callback(os.fsync, log.fileno())
+            synced = time.monotonic()
             scanned, bound_holds, exceptions, cursor = _replay_log(log, checkpoint_path, parameters)
         chunks = _chunks(n, socle_max, prefix, chunk_size, limit, cursor)
         args_iter = ((chunk, n, options) for chunk in chunks)
@@ -360,6 +366,9 @@ def scan(
         for result in results:
             if log:
                 _append(log, result)
+                if time.monotonic() - synced >= SYNC_SECONDS:
+                    os.fsync(log.fileno())
+                    synced = time.monotonic()
             count, holds, records, last = result
             scanned, bound_holds, cursor = scanned + count, bound_holds + holds, tuple(last)
             exceptions.extend(records)
@@ -395,8 +404,16 @@ def scan(
         status="COMPLETE" if complete else "INCOMPLETE",
     )
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(report.to_json() if out_format == "json" else report.to_csv())
+        # Written beside out_path and renamed over it, so an interrupted write leaves the old report.
+        tmp_path = f"{out_path}.tmp"
+        try:
+            with open(tmp_path, "w") as fh:
+                fh.write(report.to_json() if out_format == "json" else report.to_csv())
+            os.replace(tmp_path, out_path)
+        except BaseException:
+            with suppress(FileNotFoundError):
+                os.remove(tmp_path)
+            raise
     return report
 
 
@@ -467,8 +484,14 @@ def check_ideal(text, n=None, truncate_at=None, field_char=DEFAULT_CHAR, degree_
 
     degree_cap (at least 0) bounds the computation for a non-Artinian ideal
     only; an Artinian ideal and its truncation are computed in full.
-    Returns (analysis or None, report text, exit code 0).
+    field_char, and n, truncate_at and degree_cap unless None, must be ints
+    (not bools); n is checked by parse_ideal. Returns (analysis or None,
+    report text, exit code 0).
     """
+    _check_int("field_char", field_char)
+    for name, value in (("truncate_at", truncate_at), ("degree_cap", degree_cap)):
+        if value is not None:
+            _check_int(name, value)
     if degree_cap is not None and degree_cap < 0:
         raise ValueError(f"degree cap must be nonnegative, got {degree_cap}")
     I = parse_ideal(text, n)

@@ -11,7 +11,7 @@ from functools import cache
 from math import factorial, inf, prod
 
 from .betti import BettiDiagram, greedy_columns
-from .errors import MalformedDiagramError
+from .errors import MalformedDiagramError, _check_int
 from .hilbert import _values, aci_obstruction, ci_hilbert_function
 from .monomial import _lex_column_block, lex_columns
 
@@ -401,14 +401,6 @@ def _violating_search(cols, lhs, cap, failures):
         "histogram": Counter(histogram),
         "survivors": survivors,
     }
-
-
-def _check_int(name, value, least=None):
-    """Raise ValueError unless value is an int, not a bool, and at least least when that is given."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)

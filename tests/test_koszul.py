@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from multbound import (
     Monomial,
     MonomialIdeal,
     NeedsCapError,
+    check_ideal,
     ek_betti,
     enumerate_o_sequences,
     hilbert_from_diagram,
@@ -77,6 +79,34 @@ def test_koszul_betti_input_validation():
             quotient_hilbert_function(ideal, -1)
     assert koszul_betti(parse_ideal("a*b", 2), degree_cap=0).entries() == {(0, 0): 1}
     assert quotient_hilbert_function(parse_ideal("a*b", 2), 0) == (1,)
+
+
+_A3, _A3B3 = parse_ideal("a^3", 2), parse_ideal("a^3; b^3")
+
+
+@pytest.mark.parametrize("call, args, kwargs, name, value", [
+    # A float degree cap once hung the staircase walk: its heights never reached 0.
+    (koszul_betti, (_A3B3,), {"degree_cap": 1.5}, "degree_cap", 1.5),
+    (quotient_hilbert_function, (_A3, 1.5), {}, "d_max", 1.5),
+    (verify_truncation_rows, (_A3, 2), {"degree_cap": 1.5}, "degree_cap", 1.5),
+    (check_ideal, ("a^3", 2), {"degree_cap": 1.5}, "degree_cap", 1.5),
+    (truncate, (_A3B3, 1.5), {}, "d", 1.5),
+    # These were once a bare TypeError.
+    (check_ideal, ("a^3", 2), {"truncate_at": 2.5, "degree_cap": 4}, "truncate_at", 2.5),
+    (check_ideal, ("a^3; b^3",), {"field_char": 2.0}, "field_char", 2.0),
+    (check_ideal, ("a^3", 2.0), {}, "n", 2.0),
+    (parse_ideal, ("a^3", 2.0), {}, "n", 2.0),
+    (verify_truncation_rows, (_A3B3, 2.5), {}, "d", 2.5),
+    # These once ran as 1.
+    (check_ideal, ("a^3", 2), {"degree_cap": True}, "degree_cap", True),
+    (check_ideal, ("a^3; b^3",), {"truncate_at": True}, "truncate_at", True),
+    (check_ideal, ("a^3", True), {}, "n", True),
+    (quotient_hilbert_function, (_A3B3, True), {}, "d_max", True),
+    (koszul_betti, (_A3B3,), {"field_char": True}, "field_char", True),
+])
+def test_cross_check_entry_points_reject_non_int_degrees_and_sizes(call, args, kwargs, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        call(*args, **kwargs)
 
 
 def _brute_force_betti(I, p, degree_cap):

@@ -10,8 +10,10 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures.process import BrokenProcessPool
 from math import factorial, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -120,9 +122,26 @@ def _log_lines(path):
     return [json.loads(line) for line in path.read_bytes().splitlines()]
 
 
+def _record_fsyncs(monkeypatch):
+    """List that collects the size of the synced file at every os.fsync the scanner makes from now on."""
+    synced = []
+    monkeypatch.setattr(scanner.os, "fsync", lambda fd: synced.append(os.fstat(fd).st_size))
+    return synced
+
+
+def _line_ends(path):
+    """The file size after each of path's lines."""
+    ends, end = [], 0
+    for line in path.read_bytes().splitlines(keepends=True):
+        end += len(line)
+        ends.append(end)
+    return ends
+
+
 @pytest.mark.parametrize("error", [KeyboardInterrupt, BrokenProcessPool])
 def test_scan_checkpoints_consumed_chunks_when_interrupted(baseline, tmp_path, monkeypatch, error):
     cp = tmp_path / "scan.ckpt"
+    synced = _record_fsyncs(monkeypatch)
     real_chunk = scanner._scan_chunk
     calls = []
 
@@ -139,6 +158,7 @@ def test_scan_checkpoints_consumed_chunks_when_interrupted(baseline, tmp_path, m
     header, *chunks = _log_lines(cp)
     assert header == baseline.parameters
     assert [count for count, _, _, _ in chunks] == [100, 100]  # the two chunks consumed
+    assert synced[-1:] == [cp.stat().st_size]  # synced on the way out
     resumed = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
     assert resumed.status == "COMPLETE"
     assert _without_timing(resumed) == _without_timing(baseline)
@@ -182,6 +202,47 @@ def test_scan_resumes_from_every_log_prefix(baseline, tmp_path):
             resumed = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
             assert _without_timing(resumed) == _without_timing(baseline), (kept, tail)
             assert cp.read_bytes() == full.read_bytes(), (kept, tail)
+
+
+def test_scan_syncs_a_fast_checkpoint_once_on_exit(tmp_path, monkeypatch):
+    # A frozen clock: the whole scan takes under SYNC_SECONDS.
+    monkeypatch.setattr(scanner, "time", SimpleNamespace(perf_counter=time.perf_counter, monotonic=lambda: 0.0))
+    synced = _record_fsyncs(monkeypatch)
+    cp = tmp_path / "scan.ckpt"
+    scan(3, 5, (1, 3), jobs=1, chunk_size=10, checkpoint_path=str(cp))
+    assert len(_line_ends(cp)) == 1 + 82  # the parameters, then 82 chunks for 813 functions
+    assert synced == [cp.stat().st_size]  # one fsync, after the last line
+
+
+def test_scan_syncs_its_checkpoint_once_a_second(tmp_path, monkeypatch):
+    # Each chunk takes half a second, so the log is synced after every second chunk line.
+    clock = [0.0]
+
+    def slow_chunk(args):
+        clock[0] += 0.5
+        return _scan_chunk(args)
+
+    monkeypatch.setattr(scanner, "time", SimpleNamespace(perf_counter=time.perf_counter, monotonic=lambda: clock[0]))
+    monkeypatch.setattr(scanner, "_scan_chunk", slow_chunk)
+    synced = _record_fsyncs(monkeypatch)
+    cp = tmp_path / "scan.ckpt"
+    scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
+    ends = _line_ends(cp)
+    assert len(ends) == 10  # the parameters, then 9 chunks for 813 functions
+    assert synced == ends[2::2] + ends[-1:]
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 100])
+def test_scan_checkpoint_bytes_equal_a_per_chunk_sync_log(chunk_size, tmp_path, monkeypatch):
+    synced = _record_fsyncs(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(scanner, "SYNC_SECONDS", 0)  # an fsync after every chunk line
+        reference = tmp_path / "reference.ckpt"
+        scan(3, 5, (1, 3), jobs=1, chunk_size=chunk_size, checkpoint_path=str(reference))
+    assert synced == _line_ends(reference)[1:] + [reference.stat().st_size]
+    cp = tmp_path / "scan.ckpt"
+    scan(3, 5, (1, 3), jobs=1, chunk_size=chunk_size, checkpoint_path=str(cp))
+    assert cp.read_bytes() == reference.read_bytes()
 
 
 def _record_greedy_steps(monkeypatch):
@@ -429,6 +490,32 @@ def test_scan_report_formats(baseline, tmp_path):
     scan(3, 3, (1, 3), jobs=1, out_path=str(out_csv), out_format="csv")
     assert json.loads(out_json.read_text())["status"] == "COMPLETE"
     assert out_csv.read_text().splitlines()[0] == "hf,e,M,lhs,rhs,status,reason"
+
+
+def test_scan_report_write_interrupted_midway_leaves_the_old_report(tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    scan(3, 3, (1, 3), jobs=1, out_path=str(out))
+    old = out.read_bytes()
+    made = tmp_path / "made"
+    made.write_text("")
+    assert out.stat().st_mode == made.stat().st_mode  # the permissions open() gives a new file
+
+    def interrupted_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+
+        def write(text):
+            type(fh).write(fh, text[: len(text) // 2])
+            fh.flush()
+            raise KeyboardInterrupt
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(scanner, "open", interrupted_open, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        scan(3, 4, (1, 3), jobs=1, out_path=str(out))
+    assert out.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["made", "report.json"]
 
 
 def test_scan_summary_content(baseline):
