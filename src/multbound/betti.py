@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb
 
-from .errors import InconsistentDiagramError, MalformedDiagramError, NotStableError
+from .errors import InconsistentDiagramError, MalformedDiagramError, NotStableError, _check_int
 from .hilbert import HilbertFunction, _value_type
 from .monomial import is_stable
 
@@ -34,12 +34,14 @@ class BettiDiagram:
     _entries: dict
 
     def __init__(self, n, entries):
-        n = int(n)
+        _check_int("n", n)
         if n < 1:
             raise ValueError(f"need at least one variable, got n={n}")
         clean = {}
         for (i, j), c in dict(entries).items():
-            i, j, c = int(i), int(j), int(c)
+            _check_int("column", i)
+            _check_int("degree", j)
+            _check_int(f"beta_{{{i},{j}}}", c)
             if c < 0:
                 raise ValueError(f"negative entry beta_{{{i},{j}}} = {c}")
             if c == 0:

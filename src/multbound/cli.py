@@ -11,8 +11,19 @@ from .scanner import check_hf, check_ideal, scan
 from .verdict import DEFAULT_DFS_CAP, DEFAULT_FILTERS
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser, and so its subparsers, whose usage errors exit 1 like every other error.
+
+    argparse's own exit code for them, 2, is the code for an unresolved result.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multbound",
         description="Multiplicity bound verification for Artinian Hilbert functions",
     )
@@ -33,8 +44,6 @@ def _build_parser():
     scan_p.add_argument("--out", help="report file path")
     scan_p.add_argument("--format", choices=["json", "csv"], default="json",
                         help="report file format")
-    scan_p.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default 1, at most the CPU count)")
     scan_p.add_argument("--chunk-size", type=int, default=512,
                         help="Hilbert functions per work unit and per checkpoint line")
     scan_p.add_argument("--limit", type=int, default=None,
@@ -68,7 +77,6 @@ def _run_scan(args):
         prefix,
         filters=filters,
         dfs_cap=args.dfs_cap,
-        jobs=args.jobs,
         chunk_size=args.chunk_size,
         checkpoint_path=args.checkpoint,
         out_path=args.out,
@@ -101,7 +109,10 @@ def _run_check_ideal(args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as stop:  # --help, or a usage error
+        return stop.code
     try:
         if args.command == "scan":
             return _run_scan(args)

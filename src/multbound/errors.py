@@ -37,3 +37,11 @@ def _check_int(name, value, least=None):
         raise ValueError(f"{name} must be an int, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _check_ints(name, values):
+    """values as a tuple, after _check_int(name, value) on each of them."""
+    values = tuple(values)
+    for value in values:
+        _check_int(name, value)
+    return values

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from math import comb
 
-from .errors import NotAdmissibleError
+from .errors import NotAdmissibleError, _check_ints
 
 __all__ = [
     "HilbertFunction",
@@ -46,7 +46,7 @@ class HilbertFunction:
     values: tuple
 
     def __init__(self, values):
-        vals = tuple(int(v) for v in values)
+        vals = _check_ints("Hilbert function value", values)
         if any(v < 0 for v in vals):
             raise ValueError(f"negative Hilbert function value in {vals}")
         while vals and vals[-1] == 0:
@@ -98,10 +98,10 @@ class HilbertFunction:
 
 
 def _values(H):
-    """Raw value tuple of a HilbertFunction or plain iterable."""
+    """Raw value tuple of a HilbertFunction or of a plain iterable of ints (not bools)."""
     if isinstance(H, HilbertFunction):
         return H.values
-    return tuple(int(v) for v in H)
+    return _check_ints("Hilbert function value", H)
 
 
 def macaulay_expansion(h, d):
@@ -197,7 +197,7 @@ def multiplicity(H):
 
 def ci_hilbert_function(degrees):
     """Hilbert function of a complete intersection with the given forms' degrees."""
-    degs = tuple(int(d) for d in degrees)
+    degs = _check_ints("degree", degrees)
     if not degs or any(d < 1 for d in degs):
         raise ValueError(f"degrees must be positive, got {degs}")
     vals = [1]

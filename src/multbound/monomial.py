@@ -8,7 +8,7 @@ from itertools import accumulate, groupby
 from math import comb, inf
 from operator import le
 
-from .errors import IdealParseError, NeedsCapError, NotAdmissibleError, _check_int
+from .errors import IdealParseError, NeedsCapError, NotAdmissibleError, _check_int, _check_ints
 from .hilbert import HilbertFunction, _growth_bound, _value_type, _values
 
 __all__ = [
@@ -42,7 +42,7 @@ class Monomial:
     exponents: tuple
 
     def __init__(self, exponents):
-        exps = tuple(int(e) for e in exponents)
+        exps = _check_ints("exponent", exponents)
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
@@ -143,7 +143,7 @@ class MonomialIdeal:
     generators: tuple
 
     def __init__(self, n, generators):
-        n = int(n)
+        _check_int("n", n)
         if n < 1:
             raise ValueError(f"need at least one variable, got n={n}")
         gens = []
@@ -257,7 +257,7 @@ def lex_generator_profile(H, n):
     the resolution of a lex ideal depends on; lex_columns turns it into Betti
     columns without listing generators. No scan calls it; it stays because
     perfbench's scan-n3 replay imports it as its lex layer, until that replay
-    moves to the scan walk (ROADMAP item 7).
+    moves to the scan walk (ROADMAP item 5).
     """
     return tuple(
         (d, _max_var(_mono_unrank(d, n, rank)))

@@ -5,8 +5,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from contextlib import ExitStack, suppress
 from csv import QUOTE_MINIMAL, writer as csv_writer
 from dataclasses import dataclass
@@ -209,35 +208,16 @@ def _chunks(n, socle_max, start, chunk_size, limit=None, cursor=None):
         yield size - room, holds, exceptions, (vals + (bound,) if len(vals) == socle_max else vals)
 
 
-def _scan_chunk(args):
+def _scan_chunk(chunk, n, options):
     """Classify one chunk's exceptions.
 
-    args is ((count, bound_holds, exception value tuples, last tuple), n,
-    options). Returns the chunk's log line: (count, bound_holds, exception
-    records, last tuple as a list).
+    chunk is (count, bound_holds, exception value tuples, last tuple), as
+    _chunks yields it. Returns the chunk's log line: (count, bound_holds,
+    exception records, last tuple as a list).
     """
-    (count, holds, exceptions, last), n, options = args
+    count, holds, exceptions, last = chunk
     records = [_classify_values(hvals, n, options).to_record() for hvals in exceptions]
     return count, holds, records, list(last)
-
-
-def _worker_count(jobs):
-    """Worker processes for a scan: jobs, at most the CPU count."""
-    return min(jobs, os.cpu_count() or 1)
-
-
-def _pooled_results(executor, args_iter, window):
-    pending = deque()
-    try:
-        for args in args_iter:
-            pending.append(executor.submit(_scan_chunk, args))
-            if len(pending) >= window:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for fut in pending:
-            fut.cancel()
 
 
 def _replay_log(log, path, parameters):
@@ -294,37 +274,38 @@ def scan(
     out_format="json",
     limit=None,
 ):
-    """Classify every O-sequence extending prefix up to socle_max.
+    """Classify every O-sequence extending prefix up to socle_max, in this process.
 
-    This process walks the family and settles each function whose greedy
-    max shifts satisfy the bound; the rest are classified chunk by chunk,
-    in this process at jobs=1 (the default), else by jobs worker processes.
-    The walk hands over chunks of chunk_size functions in tuple order, each
-    with its count of holds and its exceptions (see _chunks): a leaf family,
-    of socle degree socle_max, is counted whole when a lower bound on its
-    shifts shows that all of it holds, and split into runs of one greedy
-    shift vector only when that bound fails or a chunk ends inside it.
-    Deterministic regardless of jobs. With checkpoint_path, each consumed
-    chunk is appended and flushed to that log file before the next one is
-    taken, and the log is fsync'd once SYNC_SECONDS have passed since its
-    last fsync and on every exit from scan. A rerun resumes after the last
-    chunk logged, so an interrupt or a broken worker pool loses at most the
-    chunks in flight, and an OS crash or power cut at most the lines of the
-    last SYNC_SECONDS. out_path is written to out_path + ".tmp" and renamed
-    over out_path, so an interrupted write leaves any old report whole.
-    limit caps the number of functions processed in this invocation,
-    leaving an INCOMPLETE report when the family has functions left.
-    n, socle_max, chunk_size and jobs must each be an int (not a bool), and
-    so must limit unless it is None; n, chunk_size, jobs and limit must be
-    at least 1. jobs above the CPU count is lowered to it, and socle_max
-    must be at least the prefix's socle degree.
+    The walk settles each function whose greedy max shifts satisfy the
+    bound; the rest are classified chunk by chunk. The walk hands over
+    chunks of chunk_size functions in tuple order, each with its count of
+    holds and its exceptions (see _chunks): a leaf family, of socle degree
+    socle_max, is counted whole when a lower bound on its shifts shows that
+    all of it holds, and split into runs of one greedy shift vector only
+    when that bound fails or a chunk ends inside it. With checkpoint_path,
+    each consumed chunk is appended and flushed to that log file before the
+    next one is taken, and the log is fsync'd once SYNC_SECONDS have passed
+    since its last fsync and on every exit from scan. A rerun resumes after
+    the last chunk logged, so an interrupt loses at most the chunk being
+    classified, and an OS crash or power cut at most the lines of the last
+    SYNC_SECONDS. out_path is written to out_path + ".tmp" and renamed over
+    out_path, so an interrupted write leaves any old report whole. limit
+    caps the number of functions processed in this invocation, leaving an
+    INCOMPLETE report when the family has functions left.
+    n, socle_max and chunk_size must each be an int (not a bool), and so
+    must limit unless it is None; n, chunk_size and limit must be at least
+    1, and socle_max must be at least the prefix's socle degree. jobs is
+    kept only for callers that still pass it: it must be the int 1.
     """
     start = time.perf_counter()
     _check_int("n", n)
     _check_int("socle_max", socle_max)
-    for name, value in (("chunk_size", chunk_size), ("jobs", jobs), ("limit", limit)):
-        if value is not None or name != "limit":
-            _check_int(name, value, 1)
+    _check_int("chunk_size", chunk_size, 1)
+    _check_int("jobs", jobs)
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}: scans run in one process")
+    if limit is not None:
+        _check_int("limit", limit, 1)
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
     prefix = _values(prefix)
@@ -345,7 +326,6 @@ def scan(
         "filters": filters,
         "dfs_cap": dfs_cap,
     }
-    jobs = _worker_count(jobs)
     scanned = bound_holds = 0
     exceptions = []
     cursor = log = None
@@ -355,15 +335,8 @@ def scan(
             stack.callback(os.fsync, log.fileno())
             synced = time.monotonic()
             scanned, bound_holds, exceptions, cursor = _replay_log(log, checkpoint_path, parameters)
-        chunks = _chunks(n, socle_max, prefix, chunk_size, limit, cursor)
-        args_iter = ((chunk, n, options) for chunk in chunks)
-        if jobs == 1:
-            results = map(_scan_chunk, args_iter)
-        else:
-            executor = ProcessPoolExecutor(max_workers=jobs)
-            stack.callback(executor.shutdown, wait=False, cancel_futures=True)
-            results = _pooled_results(executor, args_iter, window=jobs * 4)
-        for result in results:
+        for chunk in _chunks(n, socle_max, prefix, chunk_size, limit, cursor):
+            result = _scan_chunk(chunk, n, options)
             if log:
                 _append(log, result)
                 if time.monotonic() - synced >= SYNC_SECONDS:

@@ -222,7 +222,7 @@ def test_truncation_preserves_rows_and_certifies_bound():
 
 
 def test_values_and_results_pickle_and_deepcopy():
-    # Results must cross a process pool and survive copy.deepcopy intact.
+    # Values and results must survive pickle and copy.deepcopy intact.
     unresolved = classify((1, 3, 6, 10, 15, 21, 22, 21, 15), 3)
     assert unresolved.status == "UNRESOLVED" and len(unresolved.survivors) == 8
     certified = truncation_analysis(parse_ideal(IDEAL_TRUNC_CERT))

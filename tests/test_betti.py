@@ -60,6 +60,23 @@ def test_constructor_validation():
         BettiDiagram(2, {(0, 0): 1}).n = 3
 
 
+def test_constructor_rejects_non_int_values():
+    # BettiDiagram(3, {(0, 0): 1, (1, 2): 2.5}) once stored beta_{1,2} = 2.
+    for n, entries, message in (
+        (3, {(0, 0): 1, (1, 2): 2.5}, r"beta_\{1,2\} must be an int, got 2.5"),
+        (3, {(0, 0): 1, (1, 2): True}, r"beta_\{1,2\} must be an int, got True"),
+        (3, {(0, 0): 1, (1.0, 2): 2}, "column must be an int, got 1.0"),
+        (3, {(0, 0): 1, (1, 2.0): 2}, "degree must be an int, got 2.0"),
+        (3.0, {(0, 0): 1}, "n must be an int, got 3.0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BettiDiagram(n, entries)
+    with pytest.raises(ValueError, match=r"^negative entry beta_\{1,2\} = -1$"):
+        BettiDiagram(2, {(0, 0): 1, (1, 2): -1})
+    with pytest.raises(ValueError, match="^need at least one variable, got n=0$"):
+        BettiDiagram(0, {})
+
+
 def test_zero_counts_are_dropped():
     D = BettiDiagram(2, {(0, 0): 1, (1, 1): 0})
     assert D.entry(1, 1) == 0

@@ -154,6 +154,8 @@ def test_ci_hilbert_function_reference_values():
         ci_hilbert_function(())
     with pytest.raises(ValueError):
         ci_hilbert_function((2, 0))
+    with pytest.raises(ValueError, match="^degree must be an int, got 2.5$"):
+        ci_hilbert_function((2.5, 3))  # once the complete intersection of degrees 2 and 3
 
 
 def test_ci_hilbert_function_is_symmetric_with_product_multiplicity():

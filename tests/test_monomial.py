@@ -76,6 +76,22 @@ def test_monomial_basics():
         m.exponents = (0, 0, 0)
 
 
+def test_monomial_and_ideal_constructors_reject_non_int_values():
+    # Each was once truncated: Monomial((1.7, 0)) was a and n = 3.5 made a 3-variable ideal.
+    for make, message in (
+        (lambda: Monomial((1.7, 0)), "exponent must be an int, got 1.7"),
+        (lambda: Monomial((True, 0)), "exponent must be an int, got True"),
+        (lambda: MonomialIdeal(3.5, [(1, 0, 0)]), "n must be an int, got 3.5"),
+        (lambda: MonomialIdeal(True, [(1,)]), "n must be an int, got True"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+    with pytest.raises(ValueError, match=r"^negative exponent in \(1, -1\)$"):
+        Monomial((1, -1))
+    with pytest.raises(ValueError, match="^need at least one variable, got n=0$"):
+        MonomialIdeal(0, [])
+
+
 def test_monomials_of_degree_descending_lex():
     names = [str(m) for m in monomials_of_degree(2, 3)]
     assert names == ["a^2", "a*b", "a*c", "b^2", "b*c", "c^2"]

@@ -1,17 +1,13 @@
 """Tests for family scans, checkpoint resume, reports, and the command line."""
 
 import importlib
-import inspect
 import json
-import multiprocessing
 import os
 import re
-import signal
 import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures.process import BrokenProcessPool
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -35,9 +31,9 @@ from multbound import (
     scanner,
     verdict,
 )
-from multbound.cli import _build_parser, main
+from multbound.cli import main
 from multbound.hilbert import _enumerate_value_tuples
-from multbound.scanner import _chunks, _scan_chunk, _worker_count
+from multbound.scanner import _chunks, _scan_chunk
 from multbound.verdict import _greedy, _greedy_step
 
 from families import families, walk_state
@@ -60,7 +56,7 @@ EXPECTED_EXCEPTIONS = [
 
 @pytest.fixture(scope="module")
 def baseline():
-    return scan(3, 5, (1, 3), jobs=1)
+    return scan(3, 5, (1, 3))
 
 
 def test_small_family_scan_frozen_counts(baseline):
@@ -81,21 +77,11 @@ def test_small_family_scan_frozen_counts(baseline):
 
 
 def test_single_variable_scan_all_hold():
-    report = scan(1, 7, jobs=1)
+    report = scan(1, 7)
     assert report.counts["scanned"] == 8
     assert report.counts["bound_holds"] == 8
     assert report.exceptions == []
     assert report.status == "COMPLETE"
-
-
-def test_scan_is_deterministic_across_worker_counts(baseline):
-    parallel = scan(3, 5, (1, 3), jobs=2, chunk_size=64)
-    a = json.loads(baseline.to_json())
-    b = json.loads(parallel.to_json())
-    a.pop("timing")
-    b.pop("timing")
-    assert a == b
-    assert baseline.to_csv() == parallel.to_csv()
 
 
 def _without_timing(report):
@@ -106,13 +92,13 @@ def _without_timing(report):
 
 def test_scan_resumes_from_checkpoint(baseline, tmp_path):
     cp = tmp_path / "scan.ckpt"
-    first = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp), limit=250)
+    first = scan(3, 5, (1, 3), chunk_size=100, checkpoint_path=str(cp), limit=250)
     assert first.status == "INCOMPLETE"
     assert first.counts["scanned"] == 250
     assert cp.exists()
     with pytest.raises(ValueError):
-        scan(3, 4, (1, 3), jobs=1, checkpoint_path=str(cp))
-    second = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
+        scan(3, 4, (1, 3), checkpoint_path=str(cp))
+    second = scan(3, 5, (1, 3), chunk_size=100, checkpoint_path=str(cp))
     assert second.status == "COMPLETE"
     assert _without_timing(second) == _without_timing(baseline)
     assert second.to_csv() == baseline.to_csv()
@@ -138,60 +124,35 @@ def _line_ends(path):
     return ends
 
 
-@pytest.mark.parametrize("error", [KeyboardInterrupt, BrokenProcessPool])
+@pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
 def test_scan_checkpoints_consumed_chunks_when_interrupted(baseline, tmp_path, monkeypatch, error):
     cp = tmp_path / "scan.ckpt"
     synced = _record_fsyncs(monkeypatch)
     real_chunk = scanner._scan_chunk
     calls = []
 
-    def failing_chunk(args):
-        calls.append(args)
+    def failing_chunk(chunk, n, options):
+        calls.append(chunk)
         if len(calls) == 3:
             raise error("stop")
-        return real_chunk(args)
+        return real_chunk(chunk, n, options)
 
     monkeypatch.setattr(scanner, "_scan_chunk", failing_chunk)
     with pytest.raises(error):
-        scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
+        scan(3, 5, (1, 3), chunk_size=100, checkpoint_path=str(cp))
     monkeypatch.undo()
     header, *chunks = _log_lines(cp)
     assert header == baseline.parameters
     assert [count for count, _, _, _ in chunks] == [100, 100]  # the two chunks consumed
     assert synced[-1:] == [cp.stat().st_size]  # synced on the way out
-    resumed = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
+    resumed = scan(3, 5, (1, 3), chunk_size=100, checkpoint_path=str(cp))
     assert resumed.status == "COMPLETE"
-    assert _without_timing(resumed) == _without_timing(baseline)
-
-
-def _crash_on_an_exception_chunk(args):
-    """Kill the worker process that gets the chunk holding 1,3,6,7,6,2; classify others."""
-    (_, _, exceptions, _), _, _ = args
-    if multiprocessing.parent_process() is not None and (1, 3, 6, 7, 6, 2) in exceptions:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _scan_chunk(args)
-
-
-def test_scan_resumes_after_a_worker_is_killed(baseline, tmp_path, monkeypatch):
-    if _worker_count(2) < 2:
-        pytest.skip("needs two CPUs for a two-process pool")
-    cp = tmp_path / "scan.ckpt"
-    monkeypatch.setattr(scanner, "_scan_chunk", _crash_on_an_exception_chunk)
-    # 1,3,6,7,6,2 is function 437, in chunk 22. Two workers have at most 8
-    # chunks in flight, so that chunk goes out only after 14 chunks are logged.
-    with pytest.raises(BrokenProcessPool):
-        scan(3, 5, (1, 3), jobs=2, chunk_size=20, checkpoint_path=str(cp))
-    monkeypatch.undo()
-    header, *chunks = _log_lines(cp)
-    assert header == baseline.parameters
-    assert len(chunks) >= 14 and all(count == 20 for count, _, _, _ in chunks)
-    resumed = scan(3, 5, (1, 3), jobs=1, chunk_size=20, checkpoint_path=str(cp))
     assert _without_timing(resumed) == _without_timing(baseline)
 
 
 def test_scan_resumes_from_every_log_prefix(baseline, tmp_path):
     full = tmp_path / "full.ckpt"
-    scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(full))
+    scan(3, 5, (1, 3), chunk_size=100, checkpoint_path=str(full))
     lines = full.read_bytes().splitlines(keepends=True)
     assert len(lines) == 10  # the parameters, then 9 chunks for 813 functions
     cp = tmp_path / "scan.ckpt"
@@ -199,7 +160,7 @@ def test_scan_resumes_from_every_log_prefix(baseline, tmp_path):
         torn = lines[min(kept, len(lines) - 1)]
         for tail in (b"", torn[: len(torn) // 2]):
             cp.write_bytes(b"".join(lines[:kept]) + tail)
-            resumed = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
+            resumed = scan(3, 5, (1, 3), chunk_size=100, checkpoint_path=str(cp))
             assert _without_timing(resumed) == _without_timing(baseline), (kept, tail)
             assert cp.read_bytes() == full.read_bytes(), (kept, tail)
 
@@ -209,7 +170,7 @@ def test_scan_syncs_a_fast_checkpoint_once_on_exit(tmp_path, monkeypatch):
     monkeypatch.setattr(scanner, "time", SimpleNamespace(perf_counter=time.perf_counter, monotonic=lambda: 0.0))
     synced = _record_fsyncs(monkeypatch)
     cp = tmp_path / "scan.ckpt"
-    scan(3, 5, (1, 3), jobs=1, chunk_size=10, checkpoint_path=str(cp))
+    scan(3, 5, (1, 3), chunk_size=10, checkpoint_path=str(cp))
     assert len(_line_ends(cp)) == 1 + 82  # the parameters, then 82 chunks for 813 functions
     assert synced == [cp.stat().st_size]  # one fsync, after the last line
 
@@ -218,15 +179,15 @@ def test_scan_syncs_its_checkpoint_once_a_second(tmp_path, monkeypatch):
     # Each chunk takes half a second, so the log is synced after every second chunk line.
     clock = [0.0]
 
-    def slow_chunk(args):
+    def slow_chunk(chunk, n, options):
         clock[0] += 0.5
-        return _scan_chunk(args)
+        return _scan_chunk(chunk, n, options)
 
     monkeypatch.setattr(scanner, "time", SimpleNamespace(perf_counter=time.perf_counter, monotonic=lambda: clock[0]))
     monkeypatch.setattr(scanner, "_scan_chunk", slow_chunk)
     synced = _record_fsyncs(monkeypatch)
     cp = tmp_path / "scan.ckpt"
-    scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
+    scan(3, 5, (1, 3), chunk_size=100, checkpoint_path=str(cp))
     ends = _line_ends(cp)
     assert len(ends) == 10  # the parameters, then 9 chunks for 813 functions
     assert synced == ends[2::2] + ends[-1:]
@@ -238,10 +199,10 @@ def test_scan_checkpoint_bytes_equal_a_per_chunk_sync_log(chunk_size, tmp_path, 
     with monkeypatch.context() as m:
         m.setattr(scanner, "SYNC_SECONDS", 0)  # an fsync after every chunk line
         reference = tmp_path / "reference.ckpt"
-        scan(3, 5, (1, 3), jobs=1, chunk_size=chunk_size, checkpoint_path=str(reference))
+        scan(3, 5, (1, 3), chunk_size=chunk_size, checkpoint_path=str(reference))
     assert synced == _line_ends(reference)[1:] + [reference.stat().st_size]
     cp = tmp_path / "scan.ckpt"
-    scan(3, 5, (1, 3), jobs=1, chunk_size=chunk_size, checkpoint_path=str(cp))
+    scan(3, 5, (1, 3), chunk_size=chunk_size, checkpoint_path=str(cp))
     assert cp.read_bytes() == reference.read_bytes()
 
 
@@ -273,11 +234,11 @@ def _record_greedy_steps(monkeypatch):
 
 def test_scan_resume_evaluates_nothing_before_the_cursor(baseline, tmp_path, monkeypatch):
     cp = tmp_path / "scan.ckpt"
-    scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp), limit=800)
+    scan(3, 5, (1, 3), chunk_size=100, checkpoint_path=str(cp), limit=800)
     *_, (_, _, _, last) = _log_lines(cp)
     cursor = tuple(last)
     evaluated = _record_greedy_steps(monkeypatch)
-    resumed = scan(3, 5, (1, 3), jobs=1, chunk_size=100, checkpoint_path=str(cp))
+    resumed = scan(3, 5, (1, 3), chunk_size=100, checkpoint_path=str(cp))
     assert _without_timing(resumed) == _without_timing(baseline)
     # Only the last chunk's 13 functions, and the cursor's prefixes on the way down to it.
     assert len([vals for vals in evaluated if vals > cursor]) == 13
@@ -380,15 +341,15 @@ def test_split_family_example_splits_a_family_inside_a_run_with_exceptions():
 
 
 def test_scan_resume_inside_a_leaf_family_evaluates_no_leaf_up_to_the_cursor(tmp_path, monkeypatch):
-    base = _without_timing(scan(*SPLIT_FAMILY, jobs=1))
+    base = _without_timing(scan(*SPLIT_FAMILY))
     cp = tmp_path / "scan.ckpt"
     # Chunks of 48 end at function 143, the leaf 1,3,6,10,15,15,10 of an 18-leaf family.
-    first = scan(*SPLIT_FAMILY, jobs=1, chunk_size=48, checkpoint_path=str(cp), limit=144)
+    first = scan(*SPLIT_FAMILY, chunk_size=48, checkpoint_path=str(cp), limit=144)
     assert first.status == "INCOMPLETE"
     cursor = tuple(_log_lines(cp)[-1][3])
     assert cursor == (1, 3, 6, 10, 15, 15, 10)
     evaluated = _record_greedy_steps(monkeypatch)
-    resumed = scan(*SPLIT_FAMILY, jobs=1, chunk_size=48, checkpoint_path=str(cp))
+    resumed = scan(*SPLIT_FAMILY, chunk_size=48, checkpoint_path=str(cp))
     assert _without_timing(resumed) == base
     assert all(vals == cursor[:len(vals)] for vals in evaluated if vals <= cursor)
     assert cursor not in evaluated
@@ -402,21 +363,20 @@ def test_scan_resume_inside_a_leaf_family_evaluates_no_leaf_up_to_the_cursor(tmp
 @given(
     families({2: 3, 3: 2}, max_prefix=4),
     st.integers(1, 64),
-    st.integers(1, 2),
     st.floats(0, 1),
 )
-@example((3, 5, (1, 3)), 100, 2, 0.3)
-def test_scan_report_is_independent_of_jobs_chunks_and_resume_point(family, chunk_size, jobs, stop):
+@example((3, 5, (1, 3)), 100, 0.3)
+def test_scan_report_is_independent_of_chunks_and_resume_point(family, chunk_size, stop):
     n, socle_max, prefix = family
-    base = _without_timing(scan(n, socle_max, prefix, jobs=1))
-    chunked = scan(n, socle_max, prefix, jobs=jobs, chunk_size=chunk_size)
+    base = _without_timing(scan(n, socle_max, prefix))
+    chunked = scan(n, socle_max, prefix, chunk_size=chunk_size)
     assert _without_timing(chunked) == base
     limit = max(1, round(stop * base["counts"]["scanned"]))
     with tempfile.TemporaryDirectory() as tmp:
         cp = os.path.join(tmp, "scan.ckpt")
-        first = scan(n, socle_max, prefix, jobs=jobs, chunk_size=chunk_size, checkpoint_path=cp, limit=limit)
+        first = scan(n, socle_max, prefix, chunk_size=chunk_size, checkpoint_path=cp, limit=limit)
         assert first.counts["scanned"] == limit
-        resumed = scan(n, socle_max, prefix, jobs=jobs, chunk_size=chunk_size, checkpoint_path=cp)
+        resumed = scan(n, socle_max, prefix, chunk_size=chunk_size, checkpoint_path=cp)
     assert _without_timing(resumed) == base
 
 
@@ -426,41 +386,41 @@ def test_scan_rejects_unreadable_checkpoints(tmp_path):
     old = {"parameters": {}, "scanned": 1, "bound_holds": 1, "exceptions": []}
     cp.write_text("1,3,6\n" + json.dumps(old) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"checkpoint {cp} line 1 does not parse")):
-        scan(3, 4, (1, 3), jobs=1, checkpoint_path=str(cp))
-    scan(3, 4, (1, 3), jobs=1, chunk_size=50, checkpoint_path=str(tmp_path / "good.ckpt"))
+        scan(3, 4, (1, 3), checkpoint_path=str(cp))
+    scan(3, 4, (1, 3), chunk_size=50, checkpoint_path=str(tmp_path / "good.ckpt"))
     lines = (tmp_path / "good.ckpt").read_bytes().splitlines(keepends=True)
     for bad in (b"[50, 50]\n", b"[50, 50, [], 7]\n", lines[2][:-5] + b"\n"):
         cp.write_bytes(b"".join(lines[:2]) + bad + b"".join(lines[3:]))
         with pytest.raises(ValueError, match=re.escape(f"checkpoint {cp} line 3 does not parse")):
-            scan(3, 4, (1, 3), jobs=1, chunk_size=50, checkpoint_path=str(cp))
+            scan(3, 4, (1, 3), chunk_size=50, checkpoint_path=str(cp))
 
 
 def test_scan_with_a_bad_prefix_leaves_no_checkpoint(tmp_path):
     cp = tmp_path / "scan.ckpt"
     for prefix in ((1, 3, 7), (1, 3, 0), (2,), ()):
         with pytest.raises(NotAdmissibleError):
-            scan(3, 4, prefix, jobs=1, checkpoint_path=str(cp))
+            scan(3, 4, prefix, checkpoint_path=str(cp))
         assert not cp.exists()
 
 
 def test_scan_limit_covering_the_family_is_complete(baseline):
-    report = scan(3, 5, (1, 3), jobs=1, limit=813)
+    report = scan(3, 5, (1, 3), limit=813)
     assert report.status == "COMPLETE"
     assert _without_timing(report) == _without_timing(baseline)
 
 
 def test_scan_rejects_inconsistent_checkpoint(tmp_path):
     cp = tmp_path / "scan.ckpt"
-    scan(3, 4, (1, 3), jobs=1, checkpoint_path=str(cp))
+    scan(3, 4, (1, 3), checkpoint_path=str(cp))
     header, chunk = _log_lines(cp)
     chunk[0] += 1
     cp.write_text(json.dumps(header) + "\n" + json.dumps(chunk) + "\n")
     with pytest.raises(ValueError, match="scan counts disagree"):
-        scan(3, 4, (1, 3), jobs=1, checkpoint_path=str(cp))
+        scan(3, 4, (1, 3), checkpoint_path=str(cp))
 
 
 def test_scan_records_match_classify(baseline):
-    for report, n in ((baseline, 3), (scan(4, 4, (1, 4), jobs=1), 4)):
+    for report, n in ((baseline, 3), (scan(4, 4, (1, 4)), 4)):
         assert report.exceptions
         for rec in report.exceptions:
             H = tuple(int(v) for v in rec["hf"].split(","))
@@ -486,15 +446,15 @@ def test_scan_report_formats(baseline, tmp_path):
     assert lines[1].endswith('"er,gen"')
     out_json = tmp_path / "report.json"
     out_csv = tmp_path / "report.csv"
-    scan(3, 3, (1, 3), jobs=1, out_path=str(out_json))
-    scan(3, 3, (1, 3), jobs=1, out_path=str(out_csv), out_format="csv")
+    scan(3, 3, (1, 3), out_path=str(out_json))
+    scan(3, 3, (1, 3), out_path=str(out_csv), out_format="csv")
     assert json.loads(out_json.read_text())["status"] == "COMPLETE"
     assert out_csv.read_text().splitlines()[0] == "hf,e,M,lhs,rhs,status,reason"
 
 
 def test_scan_report_write_interrupted_midway_leaves_the_old_report(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
-    scan(3, 3, (1, 3), jobs=1, out_path=str(out))
+    scan(3, 3, (1, 3), out_path=str(out))
     old = out.read_bytes()
     made = tmp_path / "made"
     made.write_text("")
@@ -513,7 +473,7 @@ def test_scan_report_write_interrupted_midway_leaves_the_old_report(tmp_path, mo
 
     monkeypatch.setattr(scanner, "open", interrupted_open, raising=False)
     with pytest.raises(KeyboardInterrupt):
-        scan(3, 4, (1, 3), jobs=1, out_path=str(out))
+        scan(3, 4, (1, 3), out_path=str(out))
     assert out.read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["made", "report.json"]
 
@@ -546,12 +506,12 @@ def test_scan_rejects_bad_arguments(tmp_path):
             scan(3, 3, **bad)
     for n in (0, -1):
         with pytest.raises(ValueError, match=f"need at least one variable, got n={n}"):
-            scan(n, 3, jobs=1)
+            scan(n, 3)
     # A socle_max below the prefix's socle degree leaves an empty family.
     log = tmp_path / "empty.log"
     for socle_max, prefix in ((-1, (1,)), (1, (1, 3, 6))):
         with pytest.raises(ValueError, match="the family is empty"):
-            scan(3, socle_max, prefix, jobs=1, checkpoint_path=str(log))
+            scan(3, socle_max, prefix, checkpoint_path=str(log))
         assert not log.exists()
 
 
@@ -561,7 +521,7 @@ def test_scan_rejects_bad_arguments(tmp_path):
     {"chunk_size": "8"},
     {"limit": 7.5},  # once reported 7.5 scanned with cursor 1,3,2,1.5
     {"limit": True},
-    {"jobs": 1.5},  # once a bare TypeError from the pool
+    {"jobs": 1.5},  # once a bare TypeError
     {"jobs": True},
 ])
 def test_scan_rejects_non_int_sizes_before_writing_a_checkpoint(bad, tmp_path):
@@ -578,12 +538,34 @@ def test_scan_rejects_non_int_sizes_before_writing_a_checkpoint(bad, tmp_path):
     ((3.0, 4), "n", 3.0),  # once a bare TypeError
     ((3, True), "socle_max", True),
     ((3, "4"), "socle_max", "4"),
+    ((3, 4, (1, 3.9)), "Hilbert function value", 3.9),  # once scanned prefix 1,3, COMPLETE with 171 functions
 ])
 def test_scan_rejects_non_int_n_and_socle_max_before_writing_a_checkpoint(args, name, value, tmp_path):
     log = tmp_path / "scan.log"
     with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
         scan(*args, checkpoint_path=str(log))
     assert not log.exists()
+
+
+def test_classify_and_hilbert_functions_reject_non_int_values():
+    # Each was once truncated: classify took 1,3,5,2, HilbertFunction held 1,1 and is_o_sequence said True.
+    for make, value in (
+        (lambda: classify((1, 3, 5.8, 2.2), 3), 5.8),
+        (lambda: hilbert.HilbertFunction([1, True]), True),
+        (lambda: hilbert.is_o_sequence([1, 3, 6.5], 3), 6.5),
+        (lambda: check_hf((1, 3, 6.0)), 6.0),
+    ):
+        with pytest.raises(ValueError, match=f"^Hilbert function value must be an int, got {re.escape(repr(value))}$"):
+            make()
+
+
+def test_scan_runs_in_one_process_and_rejects_any_other_jobs_before_writing_a_checkpoint(tmp_path):
+    log = tmp_path / "scan.log"
+    for jobs in (2, 0, -1):
+        with pytest.raises(ValueError, match=f"^jobs must be 1, got {jobs}: scans run in one process$"):
+            scan(3, 4, (1, 3), jobs=jobs, checkpoint_path=str(log))
+        assert not log.exists()
+    assert scan(3, 4, (1, 3), jobs=1, checkpoint_path=str(log)).counts["scanned"] == 171
 
 
 @pytest.mark.parametrize("n", [3.0, True, None, "3"])
@@ -594,15 +576,6 @@ def test_classify_and_check_hf_reject_a_non_int_n(n):
     if n is not None:
         with pytest.raises(ValueError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
             check_hf("1,3,6", n=n)
-
-
-def test_worker_count_is_clamped_to_the_cpu_count():
-    cpus = os.cpu_count() or 1
-    assert _worker_count(10**9) == cpus
-    assert _worker_count(1) == 1
-    # Scans run in one process unless more are asked for.
-    assert inspect.signature(scan).parameters["jobs"].default == 1
-    assert _build_parser().parse_args(["scan", "--vars", "3", "--socle-max", "3"]).jobs == 1
 
 
 def test_check_hf_prints_the_full_pipeline():
@@ -671,7 +644,7 @@ def test_classify_scan_and_check_hf_reject_options_of_the_wrong_type(bad, messag
     with pytest.raises(ValueError, match=message):
         classify((1, 3, 6, 10, 15, 15, 11), 3, verdict.ClassifyOptions(**bad))
     with pytest.raises(ValueError, match=message):
-        scan(3, 3, jobs=1, **bad)
+        scan(3, 3, **bad)
     with pytest.raises(ValueError, match=message):
         check_hf("1,3,6,10,15,15,11", **bad)
 
@@ -679,7 +652,7 @@ def test_classify_scan_and_check_hf_reject_options_of_the_wrong_type(bad, messag
 def test_classify_options_keep_any_iterable_of_filter_names_as_a_tuple():
     assert verdict.ClassifyOptions(["gen", "er"]).filters == ("gen", "er")
     assert verdict.ClassifyOptions(iter(["aci"])).filters == ("aci",)
-    report = scan(3, 3, filters=["gen", "er", "gen"], dfs_cap=7, jobs=1)
+    report = scan(3, 3, filters=["gen", "er", "gen"], dfs_cap=7)
     assert report.parameters["filters"] == ["er", "gen"] and report.parameters["dfs_cap"] == 7
 
 
@@ -786,21 +759,23 @@ def test_cli_check_hf_exit_codes(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "dfs_cap must be at least 1" in captured.err
+    assert main(["check-hf", "1,3,6", "--vars", "x"]) == 1
+    assert "argument --vars: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_cli_scan_exit_codes(capsys):
     assert main([
-        "scan", "--vars", "3", "--socle-max", "4", "--prefix", "1,3", "--jobs", "1",
+        "scan", "--vars", "3", "--socle-max", "4", "--prefix", "1,3",
     ]) == 0
     out = capsys.readouterr().out
     assert "status: COMPLETE" in out
     assert main([
-        "scan", "--vars", "3", "--socle-max", "4", "--prefix", "1,3", "--jobs", "1",
+        "scan", "--vars", "3", "--socle-max", "4", "--prefix", "1,3",
         "--limit", "50",
     ]) == 1
     assert "status: INCOMPLETE" in capsys.readouterr().out
     assert main([
-        "scan", "--vars", "3", "--socle-max", "4", "--prefix", "1,3", "--jobs", "1",
+        "scan", "--vars", "3", "--socle-max", "4", "--prefix", "1,3",
         "--limit", "171",
     ]) == 0
     assert "scanned 171 Hilbert functions" in capsys.readouterr().out
@@ -810,12 +785,26 @@ def test_cli_scan_exit_codes(capsys):
     assert "chunk_size must be at least 1" in capsys.readouterr().err
     assert main(["scan", "--vars", "3", "--socle-max", "3", "--dfs-cap", "0"]) == 1
     assert "dfs_cap must be at least 1" in capsys.readouterr().err
-    assert main(["scan", "--vars", "0", "--socle-max", "3", "--jobs", "1"]) == 1
+    assert main(["scan", "--vars", "0", "--socle-max", "3"]) == 1
     assert "need at least one variable, got n=0" in capsys.readouterr().err
-    assert main(["scan", "--vars", "3", "--socle-max", "-1", "--jobs", "1"]) == 1
+    assert main(["scan", "--vars", "3", "--socle-max", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "the family is empty" in captured.err
+    # Usage errors exit 1 like every other error; argparse's own 2 would read as unresolved.
+    for argv in (
+        ["scan", "--vars", "three", "--socle-max", "3"],
+        ["scan", "--vars", "3", "--socle-max", "3", "--format", "xml"],
+        ["scan", "--vars", "3", "--socle-max", "3", "--jobs", "2"],  # scans run in one process
+        ["scan", "--socle-max", "3"],
+        ["bogus"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: multbound") and "error: " in captured.err
+    assert main(["scan", "--help"]) == 0
+    assert "--jobs" not in capsys.readouterr().out
 
 
 def test_cli_check_ideal_exit_codes(capsys):
@@ -833,12 +822,14 @@ def test_cli_check_ideal_exit_codes(capsys):
     assert "Hilbert function through degree 0: 1 (not Artinian)" in capsys.readouterr().out
     assert main(["check-ideal", "1", "--vars", "2"]) == 1
     assert "unit ideal has no quotient resolution" in capsys.readouterr().err
+    assert main(["check-ideal"]) == 1
+    assert "the following arguments are required: ideal" in capsys.readouterr().err
 
 
 def test_cli_scan_writes_report_files(tmp_path, capsys):
     out = tmp_path / "n1.json"
     assert main([
-        "scan", "--vars", "1", "--socle-max", "3", "--jobs", "1",
+        "scan", "--vars", "1", "--socle-max", "3",
         "--out", str(out), "--format", "json",
     ]) == 0
     capsys.readouterr()
