@@ -69,7 +69,10 @@ def _build_parser():
 
 
 def _run_scan(args):
-    prefix = tuple(int(v) for v in args.prefix.replace(",", " ").split())
+    try:
+        prefix = tuple(int(v) for v in args.prefix.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"non-integer value in --prefix {args.prefix!r}") from None
     filters = tuple(t for t in args.filters.replace(",", " ").split() if t)
     report = scan(
         args.vars,

@@ -493,6 +493,35 @@ def _greedy(hvals, n):
     return lex_cols, cols, tuple(shifts)
 
 
+def _cancel_lines(n, t, entry):
+    """Greedy cancellation at degree s+t as straight-line source, as in betti.greedy_columns.
+
+    Column i (0-based) reads entry(n-1+t-i, i), entry i of window block
+    n-1+t-i; blocks past degree s+1 are zero, so the chain starts at column
+    max(t-1, 0). A column the chain leaves nonzero gets shift s+t in r0..r{n-1}.
+    """
+    degree = f"s + {t}" if t else "s"
+    first = max(t - 1, 0)
+    lines = [f"left = {entry(n - 1 + t - first, first)}"]
+    for i in range(first + 1, n):
+        lines += [
+            f"count = {entry(n - 1 + t - i, i)}",
+            "if left > count:",
+            f"    r{i - 1} = {degree}",
+            "    left = 0",
+            "else:",
+            "    left = count - left",
+        ]
+    return lines + ["if left:", f"    r{n - 1} = {degree}"]
+
+
+def _display(names):
+    """Source of a tuple display (or assignment target) of the names."""
+    names = list(names)
+    return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
+
+
+@cache
 def _greedy_step(n):
     """Functions (step, leaves) giving greedy max shifts from state shared with a parent.
 
@@ -509,54 +538,66 @@ def _greedy_step(n):
     [first, last, vector] of vals + (v,), first <= v <= last: maximal ranges
     of v with one vector of max shifts over the degrees past vals's, 0 for a
     column with none there; vals's extension maxima fill the zeros.
+
+    Both are written out once per n as straight-line Python and compiled
+    under the filename "<greedy step n=N>". The window's blocks of degrees
+    s-n+1..s+1 are the locals w0..wn, the running max shifts r0..r{n-1},
+    and each degree's cancellation chain is unrolled (see _cancel_lines).
+    leaves reads the entries it needs of the fixed blocks w0..w{n-2} into
+    locals once, before its loop over v. The source holds nothing but
+    indices derived from n.
     """
-    zero = (0,) * n
-    # Degree s+t: column i (0-based) reads window[n-1+t-i]. Blocks past degree
-    # s+1 are zero, so the chain starts at column max(t-1, 0).
-    rows = []
-    for t in range(n + 1):
-        first = max(t - 1, 0)
-        rows.append((n - 1 + t - first, first, [(n - 1 + t - i, i) for i in range(first + 1, n)]))
-    head, tail = rows[:1], rows[1:]
+    _check_int("n", n, 1)
+    carried = [f"w{k}" for k in range(n - 1)]
+    shifts = _display(f"r{i}" for i in range(n))
+    window = "w{}[{}]".format
+    # Block k (k < n-1) is read from entry n-1-k on, starting at degree s.
+    fixed = {(k, i): f"w{k}_{i}" for k in range(n - 1) for i in range(n - 1 - k, n)}
 
-    def cancel(shifts, window, s, rows):
-        # Degrees s, s+1, ... read rows, as in betti.greedy_columns; returns a tuple.
-        for j, (first_k, first, row) in enumerate(rows, s):
-            left = window[first_k][first]
-            for k, i in row:
-                count = window[k][i]
-                if left > count:
-                    shifts[i - 1] = j
-                    left = 0
-                else:
-                    left = count - left
-            if left:
-                shifts[n - 1] = j
-        return tuple(shifts)
+    def hoisted(k, i):
+        return fixed.get((k, i)) or window(k, i)
 
-    def step(vals, blocks, maxima):
-        s = len(vals) - 1
-        blocks += (_lex_column_block(n, s, vals[-2], vals[-1]) if s else zero,)
-        window = blocks + (_lex_column_block(n, s + 1, vals[-1], 0),)
-        shifts = list(maxima)
-        extension_maxima = cancel(shifts, window, s, head)
+    def chains(degrees, entry, indent):
+        return [indent + line for t in degrees for line in _cancel_lines(n, t, entry)]
+
+    source = "\n".join([
+        "def step(vals, blocks, maxima):",
+        "    s = len(vals) - 1",
+        f"    {_display(carried)} = blocks",
+        f"    w{n - 1} = block({n}, s, vals[-2], vals[-1]) if s else zero",
+        f"    w{n} = block({n}, s + 1, vals[-1], 0)",
+        f"    {shifts} = maxima",
+        *chains([0], window, "    "),
+        f"    extension = {shifts}",
+        *chains(range(1, n + 1), window, "    "),
         # With H(s+1) = 0 every degree-(s+1) monomial outside the shadow of
         # H(s) is a generator, and Macaulay's growth bound counts exactly those.
-        return blocks[1:], extension_maxima, cancel(shifts, window, s + 1, tail), window[-1][0]
-
-    def leaves(vals, blocks, first, last):
-        s, h = len(vals), vals[-1]
-        runs = []
-        for v in range(first, last + 1):
-            window = blocks + (_lex_column_block(n, s, h, v), _lex_column_block(n, s + 1, v, 0))
-            new = cancel([0] * n, window, s, rows)
-            if runs and runs[-1][2] == new:
-                runs[-1][1] = v
-            else:
-                runs.append([v, v, new])
-        return runs
-
-    return step, leaves
+        f"    return {_display(f'w{k}' for k in range(1, n))}, extension, {shifts}, w{n}[0]",
+        "",
+        "def leaves(vals, blocks, first, last):",
+        "    s = len(vals)",
+        "    h = vals[-1]",
+        f"    {_display(carried)} = blocks",
+        *(f"    {name} = {window(k, i)}" for (k, i), name in fixed.items()),
+        "    runs = []",
+        "    last_new = None",
+        "    for v in range(first, last + 1):",
+        f"        w{n - 1} = block({n}, s, h, v)",
+        f"        w{n} = block({n}, s + 1, v, 0)",
+        f"        {shifts} = {_display(['0'] * n)}",
+        *chains(range(n + 1), hoisted, "        "),
+        f"        new = {shifts}",
+        "        if new == last_new:",
+        "            run[1] = v",
+        "        else:",
+        "            run = [v, v, new]",
+        "            runs.append(run)",
+        "            last_new = new",
+        "    return runs",
+    ])
+    namespace = {"block": _lex_column_block, "zero": (0,) * n}
+    exec(compile(source, f"<greedy step n={n}>", "exec"), namespace)
+    return namespace["step"], namespace["leaves"]
 
 
 def _classify_values(hvals, n, options):

@@ -787,6 +787,10 @@ def test_cli_scan_exit_codes(capsys):
     assert "dfs_cap must be at least 1" in capsys.readouterr().err
     assert main(["scan", "--vars", "0", "--socle-max", "3"]) == 1
     assert "need at least one variable, got n=0" in capsys.readouterr().err
+    assert main(["scan", "--vars", "3", "--socle-max", "3", "--prefix", "1,x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-integer value in --prefix '1,x'\n"
     assert main(["scan", "--vars", "3", "--socle-max", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

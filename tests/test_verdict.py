@@ -499,11 +499,18 @@ def test_three_generator_leaves_take_the_gen_verdict_from_the_state(monkeypatch)
     assert len(res.survivors) == len(calls) == 3
 
 
-WALK_FAMILIES = families({1: 6, 2: 4, 3: 2, 4: 2})
+# Each n has its own generated kernels, so each n is drawn; n = 5 stays shallow.
+WALK_FAMILIES = st.one_of(families({1: 6, 2: 4, 3: 2, 4: 2}), families({5: 1}, max_prefix=3))
+
+
+def test_greedy_step_is_generated_once_per_n():
+    # Generating the kernels costs about as much as a whole four-variable scan.
+    assert _greedy_step(4) is _greedy_step(4)
 
 
 @settings(max_examples=40, deadline=None)
 @given(WALK_FAMILIES)
+@example((5, 4, (1, 5, 15)))  # drawn n = 5 families are small; this one has 1,094 functions
 def test_greedy_step_and_leaf_family_loop_give_the_greedy_max_shifts(family):
     # Each function's state is stepped down from the root along its prefixes
     # (walk_state), independent of the scan walk's stack and family cache.
