@@ -7,7 +7,7 @@ import sys
 
 from .errors import IdealParseError, NeedsCapError, NotAdmissibleError
 from .koszul import DEFAULT_CHAR
-from .scanner import check_hf, check_ideal, scan
+from .scanner import DEFAULT_CHUNK_SIZE, check_hf, check_ideal, scan
 from .verdict import DEFAULT_DFS_CAP, DEFAULT_FILTERS
 
 
@@ -39,12 +39,12 @@ def _build_parser():
         help="comma-separated filter names (er,gen,aci,growth)",
     )
     scan_p.add_argument("--dfs-cap", type=int, default=DEFAULT_DFS_CAP,
-                        help="node budget per Hilbert function")
+                        help="search tree nodes past which a record says CAP_EXCEEDED")
     scan_p.add_argument("--checkpoint", help="checkpoint log; resumes when present")
     scan_p.add_argument("--out", help="report file path")
     scan_p.add_argument("--format", choices=["json", "csv"], default="json",
                         help="report file format")
-    scan_p.add_argument("--chunk-size", type=int, default=512,
+    scan_p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
                         help="Hilbert functions per work unit and per checkpoint line")
     scan_p.add_argument("--limit", type=int, default=None,
                         help="stop after this many functions (INCOMPLETE when some are left)")
@@ -54,7 +54,8 @@ def _build_parser():
     hf_p.add_argument("--vars", type=int, default=None,
                       help="number of variables (default: H(1))")
     hf_p.add_argument("--filters", default=",".join(DEFAULT_FILTERS))
-    hf_p.add_argument("--dfs-cap", type=int, default=DEFAULT_DFS_CAP)
+    hf_p.add_argument("--dfs-cap", type=int, default=DEFAULT_DFS_CAP,
+                      help="search tree nodes past which the verdict is CAP_EXCEEDED")
 
     id_p = sub.add_parser("check-ideal", help="analyze a monomial ideal")
     id_p.add_argument("ideal", help="generators, e.g. 'a^3; b^4; c^4; a*b^2'")
@@ -68,17 +69,21 @@ def _build_parser():
     return parser
 
 
+def _filters(text):
+    """Filter names of a comma- or whitespace-separated --filters value."""
+    return tuple(text.replace(",", " ").split())
+
+
 def _run_scan(args):
     try:
         prefix = tuple(int(v) for v in args.prefix.replace(",", " ").split())
     except ValueError:
         raise ValueError(f"non-integer value in --prefix {args.prefix!r}") from None
-    filters = tuple(t for t in args.filters.replace(",", " ").split() if t)
     report = scan(
         args.vars,
         args.socle_max,
         prefix,
-        filters=filters,
+        filters=_filters(args.filters),
         dfs_cap=args.dfs_cap,
         chunk_size=args.chunk_size,
         checkpoint_path=args.checkpoint,
@@ -93,8 +98,7 @@ def _run_scan(args):
 
 
 def _run_check_hf(args):
-    filters = tuple(t for t in args.filters.replace(",", " ").split() if t)
-    _, text, code = check_hf(args.sequence, n=args.vars, filters=filters, dfs_cap=args.dfs_cap)
+    _, text, code = check_hf(args.sequence, n=args.vars, filters=_filters(args.filters), dfs_cap=args.dfs_cap)
     sys.stdout.write(text)
     return code
 

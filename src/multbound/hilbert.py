@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from math import comb
 
-from .errors import NotAdmissibleError, _check_ints
+from .errors import NotAdmissibleError, _check_int, _check_ints
 
 __all__ = [
     "HilbertFunction",
@@ -108,9 +108,10 @@ def macaulay_expansion(h, d):
     """Unique expansion h = C(a_d,d) + C(a_{d-1},d-1) + ... with a_d > a_{d-1} > ... >= j.
 
     Returns the tuple (a_d, a_{d-1}, ..., a_j) of binomial tops, highest first.
+    Raises ValueError unless h and d are ints (not bools) of at least 1.
     """
-    if h < 1 or d < 1:
-        raise ValueError(f"need h >= 1 and d >= 1, got h={h}, d={d}")
+    _check_int("h", h, 1)
+    _check_int("d", d, 1)
     tops = []
     rest = h
     j = d
@@ -125,7 +126,12 @@ def macaulay_expansion(h, d):
 
 
 def macaulay_bound(h, d):
-    """Largest value allowed in degree d+1 after h in degree d of an O-sequence."""
+    """Largest value allowed in degree d+1 after h in degree d of an O-sequence.
+
+    Raises ValueError unless h and d are ints (not bools), as macaulay_expansion does.
+    """
+    _check_int("h", h)
+    _check_int("d", d)
     if h == 0:
         return 0
     tops = macaulay_expansion(h, d)
@@ -141,8 +147,10 @@ def is_o_sequence(H, n):
     """True iff H is the Hilbert function of some Artinian quotient in n variables.
 
     That is Macaulay's condition: H(0) = 1 and 0 <= H(d) <= the growth bound
-    from H(d-1) for every d >= 1.
+    from H(d-1) for every d >= 1. Raises ValueError unless n and H's values
+    are ints (not bools).
     """
+    _check_int("n", n)
     vals = _values(H)
     if not vals or vals[0] != 1:
         return False
@@ -184,8 +192,11 @@ def enumerate_o_sequences(n, socle_max, prefix=(1,)):
 
     This is the brute-force enumeration oracle: it lists the family one
     function at a time, independent of scanner._chunks, the walk that scans
-    run, so tests can check that walk against it.
+    run, so tests can check that walk against it. Raises ValueError unless
+    n and socle_max are ints (not bools).
     """
+    _check_int("n", n)
+    _check_int("socle_max", socle_max)
     for vals in _enumerate_value_tuples(n, socle_max, prefix):
         yield HilbertFunction._trusted(vals)
 

@@ -39,6 +39,7 @@ from .verdict import (
 __all__ = ["ScanReport", "scan", "check_hf", "check_ideal"]
 
 SYNC_SECONDS = 1.0  # the longest a consumed chunk's checkpoint line waits for its fsync
+DEFAULT_CHUNK_SIZE = 512  # functions per chunk, and so per checkpoint line
 
 
 @dataclass
@@ -268,7 +269,7 @@ def scan(
     filters=DEFAULT_FILTERS,
     dfs_cap=DEFAULT_DFS_CAP,
     jobs=1,
-    chunk_size=512,
+    chunk_size=DEFAULT_CHUNK_SIZE,
     checkpoint_path=None,
     out_path=None,
     out_format="json",

@@ -5,13 +5,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
 from math import factorial, inf, prod
 
 from .betti import BettiDiagram, greedy_columns
-from .errors import MalformedDiagramError, _check_int
+from .errors import MalformedDiagramError, _check_int, _check_ints
 from .hilbert import _values, aci_obstruction, ci_hilbert_function
 from .monomial import _lex_column_block, lex_columns
 
@@ -52,11 +51,23 @@ class BoundVerdict:
         return f"{self.kind} bound {'HOLDS' if self.holds else 'FAILS'} ({self.lhs} {rel} {self.rhs})"
 
 
+def _checked_shifts(e, shifts, c):
+    """shifts as a tuple, for a bound verdict in codimension c.
+
+    Raises ValueError unless e, c and the shifts are ints (not bools) and
+    there are c shifts, each at least 1.
+    """
+    _check_int("e", e)
+    _check_int("c", c)
+    shifts = _check_ints("shift", shifts)
+    if len(shifts) != c or any(s < 1 for s in shifts):
+        raise ValueError(f"need {c} positive shifts, got {shifts}")
+    return shifts
+
+
 def upper_bound_holds(e, M, c):
     """Check c!*e <= product of the max shifts M."""
-    M = tuple(M)
-    if len(M) != c or any(s < 1 for s in M):
-        raise ValueError(f"need {c} positive shifts, got {M}")
+    M = _checked_shifts(e, M, c)
     lhs = factorial(c) * e
     rhs = prod(M)
     return BoundVerdict(e, M, c, lhs <= rhs, lhs, rhs, "upper")
@@ -64,9 +75,7 @@ def upper_bound_holds(e, M, c):
 
 def lower_bound_holds(e, m, c):
     """Check product of the min shifts m <= c!*e."""
-    m = tuple(m)
-    if len(m) != c or any(s < 1 for s in m):
-        raise ValueError(f"need {c} positive shifts, got {m}")
+    m = _checked_shifts(e, m, c)
     lhs = prod(m)
     rhs = factorial(c) * e
     return BoundVerdict(e, m, c, lhs <= rhs, lhs, rhs, "lower")
@@ -164,10 +173,6 @@ def _path_diagram(n, path):
     return BettiDiagram._trusted(n, entries)
 
 
-class _CapReached(Exception):
-    pass
-
-
 def _add(histogram, part, times=1):
     """Add times * part's counts into the histogram dict."""
     for failed, count in part.items():
@@ -210,14 +215,13 @@ def _violating_search(cols, lhs, cap, failures):
     tuples, survivors), is computed once, and a leaf's from its state
     alone. Options with one capped vector (see _option_classes) have one
     child key, so a summary adds up each class's child times its count,
-    and the options themselves are never listed. That pass stops once a
-    subtree has more than cap nodes, or once it would make more than cap
-    summaries, since each is a distinct tree node.
-    When the tree has more than cap nodes, a second pass walks it in option
-    order on the same summaries: a known summary is taken whole while its
-    nodes fit in the cap; otherwise its root is counted and its children
-    entered, so the stopped search has counted the first cap + 1 tree
-    nodes in preorder and the degenerate children and leaves among them.
+    and the options themselves are never listed. This pass always runs to
+    the root's summary; the cap only decides which searches stop.
+    When the tree has more than cap nodes, the stopped search reports its
+    first cap + 1 nodes in preorder and the degenerate children and leaves
+    among them. A descent in option order reads them off the summaries: it
+    takes each child's subtree whole while it fits in the cap and enters
+    the first one that does not, until it reaches node cap + 1.
     The survivors, leaves that fail no filter, are built as diagrams in a
     last descent that enters only subtrees holding one, in tree order.
     Returns nodes (at most cap + 1), degenerate (children cut because some
@@ -295,10 +299,6 @@ def _violating_search(cols, lhs, cap, failures):
             )
         return child
 
-    def leaf(state):
-        failed = tuple(failures(state))
-        return (1, 0, {failed: 1}, 0) if failed else (1, 0, {}, 1)
-
     def tally(level, U, state, q):
         # The subtree's summary, adding up each class's child times its count.
         key = state if level == depth else (level, U, state, q)
@@ -306,7 +306,8 @@ def _violating_search(cols, lhs, cap, failures):
         if known is not None:
             return known
         if level == depth:
-            known = leaf(state)
+            failed = tuple(failures(state))
+            known = (1, 0, {failed: 1}, 0) if failed else (1, 0, {}, 1)
         else:
             cut, bounds, entered = children(level, U, False)
             size, cuts, failed, passed = 1, cut, {}, 0
@@ -315,83 +316,62 @@ def _violating_search(cols, lhs, cap, failures):
             for count, token, mask, rest, share in entered[fit - 1] if fit else ():
                 child = tally(level + 1, rest, child_state(state, U, token, mask), q // share)
                 size += count * child[0]
-                if size > cap:
-                    raise _CapReached
                 cuts += count * child[1]
                 _add(failed, child[2], count)
                 passed += count * child[3]
             known = (size, cuts, failed, passed)
-        if len(summaries) == cap:
-            raise _CapReached  # cap + 1 distinct subtrees: the tree has more than cap nodes
         summaries[key] = known
         return known
 
-    nodes = degenerate = alive = 0
-    histogram = {}
+    def summary(level, U, state, q):
+        return summaries[state if level == depth else (level, U, state, q)]
 
-    def walk(level, U, state, q):
-        # The tree's preorder, counting nodes against the cap.
-        nonlocal nodes, degenerate, alive
-        key = state if level == depth else (level, U, state, q)
-        known = summaries.get(key)
-        if known is not None and nodes + known[0] <= cap:
-            nodes += known[0]
-            degenerate += known[1]
-            _add(histogram, known[2])
-            alive += known[3]
-            return known
-        nodes += 1
-        if nodes > cap:
-            raise _CapReached
-        if level == depth:
-            known = leaf(state)
-            _add(histogram, known[2])
-            alive += known[3]
-        else:
+    def descend(level, U, state, q):
+        # The first cap + 1 nodes of the tree's preorder: each child's subtree
+        # is taken whole while it fits in the cap, and the first that does not
+        # is entered, so the descent stops at node cap + 1.
+        nodes = degenerate = alive = 0
+        histogram = {}
+        while True:
+            nodes += 1
+            if nodes > cap:
+                return nodes, degenerate, histogram, alive
             cut, bounds, entered = children(level, U, True)
             degenerate += cut
-            size, cuts, failed, passed = 1, cut, {}, 0
-            fit = bisect_right(bounds, q)
-            for _, token, mask, rest, share in entered[fit - 1] if fit else ():
-                child = walk(level + 1, rest, child_state(state, U, token, mask), q // share)
-                size += child[0]
-                cuts += child[1]
-                _add(failed, child[2])
-                passed += child[3]
-            known = (size, cuts, failed, passed)
-        summaries[key] = known
-        return known
+            for _, token, mask, rest, share in entered[bisect_right(bounds, q) - 1]:
+                child = (level + 1, rest, child_state(state, U, token, mask), q // share)
+                size, cuts, failed, passed = summary(*child)
+                if nodes + size > cap:
+                    level, U, state, q = child
+                    break
+                nodes += size
+                degenerate += cuts
+                _add(histogram, failed)
+                alive += passed
 
     path = [None] * depth
     survivors = []
 
     def gather(level, U, state, q):
-        # Only subtrees with a survivor are entered, and a stopped search's
-        # unfinished ones, which hold the survivors it counted last.
+        # Only subtrees with a survivor are entered, in tree order, until the
+        # survivors counted are built.
         if level == depth:
             survivors.append(_path_diagram(n, path))
             return
         _, bounds, entered = children(level, U, True)
         for pick, token, mask, rest, share in entered[bisect_right(bounds, q) - 1]:
-            child = child_state(state, U, token, mask)
-            known = summaries.get(child if level + 1 == depth else (level + 1, rest, child, q // share))
-            if known is None or known[3]:
+            child = (level + 1, rest, child_state(state, U, token, mask), q // share)
+            if summary(*child)[3]:
                 path[level] = pick
-                gather(level + 1, rest, child, q // share)
+                gather(*child)
                 if len(survivors) == alive:
                     return
 
     root = (full, ((0,) * (n - 1), ((), 0) if n == 3 else 0, False), lhs - 1)
-    try:
-        nodes, degenerate, histogram, alive = tally(0, *root)
-    except _CapReached:
-        nodes = cap + 1
+    nodes, degenerate, histogram, alive = tally(0, *root)
     cap_exceeded = nodes > cap
     if cap_exceeded:
-        nodes = degenerate = alive = 0
-        histogram = {}
-        with suppress(_CapReached):
-            walk(0, *root)
+        nodes, degenerate, histogram, alive = descend(0, *root)
     if alive:
         gather(0, *root)
     return {
@@ -405,11 +385,12 @@ def _violating_search(cols, lhs, cap, failures):
 
 @dataclass(frozen=True)
 class ClassifyOptions:
-    """Knobs for classify: enabled filters and the DFS node budget.
+    """Knobs for classify: enabled filters and the search's node cap.
 
-    filters is kept as a tuple. Raises ValueError unless filters is an
-    iterable of names in KNOWN_FILTERS (a string is not) and dfs_cap an int
-    (not a bool) of at least 1.
+    A search tree of more than dfs_cap nodes leaves its Hilbert function
+    UNRESOLVED with reason CAP_EXCEEDED. filters is kept as a tuple. Raises
+    ValueError unless filters is an iterable of names in KNOWN_FILTERS (a
+    string is not) and dfs_cap an int (not a bool) of at least 1.
     """
 
     filters: tuple = DEFAULT_FILTERS

@@ -55,15 +55,17 @@ def families_around(draw, hfs):
 
 
 @st.composite
-def o_sequences(draw, ns, max_socle):
+def o_sequences(draw, ns, max_socle, least=0):
     """(n, vals) with n drawn from ns and vals an O-sequence in n variables of socle <= max_socle.
 
-    Each value is drawn up to its growth bound; vals may end in zeros.
+    Each value is drawn from least (or the growth bound, when that is
+    smaller) up to its growth bound; with least 0, vals may end in zeros.
     """
     n = draw(st.sampled_from(ns))
     vals = [1]
     for d in range(1, draw(st.integers(1, max_socle + 1))):
-        vals.append(draw(st.integers(0, _growth_bound(n, d, vals[-1]))))
+        bound = _growth_bound(n, d, vals[-1])
+        vals.append(draw(st.integers(min(least, bound), bound)))
     return n, tuple(vals)
 
 

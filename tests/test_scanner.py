@@ -548,14 +548,26 @@ def test_scan_rejects_non_int_n_and_socle_max_before_writing_a_checkpoint(args, 
 
 
 def test_classify_and_hilbert_functions_reject_non_int_values():
-    # Each was once truncated: classify took 1,3,5,2, HilbertFunction held 1,1 and is_o_sequence said True.
-    for make, value in (
-        (lambda: classify((1, 3, 5.8, 2.2), 3), 5.8),
-        (lambda: hilbert.HilbertFunction([1, True]), True),
-        (lambda: hilbert.is_o_sequence([1, 3, 6.5], 3), 6.5),
-        (lambda: check_hf((1, 3, 6.0)), 6.0),
+    # Each was once truncated or taken as is: classify took 1,3,5,2, HilbertFunction held 1,1,
+    # is_o_sequence said True, macaulay_bound(2.5, 2) gave 3, enumerate_o_sequences(2, 2.5)
+    # listed socle <= 2 and upper_bound_holds(5.5, ...) compared lhs 11.0.
+    for make, name, value in (
+        (lambda: classify((1, 3, 5.8, 2.2), 3), "Hilbert function value", 5.8),
+        (lambda: hilbert.HilbertFunction([1, True]), "Hilbert function value", True),
+        (lambda: hilbert.is_o_sequence([1, 3, 6.5], 3), "Hilbert function value", 6.5),
+        (lambda: check_hf((1, 3, 6.0)), "Hilbert function value", 6.0),
+        (lambda: hilbert.is_o_sequence((1, 3, 6), 3.0), "n", 3.0),
+        (lambda: hilbert.macaulay_bound(2.5, 2), "h", 2.5),
+        (lambda: hilbert.macaulay_bound(True, 2), "h", True),
+        (lambda: hilbert.macaulay_bound(3, 2.0), "d", 2.0),
+        (lambda: hilbert.macaulay_expansion(4, 1.5), "d", 1.5),
+        (lambda: list(hilbert.enumerate_o_sequences(2, 2.5)), "socle_max", 2.5),
+        (lambda: list(hilbert.enumerate_o_sequences(True, 3)), "n", True),
+        (lambda: verdict.upper_bound_holds(5.5, (2, 3), 2), "e", 5.5),
+        (lambda: verdict.upper_bound_holds(5, (2, 3), 2.0), "c", 2.0),
+        (lambda: verdict.lower_bound_holds(5, (2, True), 2), "shift", True),
     ):
-        with pytest.raises(ValueError, match=f"^Hilbert function value must be an int, got {re.escape(repr(value))}$"):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
             make()
 
 

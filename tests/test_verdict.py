@@ -370,6 +370,28 @@ def test_memoized_search_equals_the_tree_walk_for_any_columns_lhs_and_cap(inputs
     assert _violating_search(cols, lhs, cap, _state_failures) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(o_sequences([1, 2, 3], 10, least=1))
+@example((3, H_HARD))  # 4,164,624 tree nodes at this lhs
+@example((3, (1, 3, 6, 10, 15, 21, 28, 36, 45, 41, 29)))
+@example((2, (1, 2, 3, 3, 2, 1, 0)))
+def test_lex_searches_in_at_most_three_variables_cut_no_degenerate_child(family):
+    # A child is cut as degenerate only when every diagram below it has an
+    # empty column, so it is enough that no reachable diagram has one. Column
+    # 1's lowest entry never cancels: column 2 starts at least one degree
+    # higher. Column n's entry at s + n, s the socle degree, comes from the
+    # minimal generator x_n^(s+1) and column n - 1 ends at or below s + n - 1,
+    # so it never cancels either. For n = 3 an empty column 2 would make the
+    # Euler characteristic 1 - beta_1 - beta_3 < 0, but cancelling keeps the
+    # numerator H(t)(1 - t)^3, which is 0 at t = 1. An lhs above every product
+    # enters every child that is not cut, and failing every leaf builds no
+    # survivors.
+    n, vals = family
+    cols = lex_columns(vals, n)
+    res = _violating_search(cols, 10 ** 30, 10 ** 30, lambda state: ("er",))
+    assert res["degenerate"] == 0 and not res["cap_exceeded"], (n, vals)
+
+
 def test_entry_caps():
     assert [_entry_caps(n) for n in range(1, 6)] == [(1,), (2, 1), (5, 3, 2), (4, 3, 4, 1), (5, 3, 4, 5, 1)]
 
@@ -440,6 +462,11 @@ def test_memoized_search_counts_a_three_million_node_tree_exactly():
     assert (res.status, res.reason) == ("UNRESOLVED", "CAP_EXCEEDED")
     assert (res.nodes, res.violating, res.cap_exceeded) == (3_006_130, 893_375, True)
     assert res.filter_histogram == {"er": 893_375} and res.degenerate == 0
+    # The smallest caps stop the descent at the root and just below it.
+    for cap in (1, 2, 1_000):
+        res = classify(H, 4, ClassifyOptions(dfs_cap=cap))
+        assert res.nodes == cap + 1 and res.cap_exceeded
+        assert _evidence(res) == reference_evidence(H, 4, DEFAULT_FILTERS, cap), cap
 
 
 @settings(max_examples=100, deadline=None)
