@@ -193,12 +193,13 @@ def enumerate_o_sequences(n, socle_max, prefix=(1,)):
     This is the brute-force enumeration oracle: it lists the family one
     function at a time, independent of scanner._chunks, the walk that scans
     run, so tests can check that walk against it. Raises ValueError unless
-    n and socle_max are ints (not bools).
+    n and socle_max are ints (not bools), and NotAdmissibleError unless
+    prefix is an O-sequence in n variables, both when called.
     """
     _check_int("n", n)
     _check_int("socle_max", socle_max)
-    for vals in _enumerate_value_tuples(n, socle_max, prefix):
-        yield HilbertFunction._trusted(vals)
+    family = _enumerate_value_tuples(n, socle_max, _checked_prefix(n, prefix))
+    return (HilbertFunction._trusted(vals) for vals in family)
 
 
 def multiplicity(H):

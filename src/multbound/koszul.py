@@ -33,8 +33,9 @@ def _is_prime(p):
 def rank_mod_p(rows, p):
     """Rank of an integer matrix over the field with p elements, by elimination.
 
-    Raises ValueError when p is not prime.
+    Raises ValueError unless p is an int (not a bool) and prime.
     """
+    _check_int("p", p)
     if not _is_prime(p):
         raise ValueError(f"field characteristic must be prime, got {p}")
     mat = [[v % p for v in row] for row in rows]

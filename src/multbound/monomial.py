@@ -193,9 +193,11 @@ def _lex_degrees(H, n):
     """(d, H(d-1), H(d)) for d = 1..socle+1 of H with trailing zeros dropped.
 
     These triples, with n, are the keys of the per-degree lex helpers, which
-    check each H(d) against its growth bound. Raises ValueError when n < 1 and
-    NotAdmissibleError when H does not start with 1.
+    check each H(d) against its growth bound. Raises ValueError unless n is
+    an int (not a bool) of at least 1, and NotAdmissibleError when H does
+    not start with 1.
     """
+    _check_int("n", n)
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
     hvals = _values(H)
@@ -287,8 +289,9 @@ def lex_columns(H, n):
     (n, d, H(d-1), H(d)) and placed. Raises NotAdmissibleError when H is not
     an O-sequence in n variables.
     """
+    degrees = _lex_degrees(H, n)
     cols = [{0: 1}] + [{} for _ in range(n)]
-    for d, prev_h, h in _lex_degrees(H, n):
+    for d, prev_h, h in degrees:
         for i, count in enumerate(_lex_column_block(n, d, prev_h, h), 1):
             if count:
                 cols[i][d + i - 1] = count
@@ -394,8 +397,11 @@ def parse_monomial(text, n=None):
     """Parse ``a^2*b*c^3`` or ``(2,1,3)`` into a Monomial.
 
     With n omitted, symbolic form sizes by the last letter used and tuple form
-    by its length.
+    by its length. A given n that is not an int, or is a bool, raises
+    ValueError.
     """
+    if n is not None:
+        _check_int("n", n)
     text = text.strip()
     if not text:
         raise IdealParseError("empty monomial")

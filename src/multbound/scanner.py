@@ -111,8 +111,8 @@ def _chunks(n, socle_max, start, chunk_size, limit=None, cursor=None):
     and the walk stops after limit; the exceptions are the functions whose
     greedy max shifts (see verdict._greedy_step) break the bound.
 
-    Each stack entry carries its function's state and e. The leaves (socle
-    degree socle_max) are not pushed: a leaf parent takes its family's runs
+    Each stack entry carries its function's state and e. The loop pushes no
+    leaf (socle degree socle_max): a leaf parent takes its family's runs
     and lo, their least vector, from a per-walk cache on (H(s), outgoing
     blocks), and its extension maxima fill a vector's zeros. In a run the
     shift product P is fixed while n! * e grows with v, so the bound holds
@@ -120,20 +120,34 @@ def _chunks(n, socle_max, start, chunk_size, limit=None, cursor=None):
     gives a threshold below every run's; when it reaches the family's last
     leaf and the family fits in the chunk, the family costs O(1).
 
-    With cursor, only the functions after it in tuple order are counted: a
-    node before it that is not a prefix of it is skipped with its subtree, a
-    prefix is descended without being counted, and a family the cursor lies
-    inside evaluates, uncached, only its leaves after it.
+    With cursor, only the functions after it in tuple order are counted.
+    The stack is seeded by stepping down the cursor's path once, from start
+    on: each prefix on it pushes its children after the cursor's next
+    value, and the cursor, when it is in the family, all its children. A
+    leaf so pushed is evaluated alone, outside the family cache. A cursor
+    before start leaves start on the stack, and one after the family none.
     """
     step, leaves = _greedy_step(n)
     n_factorial = factorial(n)
     zero = (0,) * n
-    node = ((1,), (zero,) * (n - 1), zero)
+    vals, blocks, maxima = (1,), (zero,) * (n - 1), zero
     for v in start[1:]:
-        blocks, maxima, _, _ = step(*node)
-        node = (node[0] + (v,), blocks, maxima)
-    stack = [node + (sum(start),)] if len(start) <= socle_max + 1 else []
-    cursor = None if cursor is None else tuple(cursor)
+        blocks, maxima, _, _ = step(vals, blocks, maxima)
+        vals += (v,)
+    stack = []
+    if cursor is None or cursor < start:
+        if len(start) <= socle_max + 1:
+            stack.append((vals, blocks, maxima, sum(vals)))
+    elif cursor[:len(start)] == start:
+        while len(vals) <= socle_max:
+            blocks, maxima, _, bound = step(vals, blocks, maxima)
+            e = sum(vals)
+            after = cursor[len(vals)] if len(vals) < len(cursor) else 0
+            # The children after the cursor's next value, all at the cursor itself, pushed descending.
+            stack.extend((vals + (v,), blocks, maxima, e + v) for v in range(bound, max(after, 0), -1))
+            if not 1 <= after <= bound:
+                break
+            vals += (after,)
     families = {}
     shared = {}  # one copy of each shift vector and each family across the cache
     budget = inf if limit is None else limit
@@ -163,42 +177,31 @@ def _chunks(n, socle_max, start, chunk_size, limit=None, cursor=None):
 
     while stack:
         vals, blocks, maxima, e = stack.pop()
-        if cursor is not None:
-            if vals > cursor:
-                # The stack pops in tuple order, so all that is left comes after the cursor.
-                cursor = None
-            elif vals != cursor[:len(vals)]:
-                continue
         blocks, maxima, shifts, bound = step(vals, blocks, maxima)
-        if cursor is None:
-            if room > 1 and n_factorial * e <= prod(shifts):
-                holds += 1
-                room -= 1
-            else:
-                yield from place(vals[:-1], vals[-1], vals[-1], prod(shifts) // n_factorial - e + vals[-1])
-                if not budget:
-                    return
+        if room > 1 and n_factorial * e <= prod(shifts):
+            holds += 1
+            room -= 1
+        else:
+            yield from place(vals[:-1], vals[-1], vals[-1], prod(shifts) // n_factorial - e + vals[-1])
+            if not budget:
+                return
         if len(vals) < socle_max:
             # Pushed descending, as in _enumerate_value_tuples, so values pop ascending.
             stack.extend((vals + (v,), blocks, maxima, e + v) for v in range(bound, 0, -1))
         elif len(vals) == socle_max:
-            if cursor is not None and len(cursor) > len(vals):
-                # The cursor lies in this family: no leaf up to it may be evaluated.
-                runs = leaves(vals, blocks, cursor[len(vals)] + 1, bound)
-            else:
-                key = (vals[-1], blocks)
-                family = families.get(key)
-                if family is None:
-                    found = leaves(vals, blocks, 1, bound)
-                    runs = tuple((first, last, shared.setdefault(new, new)) for first, last, new in found)
-                    family = (runs, tuple(map(min, zip(*(new for _, _, new in runs)))))
-                    family = families[key] = shared.setdefault(family, family)
-                runs, lo = family
-                if bound < room and prod(map(max, lo, maxima)) // n_factorial - e >= bound:
-                    # The common case: the whole family holds and leaves the chunk room.
-                    holds += bound
-                    room -= bound
-                    continue
+            key = (vals[-1], blocks)
+            family = families.get(key)
+            if family is None:
+                found = leaves(vals, blocks, bound)
+                runs = tuple((first, last, shared.setdefault(new, new)) for first, last, new in found)
+                family = (runs, tuple(map(min, zip(*(new for _, _, new in runs)))))
+                family = families[key] = shared.setdefault(family, family)
+            runs, lo = family
+            if bound < room and prod(map(max, lo, maxima)) // n_factorial - e >= bound:
+                # The common case: the whole family holds and leaves the chunk room.
+                holds += bound
+                room -= bound
+                continue
             for first, last, new in runs:
                 # A new shift is 0 or lies above every extension maximum.
                 yield from place(vals, first, last, prod(map(max, new, maxima)) // n_factorial - e)

@@ -217,13 +217,14 @@ def _violating_search(cols, lhs, cap, failures):
     child key, so a summary adds up each class's child times its count,
     and the options themselves are never listed. This pass always runs to
     the root's summary; the cap only decides which searches stop.
-    When the tree has more than cap nodes, the stopped search reports its
-    first cap + 1 nodes in preorder and the degenerate children and leaves
-    among them. A descent in option order reads them off the summaries: it
-    takes each child's subtree whole while it fits in the cap and enters
-    the first one that does not, until it reaches node cap + 1.
-    The survivors, leaves that fail no filter, are built as diagrams in a
-    last descent that enters only subtrees holding one, in tree order.
+    A tree of more than cap nodes stops the search: it reports the first
+    cap nodes in preorder and the degenerate children and leaves among
+    them, and counts node cap + 1 without reading it. The survivors, leaves
+    that fail no filter, are built as diagrams. When the tree has more than
+    cap nodes or has survivors, one descent in option order reads them off
+    the summaries: it takes a child's summary whole when the child fits in
+    the cap and holds no survivor, enters it otherwise, and builds each
+    survivor where it reaches it.
     Returns nodes (at most cap + 1), degenerate (children cut because some
     column can no longer become nonzero), whether the cap stopped the
     search, the histogram (a Counter) and the survivors.
@@ -323,57 +324,43 @@ def _violating_search(cols, lhs, cap, failures):
         summaries[key] = known
         return known
 
-    def summary(level, U, state, q):
-        return summaries[state if level == depth else (level, U, state, q)]
-
-    def descend(level, U, state, q):
-        # The first cap + 1 nodes of the tree's preorder: each child's subtree
-        # is taken whole while it fits in the cap, and the first that does not
-        # is entered, so the descent stops at node cap + 1.
-        nodes = degenerate = alive = 0
-        histogram = {}
-        while True:
-            nodes += 1
-            if nodes > cap:
-                return nodes, degenerate, histogram, alive
-            cut, bounds, entered = children(level, U, True)
-            degenerate += cut
-            for _, token, mask, rest, share in entered[bisect_right(bounds, q) - 1]:
-                child = (level + 1, rest, child_state(state, U, token, mask), q // share)
-                size, cuts, failed, passed = summary(*child)
-                if nodes + size > cap:
-                    level, U, state, q = child
-                    break
-                nodes += size
-                degenerate += cuts
-                _add(histogram, failed)
-                alive += passed
-
     path = [None] * depth
     survivors = []
 
-    def gather(level, U, state, q):
-        # Only subtrees with a survivor are entered, in tree order, until the
-        # survivors counted are built.
-        if level == depth:
-            survivors.append(_path_diagram(n, path))
+    def walk(level, U, state, q):
+        # The subtree in option order, up to node cap + 1.
+        nonlocal nodes, degenerate
+        nodes += 1
+        if nodes > cap:
             return
-        _, bounds, entered = children(level, U, True)
+        if level == depth:
+            _, _, failed, passed = tally(level, U, state, q)
+            if passed:
+                survivors.append(_path_diagram(n, path))
+            _add(histogram, failed)
+            return
+        cut, bounds, entered = children(level, U, True)
+        degenerate += cut
         for pick, token, mask, rest, share in entered[bisect_right(bounds, q) - 1]:
             child = (level + 1, rest, child_state(state, U, token, mask), q // share)
-            if summary(*child)[3]:
+            size, cuts, failed, passed = tally(*child)
+            if passed or nodes + size > cap:
                 path[level] = pick
-                gather(*child)
-                if len(survivors) == alive:
+                walk(*child)
+                if nodes > cap:
                     return
+            else:
+                nodes += size
+                degenerate += cuts
+                _add(histogram, failed)
 
     root = (full, ((0,) * (n - 1), ((), 0) if n == 3 else 0, False), lhs - 1)
     nodes, degenerate, histogram, alive = tally(0, *root)
     cap_exceeded = nodes > cap
-    if cap_exceeded:
-        nodes, degenerate, histogram, alive = descend(0, *root)
-    if alive:
-        gather(0, *root)
+    if cap_exceeded or alive:
+        nodes = degenerate = 0
+        histogram = {}
+        walk(0, *root)
     return {
         "nodes": nodes,
         "degenerate": degenerate,
@@ -515,9 +502,9 @@ def _greedy_step(n):
     s..s+n are new. It returns the blocks and maxima of vals's extensions,
     the max shifts of vals (0 for a column the greedy diagram leaves empty),
     and the largest value H(s+1) may take after vals. leaves(vals, blocks,
-    first, last), given the blocks step returned for vals, lists the runs
-    [first, last, vector] of vals + (v,), first <= v <= last: maximal ranges
-    of v with one vector of max shifts over the degrees past vals's, 0 for a
+    last), given the blocks step returned for vals, lists the runs
+    [first, last, vector] of vals + (v,), 1 <= v <= last: maximal ranges of
+    v with one vector of max shifts over the degrees past vals's, 0 for a
     column with none there; vals's extension maxima fill the zeros.
 
     Both are written out once per n as straight-line Python and compiled
@@ -555,14 +542,14 @@ def _greedy_step(n):
         # H(s) is a generator, and Macaulay's growth bound counts exactly those.
         f"    return {_display(f'w{k}' for k in range(1, n))}, extension, {shifts}, w{n}[0]",
         "",
-        "def leaves(vals, blocks, first, last):",
+        "def leaves(vals, blocks, last):",
         "    s = len(vals)",
         "    h = vals[-1]",
         f"    {_display(carried)} = blocks",
         *(f"    {name} = {window(k, i)}" for (k, i), name in fixed.items()),
         "    runs = []",
         "    last_new = None",
-        "    for v in range(first, last + 1):",
+        "    for v in range(1, last + 1):",
         f"        w{n - 1} = block({n}, s, h, v)",
         f"        w{n} = block({n}, s + 1, v, 0)",
         f"        {shifts} = {_display(['0'] * n)}",

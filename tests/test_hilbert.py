@@ -124,12 +124,13 @@ def test_enumeration_one_variable():
 
 
 def test_enumeration_rejects_bad_prefix():
+    # When called, before the first function is asked for.
     with pytest.raises(NotAdmissibleError):
-        list(enumerate_o_sequences(3, 4, (1, 0)))
+        enumerate_o_sequences(3, 4, (1, 0))
     with pytest.raises(NotAdmissibleError):
-        list(enumerate_o_sequences(3, 4, (1, 4)))
+        enumerate_o_sequences(3, 4, (1, 4))
     with pytest.raises(NotAdmissibleError):
-        list(enumerate_o_sequences(3, 4, (2,)))
+        enumerate_o_sequences(3, 4, (2,))
 
 
 def test_enumeration_counts_frozen():

@@ -103,6 +103,8 @@ _A3, _A3B3 = parse_ideal("a^3", 2), parse_ideal("a^3; b^3")
     (check_ideal, ("a^3", True), {}, "n", True),
     (quotient_hilbert_function, (_A3B3, True), {}, "d_max", True),
     (koszul_betti, (_A3B3,), {"field_char": True}, "field_char", True),
+    # A bare TypeError from isqrt.
+    (rank_mod_p, ([[1]], 3.0), {}, "p", 3.0),
 ])
 def test_cross_check_entry_points_reject_non_int_degrees_and_sizes(call, args, kwargs, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):

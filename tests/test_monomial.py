@@ -83,6 +83,14 @@ def test_monomial_and_ideal_constructors_reject_non_int_values():
         (lambda: Monomial((True, 0)), "exponent must be an int, got True"),
         (lambda: MonomialIdeal(3.5, [(1, 0, 0)]), "n must be an int, got 3.5"),
         (lambda: MonomialIdeal(True, [(1,)]), "n must be an int, got True"),
+        # These were once a bare TypeError.
+        (lambda: parse_monomial("a*b", 2.5), "n must be an int, got 2.5"),
+        (lambda: lex_columns((1, 2), 2.5), "n must be an int, got 2.5"),
+        (lambda: lex_ideal((1, 2), 2.5), "n must be an int, got 2.5"),
+        (lambda: lex_generator_profile((1, 2), 2.5), "n must be an int, got 2.5"),
+        # These once ran as 1.
+        (lambda: parse_monomial("a", True), "n must be an int, got True"),
+        (lambda: lex_columns((1, 1), True), "n must be an int, got True"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()

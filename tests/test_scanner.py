@@ -222,9 +222,9 @@ def _record_greedy_steps(monkeypatch):
             evaluated.append(vals)
             return step(vals, blocks, maxima)
 
-        def counted_leaves(vals, blocks, first, last):
-            evaluated.extend(vals + (v,) for v in range(first, last + 1))
-            return leaves(vals, blocks, first, last)
+        def counted_leaves(vals, blocks, last):
+            evaluated.extend(vals + (v,) for v in range(1, last + 1))
+            return leaves(vals, blocks, last)
 
         return counted, counted_leaves
 
@@ -296,26 +296,36 @@ def test_lo_fails_family_example_holds_everywhere_but_not_by_its_least_vector():
     blocks, maxima, _, bound = walk_state(n, parent)
     _, leaves = _greedy_step(n)
     assert (maxima, bound) == ((3, 0), 2)
-    assert leaves(parent, blocks, 1, bound) == [[1, 1, (0, 6)], [2, 2, (5, 6)]]
+    assert leaves(parent, blocks, bound) == [[1, 1, (0, 6)], [2, 2, (5, 6)]]
     assert 2 * (sum(parent) + 1) <= 3 * 6 and 2 * (sum(parent) + 2) <= 5 * 6
     assert 3 * 6 // 2 - sum(parent) < bound
 
 
-@settings(max_examples=40, deadline=None)
-@given(families({1: 6, 2: 4, 3: 2, 4: 2}), st.data())
-def test_chunks_yield_the_enumeration_after_the_cursor(family, data):
+def _with_cursor(family):
+    """(family, cursor), the cursor a function, a leaf, a tuple below one of them, or any tuple."""
     n, socle_max, prefix = family
     expected = list(_enumerate_value_tuples(n, socle_max, prefix))
     leaves = [vals for vals in expected if len(vals) == socle_max + 1]
-    # A cursor in the family, a leaf inside a leaf family, a tuple below one
-    # of them, or any tuple: only what comes after it in tuple order is left.
-    cursor = data.draw(st.one_of(
+    return st.tuples(st.just(family), st.one_of(
         st.sampled_from(expected),
         st.sampled_from(leaves),
         st.tuples(st.sampled_from(expected), st.lists(st.integers(0, 12), max_size=2))
         .map(lambda pair: pair[0] + tuple(pair[1])),
         st.lists(st.integers(0, 12), min_size=1, max_size=socle_max + 2).map(tuple),
     ))
+
+
+@settings(max_examples=40, deadline=None)
+@given(families({1: 6, 2: 4, 3: 2, 4: 2}).flatmap(_with_cursor))
+@example(((3, 4, (1, 3)), (1, 3, 6, 10)))  # a leaf parent: its whole leaf family follows
+@example(((3, 4, (1, 3)), (1, 3, 6, 10, 15)))  # the last leaf of the last family: nothing follows
+@example(((3, 4, (1, 3)), (1, 3, 6, 7, 9)))  # a family's last leaf: 1,3,6,8 follows
+@example(((3, 4, (1, 3)), (1, 2)))  # below the prefix: the whole family follows
+@example(((3, 4, (1, 3)), (1, 3, 6, 7, 5, 3)))  # longer than socle_max + 1: leaf 1,3,6,7,5 is before it
+def test_chunks_yield_the_enumeration_after_the_cursor(case):
+    (n, socle_max, prefix), cursor = case
+    expected = list(_enumerate_value_tuples(n, socle_max, prefix))
+    # Only what comes after the cursor in tuple order is left.
     # One-function chunks: each chunk's last tuple is its function.
     resumed = [last for _, _, _, last in _chunks(n, socle_max, prefix, 1, cursor=cursor)]
     assert resumed == [vals for vals in expected if vals > cursor]
@@ -333,7 +343,7 @@ def test_split_family_example_splits_a_family_inside_a_run_with_exceptions():
     assert (family[0], family[-1], functions.index(parent + (10,))) == (134, 151, 143)
     blocks, maxima, _, bound = walk_state(n, parent)
     _, leaves = _greedy_step(n)
-    runs = [(first, last, tuple(map(max, new, maxima))) for first, last, new in leaves(parent, blocks, 1, bound)]
+    runs = [(first, last, tuple(map(max, new, maxima))) for first, last, new in leaves(parent, blocks, bound)]
     assert (10, 11, (5, 8, 9)) in runs
     # The parent and its 18 leaves, of which only v = 11 breaks the bound.
     assert list(_chunks(n, socle_max, parent, 64)) == [(19, 18, [parent + (11,)], parent + (18,))]
@@ -550,7 +560,8 @@ def test_scan_rejects_non_int_n_and_socle_max_before_writing_a_checkpoint(args, 
 def test_classify_and_hilbert_functions_reject_non_int_values():
     # Each was once truncated or taken as is: classify took 1,3,5,2, HilbertFunction held 1,1,
     # is_o_sequence said True, macaulay_bound(2.5, 2) gave 3, enumerate_o_sequences(2, 2.5)
-    # listed socle <= 2 and upper_bound_holds(5.5, ...) compared lhs 11.0.
+    # listed socle <= 2, and later returned without error until iterated, and
+    # upper_bound_holds(5.5, ...) compared lhs 11.0.
     for make, name, value in (
         (lambda: classify((1, 3, 5.8, 2.2), 3), "Hilbert function value", 5.8),
         (lambda: hilbert.HilbertFunction([1, True]), "Hilbert function value", True),
@@ -562,6 +573,7 @@ def test_classify_and_hilbert_functions_reject_non_int_values():
         (lambda: hilbert.macaulay_bound(3, 2.0), "d", 2.0),
         (lambda: hilbert.macaulay_expansion(4, 1.5), "d", 1.5),
         (lambda: list(hilbert.enumerate_o_sequences(2, 2.5)), "socle_max", 2.5),
+        (lambda: hilbert.enumerate_o_sequences(2, 2.5), "socle_max", 2.5),
         (lambda: list(hilbert.enumerate_o_sequences(True, 3)), "n", True),
         (lambda: verdict.upper_bound_holds(5.5, (2, 3), 2), "e", 5.5),
         (lambda: verdict.upper_bound_holds(5, (2, 3), 2.0), "c", 2.0),
