@@ -11,7 +11,7 @@ from csv import QUOTE_MINIMAL, writer as csv_writer
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
-from math import factorial, inf, prod
+from math import factorial, floor, inf, prod
 
 from .betti import (
     BettiDiagram,
@@ -102,6 +102,14 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
+def _last_function(n, socle_max, prefix):
+    """The family's last function in tuple order: it takes the largest value at every degree."""
+    last = prefix
+    while len(last) <= socle_max:
+        last += (_growth_bound(n, len(last), last[-1]),)
+    return last
+
+
 def _chunks(n, socle_max, start, chunk_size, limit=None, cursor=None):
     """Walk the family and yield its chunks (count, bound_holds, exception value tuples, last tuple).
 
@@ -109,107 +117,49 @@ def _chunks(n, socle_max, start, chunk_size, limit=None, cursor=None):
     tuple checked by hilbert._checked_prefix) up to socle degree socle_max,
     in _enumerate_value_tuples's order. A chunk takes chunk_size functions,
     and the walk stops after limit; the exceptions are the functions whose
-    greedy max shifts (see verdict._greedy_step) break the bound.
+    greedy max shifts break the bound. The walk is verdict._greedy_step's
+    generated walk: its stack holds (node state, first v, last v) entries
+    for ranges of a node's children, each leaf parent is walked in its
+    grandparent's frame, and a leaf family is counted whole in O(1) from a
+    per-walk cache when a lower bound on its shifts shows that all of it
+    holds. This function only seeds that stack and gives the walk's last,
+    unfinished chunk its last tuple, the family's last function.
 
-    Each stack entry carries its function's state and e. The loop pushes no
-    leaf (socle degree socle_max): a leaf parent takes its family's runs
-    and lo, their least vector, from a per-walk cache on (H(s), outgoing
-    blocks), and its extension maxima fill a vector's zeros. In a run the
-    shift product P is fixed while n! * e grows with v, so the bound holds
-    exactly for v <= P // n! - e(parent). lo in place of each run's vector
-    gives a threshold below every run's; when it reaches the family's last
-    leaf and the family fits in the chunk, the family costs O(1).
-
-    With cursor, only the functions after it in tuple order are counted.
-    The stack is seeded by stepping down the cursor's path once, from start
-    on: each prefix on it pushes its children after the cursor's next
-    value, and the cursor, when it is in the family, all its children. A
-    leaf so pushed is evaluated alone, outside the family cache. A cursor
-    before start leaves start on the stack, and one after the family none.
+    Without a cursor (or with one before start) the stack holds start alone,
+    as the range of one in its parent's entry (for start (1,), the root's
+    parent (), with zero blocks and maxima). With cursor, only the functions
+    after it in tuple order are counted: the stack is seeded by stepping
+    down the cursor's path once, from start on, and each prefix on it takes
+    the range of its children after the cursor's next value, and the cursor,
+    when it is in the family, all its children. So a leaf parent on the
+    seeded stack is always part of a range and reaches the walk's one
+    leaf-parent loop, and a leaf there is evaluated alone, outside the
+    family cache. A cursor after the family leaves the stack empty.
     """
-    step, leaves = _greedy_step(n)
-    n_factorial = factorial(n)
+    step, _, walk = _greedy_step(n)
     zero = (0,) * n
-    vals, blocks, maxima = (1,), (zero,) * (n - 1), zero
-    for v in start[1:]:
-        blocks, maxima, _, _ = step(vals, blocks, maxima)
+    # start's parent, with the blocks and maxima of its extensions.
+    vals, blocks, maxima = (), (zero,) * (n - 1), zero
+    for v in start[:-1]:
         vals += (v,)
+        blocks, maxima, _, _ = step(vals, blocks, maxima)
     stack = []
     if cursor is None or cursor < start:
         if len(start) <= socle_max + 1:
-            stack.append((vals, blocks, maxima, sum(vals)))
+            stack.append((vals, blocks, maxima, sum(vals), start[-1], start[-1]))
     elif cursor[:len(start)] == start:
+        vals = start
         while len(vals) <= socle_max:
             blocks, maxima, _, bound = step(vals, blocks, maxima)
-            e = sum(vals)
-            after = cursor[len(vals)] if len(vals) < len(cursor) else 0
-            # The children after the cursor's next value, all at the cursor itself, pushed descending.
-            stack.extend((vals + (v,), blocks, maxima, e + v) for v in range(bound, max(after, 0), -1))
+            after = max(cursor[len(vals)] if len(vals) < len(cursor) else 0, 0)
+            if after < bound:
+                stack.append((vals, blocks, maxima, sum(vals), after + 1, bound))
             if not 1 <= after <= bound:
                 break
             vals += (after,)
-    families = {}
-    shared = {}  # one copy of each shift vector and each family across the cache
-    budget = inf if limit is None else limit
-    size = room = min(chunk_size, budget)  # the current chunk's size and what it can still take
-    holds = 0
-    exceptions = []
-
-    def place(parent, first, last, top):
-        # The functions parent + (v,), first <= v <= last, of which those with
-        # v <= top hold, split at chunk ends.
-        nonlocal size, room, holds, exceptions, budget
-        while first <= last:
-            end = min(last, first + room - 1)
-            holds += max(0, min(end, top) - first + 1)
-            if top < end:
-                exceptions.extend(parent + (v,) for v in range(max(first, top + 1), end + 1))
-            room -= end - first + 1
-            first = end + 1
-            if not room:
-                yield size, holds, exceptions, parent + (end,)
-                budget -= size
-                if not budget:
-                    return
-                size = room = min(chunk_size, budget)
-                holds = 0
-                exceptions = []
-
-    while stack:
-        vals, blocks, maxima, e = stack.pop()
-        blocks, maxima, shifts, bound = step(vals, blocks, maxima)
-        if room > 1 and n_factorial * e <= prod(shifts):
-            holds += 1
-            room -= 1
-        else:
-            yield from place(vals[:-1], vals[-1], vals[-1], prod(shifts) // n_factorial - e + vals[-1])
-            if not budget:
-                return
-        if len(vals) < socle_max:
-            # Pushed descending, as in _enumerate_value_tuples, so values pop ascending.
-            stack.extend((vals + (v,), blocks, maxima, e + v) for v in range(bound, 0, -1))
-        elif len(vals) == socle_max:
-            key = (vals[-1], blocks)
-            family = families.get(key)
-            if family is None:
-                found = leaves(vals, blocks, bound)
-                runs = tuple((first, last, shared.setdefault(new, new)) for first, last, new in found)
-                family = (runs, tuple(map(min, zip(*(new for _, _, new in runs)))))
-                family = families[key] = shared.setdefault(family, family)
-            runs, lo = family
-            if bound < room and prod(map(max, lo, maxima)) // n_factorial - e >= bound:
-                # The common case: the whole family holds and leaves the chunk room.
-                holds += bound
-                room -= bound
-                continue
-            for first, last, new in runs:
-                # A new shift is 0 or lies above every extension maximum.
-                yield from place(vals, first, last, prod(map(max, new, maxima)) // n_factorial - e)
-                if not budget:
-                    return
-    if room < size:
-        # The last node popped is the family's last function or, when that is a leaf, its parent.
-        yield size - room, holds, exceptions, (vals + (bound,) if len(vals) == socle_max else vals)
+    rest = yield from walk(stack, socle_max, chunk_size, inf if limit is None else limit)
+    if rest:
+        yield *rest, _last_function(n, socle_max, start)
 
 
 def _scan_chunk(chunk, n, options):
@@ -259,6 +209,13 @@ def _replay_log(log, path, parameters):
     return scanned, holds, records, cursor
 
 
+def _lap(stages, stage, since):
+    """Add the time since since to stages[stage]; return the time now."""
+    now = time.perf_counter()
+    stages[stage] += now - since
+    return now
+
+
 def _append(log, entry):
     log.write(json.dumps(entry).encode() + b"\n")
     log.flush()
@@ -295,7 +252,11 @@ def scan(
     SYNC_SECONDS. out_path is written to out_path + ".tmp" and renamed over
     out_path, so an interrupted write leaves any old report whole. limit
     caps the number of functions processed in this invocation, leaving an
-    INCOMPLETE report when the family has functions left.
+    INCOMPLETE report when the family has functions left. The report's
+    timing holds seconds, this call's time, and the stage times walk
+    (producing each chunk), classify and checkpoint (appending and syncing
+    its log line), summed over chunks and rounded down to the millisecond,
+    so that they sum to at most seconds.
     n, socle_max and chunk_size must each be an int (not a bool), and so
     must limit unless it is None; n, chunk_size and limit must be at least
     1, and socle_max must be at least the prefix's socle degree. jobs is
@@ -333,27 +294,32 @@ def scan(
     scanned = bound_holds = 0
     exceptions = []
     cursor = log = None
+    stages = dict.fromkeys(("walk", "classify", "checkpoint"), 0.0)
     with ExitStack() as stack:
         if checkpoint_path:
             log = stack.enter_context(open(checkpoint_path, "a+b"))
             stack.callback(os.fsync, log.fileno())
             synced = time.monotonic()
             scanned, bound_holds, exceptions, cursor = _replay_log(log, checkpoint_path, parameters)
-        for chunk in _chunks(n, socle_max, prefix, chunk_size, limit, cursor):
+        chunks = _chunks(n, socle_max, prefix, chunk_size, limit, cursor)
+        while True:
+            lap = time.perf_counter()
+            chunk = next(chunks, None)
+            lap = _lap(stages, "walk", lap)
+            if chunk is None:
+                break
             result = _scan_chunk(chunk, n, options)
+            lap = _lap(stages, "classify", lap)
             if log:
                 _append(log, result)
                 if time.monotonic() - synced >= SYNC_SECONDS:
                     os.fsync(log.fileno())
                     synced = time.monotonic()
+                _lap(stages, "checkpoint", lap)
             count, holds, records, last = result
             scanned, bound_holds, cursor = scanned + count, bound_holds + holds, tuple(last)
             exceptions.extend(records)
-    # The family's last function in tuple order takes the largest value at every degree.
-    last = prefix
-    while len(last) <= socle_max:
-        last += (_growth_bound(n, len(last), last[-1]),)
-    complete = cursor == last
+    complete = cursor == _last_function(n, socle_max, prefix)
 
     statuses = Counter(rec["status"] for rec in exceptions)
     if scanned != bound_holds + statuses["ELIMINATED"] + statuses["UNRESOLVED"]:
@@ -376,7 +342,9 @@ def scan(
         parameters=parameters,
         counts=counts,
         exceptions=exceptions,
-        timing={"seconds": round(time.perf_counter() - start, 3)},
+        # Stage times are rounded down, so that they never sum past seconds.
+        timing={"seconds": round(time.perf_counter() - start, 3)}
+        | {stage: floor(spent * 1000) / 1000 for stage, spent in stages.items()},
         checkpoint_cursor=",".join(str(v) for v in cursor) if cursor else None,
         status="COMPLETE" if complete else "INCOMPLETE",
     )

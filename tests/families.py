@@ -26,7 +26,7 @@ def walk_state(n, vals):
 
     That is (outgoing blocks, extension maxima, greedy max shifts, largest next value).
     """
-    step, _ = _greedy_step(n)
+    step, _, _ = _greedy_step(n)
     zero = (0,) * n
     node = ((1,), (zero,) * (n - 1), zero)
     for v in vals[1:]:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -206,44 +207,80 @@ def test_scan_checkpoint_bytes_equal_a_per_chunk_sync_log(chunk_size, tmp_path, 
     assert cp.read_bytes() == reference.read_bytes()
 
 
-def _record_greedy_steps(monkeypatch):
-    """List that collects the vals of every function the scan walk evaluates from now on.
+def test_scan_timing_adds_stage_times_that_sum_to_at_most_its_seconds(tmp_path, monkeypatch):
+    report = scan(3, 6, (1, 3), chunk_size=100, checkpoint_path=str(tmp_path / "scan.ckpt"))
+    # In whole milliseconds, so that the sum is exact.
+    ms = {key: round(spent * 1000) for key, spent in report.timing.items()}
+    assert set(ms) == {"seconds", "walk", "classify", "checkpoint"}
+    assert min(ms.values()) >= 0
+    assert ms["walk"] + ms["classify"] + ms["checkpoint"] <= ms["seconds"]
+    # A clock that only classifying a chunk moves, by a second each: 9 chunks for 813 functions.
+    clock = [0.0]
 
-    That is every call of _greedy_step's step, and every leaf of a family
-    that its leaves function evaluates.
+    def slow_chunk(chunk, n, options):
+        clock[0] += 1.0
+        return _scan_chunk(chunk, n, options)
+
+    monkeypatch.setattr(scanner, "time", SimpleNamespace(perf_counter=lambda: clock[0], monotonic=lambda: clock[0]))
+    monkeypatch.setattr(scanner, "_scan_chunk", slow_chunk)
+    report = scan(3, 5, (1, 3), chunk_size=100, checkpoint_path=str(tmp_path / "slow.ckpt"))
+    assert report.timing == {"seconds": 9.0, "walk": 0.0, "classify": 9.0, "checkpoint": 0.0}
+
+
+@pytest.fixture
+def walk_windows(monkeypatch):
+    """List that collects (s, H(s-1), H(s)) of every function of socle degree s >= 1 the scan walk evaluates.
+
+    Evaluating a function, in the generated walk, its step or its leaves,
+    looks up its own degree's lex block, monomial._lex_column_block(n, s,
+    H(s-1), H(s)), once; the only other lookups, of the next degree's
+    block, have H(s+1) = 0. The generated code binds the block function
+    when it is generated, so it is generated afresh around the test.
     """
-    real_step = verdict._greedy_step
-    evaluated = []
+    real_block = verdict._lex_column_block
+    windows = []
 
-    def counting_step(n):
-        step, leaves = real_step(n)
+    def recording_block(n, d, prev_h, h):
+        if h:
+            windows.append((d, prev_h, h))
+        return real_block(n, d, prev_h, h)
 
-        def counted(vals, blocks, maxima):
-            evaluated.append(vals)
-            return step(vals, blocks, maxima)
-
-        def counted_leaves(vals, blocks, last):
-            evaluated.extend(vals + (v,) for v in range(1, last + 1))
-            return leaves(vals, blocks, last)
-
-        return counted, counted_leaves
-
-    monkeypatch.setattr(scanner, "_greedy_step", counting_step)
-    return evaluated
+    _greedy_step.cache_clear()
+    monkeypatch.setattr(verdict, "_lex_column_block", recording_block)
+    yield windows
+    monkeypatch.undo()
+    _greedy_step.cache_clear()
 
 
-def test_scan_resume_evaluates_nothing_before_the_cursor(baseline, tmp_path, monkeypatch):
+def _window(vals):
+    return len(vals) - 1, vals[-2], vals[-1]
+
+
+def _evaluated_on_resume(n, socle_max, prefix, cursor):
+    """Windows of the functions a resume from cursor must evaluate: those after it, and its path once.
+
+    Seeding steps down the cursor's path from the prefix, through its
+    prefixes of socle degree 1 to socle_max - 1 (the cursor itself among
+    them when it is no leaf); every function after the cursor is evaluated
+    once, when no two of its leaf parents share a leaf family.
+    """
+    after = [vals for vals in _enumerate_value_tuples(n, socle_max, prefix) if vals > cursor]
+    path = [cursor[:k] for k in range(2, min(len(cursor), socle_max) + 1)]
+    return after, Counter(map(_window, after + path))
+
+
+def test_scan_resume_evaluates_nothing_before_the_cursor(baseline, tmp_path, walk_windows):
     cp = tmp_path / "scan.ckpt"
     scan(3, 5, (1, 3), chunk_size=100, checkpoint_path=str(cp), limit=800)
     *_, (_, _, _, last) = _log_lines(cp)
     cursor = tuple(last)
-    evaluated = _record_greedy_steps(monkeypatch)
+    after, expected = _evaluated_on_resume(3, 5, (1, 3), cursor)
+    walk_windows.clear()
     resumed = scan(3, 5, (1, 3), chunk_size=100, checkpoint_path=str(cp))
     assert _without_timing(resumed) == _without_timing(baseline)
     # Only the last chunk's 13 functions, and the cursor's prefixes on the way down to it.
-    assert len([vals for vals in evaluated if vals > cursor]) == 13
-    assert all(vals == cursor[:len(vals)] for vals in evaluated if vals <= cursor)
-    assert len(evaluated) <= 13 + len(cursor)
+    assert len(after) == 13
+    assert Counter(walk_windows) == expected
 
 
 # In n=3, prefix 1,3,6,10,15, socle degree at most 6 (295 functions), the
@@ -262,6 +299,13 @@ def _reference_chunks(n, socle_max, prefix, chunk_size, limit, cursor):
         exceptions = [vals for vals in part if factorial(n) * sum(vals) > prod(_greedy(vals, n)[2])]
         chunks.append((len(part), len(part) - len(exceptions), exceptions, part[-1]))
     return chunks
+
+
+# scan-n4's family: its start is a leaf parent, seeded as a range of one in its parent's entry.
+SCAN_N4_FAMILY = (4, 5, (1, 4, 10, 16, 20))
+# A family whose start is a grandparent: the leaf parents 1,3,6,8,v are functions 1, 3,
+# 6, 10, 15, 22, 30, 39, 49 and 61 of 74, all walked in the start's frame.
+GRANDPARENT_START = (3, 5, (1, 3, 6, 8))
 
 
 # In n=2, the family of 1,2,3,2 has two runs, (0, 6) at v=1 and (5, 6) at
@@ -283,6 +327,13 @@ LO_FAILS_FAMILY = (2, 4, (1, 2, 3, 2))
 @example(SPLIT_FAMILY, 1, None, 140)  # one-function chunks from inside the family
 @example(LO_FAILS_FAMILY, 64, None, None)  # every leaf holds, but not by the least vector
 @example((3, 5, (1, 3)), 100, None, None)  # whole-holding families straddle chunk ends
+@example(SCAN_N4_FAMILY, 64, None, None)  # the start is a leaf parent
+@example(GRANDPARENT_START, 64, None, None)  # the start walks its leaf parents in its frame
+@example(GRANDPARENT_START, 11, 31, None)  # chunk 1 ends at function 10, the limit at 30: leaf parents
+@example(GRANDPARENT_START, 4, None, 15)  # resumed after leaf parent 1,3,6,8,5
+@example(GRANDPARENT_START, 4, None, 17)  # resumed after its leaf 1,3,6,8,5,2
+@example((1, 5, (1,)), 4, None, None)  # no blocks carried
+@example((2, 5, (1, 2)), 8, None, None)  # one block carried
 def test_chunks_of_the_batched_walk_equal_per_function_chunks(family, chunk_size, limit, at):
     n, socle_max, prefix = family
     functions = list(_enumerate_value_tuples(n, socle_max, prefix))
@@ -294,7 +345,7 @@ def test_chunks_of_the_batched_walk_equal_per_function_chunks(family, chunk_size
 def test_lo_fails_family_example_holds_everywhere_but_not_by_its_least_vector():
     n, socle_max, parent = LO_FAILS_FAMILY
     blocks, maxima, _, bound = walk_state(n, parent)
-    _, leaves = _greedy_step(n)
+    _, leaves, _ = _greedy_step(n)
     assert (maxima, bound) == ((3, 0), 2)
     assert leaves(parent, blocks, bound) == [[1, 1, (0, 6)], [2, 2, (5, 6)]]
     assert 2 * (sum(parent) + 1) <= 3 * 6 and 2 * (sum(parent) + 2) <= 5 * 6
@@ -322,6 +373,12 @@ def _with_cursor(family):
 @example(((3, 4, (1, 3)), (1, 3, 6, 7, 9)))  # a family's last leaf: 1,3,6,8 follows
 @example(((3, 4, (1, 3)), (1, 2)))  # below the prefix: the whole family follows
 @example(((3, 4, (1, 3)), (1, 3, 6, 7, 5, 3)))  # longer than socle_max + 1: leaf 1,3,6,7,5 is before it
+@example((SCAN_N4_FAMILY, (1, 4)))  # below a start that is a leaf parent
+@example((GRANDPARENT_START, (1, 3, 6)))  # below a start that is a grandparent
+@example((GRANDPARENT_START, (1, 3, 6, 8, 5)))  # a leaf parent inside its grandparent's loop
+@example((GRANDPARENT_START, (1, 3, 6, 8, 5, 2)))  # a leaf inside that loop
+@example(((1, 4, (1,)), (1, 1)))  # no blocks carried
+@example(((2, 4, (1, 2)), (1, 2, 3, 2)))  # one block carried; a leaf parent
 def test_chunks_yield_the_enumeration_after_the_cursor(case):
     (n, socle_max, prefix), cursor = case
     expected = list(_enumerate_value_tuples(n, socle_max, prefix))
@@ -342,7 +399,7 @@ def test_split_family_example_splits_a_family_inside_a_run_with_exceptions():
     family = [i for i, vals in enumerate(functions) if vals[:-1] == parent]
     assert (family[0], family[-1], functions.index(parent + (10,))) == (134, 151, 143)
     blocks, maxima, _, bound = walk_state(n, parent)
-    _, leaves = _greedy_step(n)
+    _, leaves, _ = _greedy_step(n)
     runs = [(first, last, tuple(map(max, new, maxima))) for first, last, new in leaves(parent, blocks, bound)]
     assert (10, 11, (5, 8, 9)) in runs
     # The parent and its 18 leaves, of which only v = 11 breaks the bound.
@@ -350,7 +407,7 @@ def test_split_family_example_splits_a_family_inside_a_run_with_exceptions():
     assert 6 * (sum(parent) + 10) <= 5 * 8 * 9 < 6 * (sum(parent) + 11)
 
 
-def test_scan_resume_inside_a_leaf_family_evaluates_no_leaf_up_to_the_cursor(tmp_path, monkeypatch):
+def test_scan_resume_inside_a_leaf_family_evaluates_no_leaf_up_to_the_cursor(tmp_path, walk_windows):
     base = _without_timing(scan(*SPLIT_FAMILY))
     cp = tmp_path / "scan.ckpt"
     # Chunks of 48 end at function 143, the leaf 1,3,6,10,15,15,10 of an 18-leaf family.
@@ -358,15 +415,15 @@ def test_scan_resume_inside_a_leaf_family_evaluates_no_leaf_up_to_the_cursor(tmp
     assert first.status == "INCOMPLETE"
     cursor = tuple(_log_lines(cp)[-1][3])
     assert cursor == (1, 3, 6, 10, 15, 15, 10)
-    evaluated = _record_greedy_steps(monkeypatch)
+    _, expected = _evaluated_on_resume(*SPLIT_FAMILY, cursor)
+    walk_windows.clear()
     resumed = scan(*SPLIT_FAMILY, chunk_size=48, checkpoint_path=str(cp))
     assert _without_timing(resumed) == base
-    assert all(vals == cursor[:len(vals)] for vals in evaluated if vals <= cursor)
-    assert cursor not in evaluated
-    # The family's leaves after the cursor, 11..18, each evaluated once, uncached.
-    assert [vals for vals in evaluated if vals[:-1] == cursor[:-1]] == [
-        cursor[:-1] + (v,) for v in range(11, 19)
-    ]
+    # Nothing up to the cursor but its path; the cursor is a leaf, so not on it.
+    assert Counter(walk_windows) == expected and _window(cursor) not in walk_windows
+    # The family's leaves after the cursor, 11..18, each evaluated once, uncached,
+    # in order; no other function has socle degree 6 and H(5) = 15.
+    assert [w for w in walk_windows if w[:2] == (6, 15)] == [(6, 15, v) for v in range(11, 19)]
 
 
 @settings(max_examples=10, deadline=None)

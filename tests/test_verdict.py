@@ -545,7 +545,7 @@ def test_greedy_step_and_leaf_family_loop_give_the_greedy_max_shifts(family):
     # Each function's state is stepped down from the root along its prefixes
     # (walk_state), independent of the scan walk's stack and family cache.
     n, socle_max, prefix = family
-    _, leaves = _greedy_step(n)
+    _, leaves, _ = _greedy_step(n)
     for vals in _enumerate_value_tuples(n, socle_max, prefix):
         blocks, maxima, shifts, bound = walk_state(n, vals)
         assert shifts == _greedy(vals, n)[2], vals
