@@ -112,29 +112,47 @@ def _entry_caps(n):
 
 
 def _option_classes(start, n):
-    """_degree_options's vectors at one degree, counted by their entries capped at _entry_caps(n).
+    """_degree_options's vectors at one degree, counted by support and entries capped at _entry_caps(n).
 
     start is the degree's column vector (entry i is column i+1's count).
-    Returns a dict from each capped vector to its number of options; its
-    nonzero entries are the options' support. A DP over the pairs counts
-    the cancellation profiles without listing them. Its state is the
-    capped entries of the columns already settled and what the last pair
-    left of the next column. That rest is capped at the column's cap plus
-    the following column's entry: with more, the next pair leaves the
-    column at its cap whatever it cancels, with the same choices.
+    Returns a dict from (support mask, capped vector) to its number of
+    options. A DP over the pairs counts the cancellation profiles without
+    listing them. Its state is the capped entries of the columns already
+    settled, their support mask and what the last pair left of the next
+    column. That rest is capped at the column's cap plus the following
+    column's entry: with more, the next pair leaves the column at its cap
+    whatever it cancels, with the same choices. At each pair the leading run
+    of cancellations c, those with both the settled entry (left - c) and the
+    carried rest (nxt - c) at or above their caps, goes to one state, so it
+    is added once, weighted by its length; only the other c are iterated.
     """
     caps = _entry_caps(n)
     limits = [cap + nxt for cap, nxt in zip(caps, start[1:] + (0,))]
-    states = {((), min(start[0], limits[0])): 1}
+    states = {((), 0, min(start[0], limits[0])): 1}
     for i in range(1, n):
-        nxt, cap, limit = start[i], caps[i - 1], limits[i]
+        nxt, cap, limit, bit = start[i], caps[i - 1], limits[i], 1 << (i - 1)
         grown = {}
-        for (done, left), count in states.items():
-            for c in range(min(left, nxt) + 1):
-                key = (done + (min(left - c, cap),), min(nxt - c, limit))
+        for (done, mask, left), count in states.items():
+            run = min(left - cap, nxt - limit) + 1
+            if run > 0:
+                key = (done + (cap,), mask | bit, limit)
+                grown[key] = grown.get(key, 0) + run * count
+            else:
+                run = 0
+            for c in range(run, (left if left < nxt else nxt) + 1):
+                rest, carried = left - c, nxt - c
+                key = (
+                    done + (rest if rest < cap else cap,),
+                    mask | bit if rest else mask,
+                    carried if carried < limit else limit,
+                )
                 grown[key] = grown.get(key, 0) + count
         states = grown
-    return {done + (left,): count for (done, left), count in states.items()}
+    top = 1 << (n - 1)
+    return {
+        (mask | top if left else mask, done + (left,)): count
+        for (done, mask, left), count in states.items()
+    }
 
 
 def _filter_state_failures(state, hvals, n, filters):
@@ -191,7 +209,9 @@ def _violating_search(cols, lhs, cap, failures):
     give to the columns in U, the set of columns still empty (inf when one
     can never become nonzero); a child is entered only when the pinned
     product times its share and best stays below lhs, so every node of the
-    tree has a leaf below it.
+    tree has a leaf below it. Row L is a running minimum over level L's
+    distinct class masks, with the powers j ** k of its degree j read from a
+    table of k = 0..n.
 
     Each node carries the filter state (er, gen, late) of its path, so that
     no leaf rescans its columns; failures(state) gives the names of the
@@ -224,7 +244,8 @@ def _violating_search(cols, lhs, cap, failures):
     cap nodes or has survivors, one descent in option order reads them off
     the summaries: it takes a child's summary whole when the child fits in
     the cap and holds no survivor, enters it otherwise, and builds each
-    survivor where it reaches it.
+    survivor where it reaches it. Nothing is cached past one search: the
+    classes, best, the transitions and the summaries belong to the call.
     Returns nodes (at most cap + 1), degenerate (children cut because some
     column can no longer become nonzero), whether the cap stopped the
     search, the histogram (a Counter) and the survivors.
@@ -238,10 +259,7 @@ def _violating_search(cols, lhs, cap, failures):
     classes = []
     for j in degrees:
         found = _option_classes(tuple(col.get(j, 0) for col in cols[1:]), n)
-        classes.append([
-            (count, (j if n == 3 else None, capped), sum(1 << i for i, x in enumerate(capped) if x))
-            for capped, count in found.items()
-        ])
+        classes.append([(count, (j if n == 3 else None, capped), mask) for (mask, capped), count in found.items()])
 
     @cache
     def options(level):
@@ -249,14 +267,17 @@ def _violating_search(cols, lhs, cap, failures):
         return [((j, vec), (j if n == 3 else None, vec), mask) for vec, mask in _degree_options(cols, j)]
 
     full = (1 << n) - 1
+    powers = [[j ** k for k in range(n + 1)] for j in degrees]
     best = [None] * depth + [[1] + [inf] * full]
     for level in reversed(range(depth)):
-        j, below = degrees[level], best[level + 1]
-        masks = {mask for _, _, mask in classes[level]}
-        best[level] = [
-            min(j ** (U & m).bit_count() * below[U & ~m] for m in masks)
-            for U in range(full + 1)
-        ]
+        power, below = powers[level], best[level + 1]
+        row = [inf] * (full + 1)
+        for m in {mask for _, _, mask in classes[level]}:
+            for U in range(full + 1):
+                value = power[(U & m).bit_count()] * below[U & ~m]
+                if value < row[U]:
+                    row[U] = value
+        best[level] = row
     transitions = {}
     summaries = {}
 
@@ -266,11 +287,11 @@ def _violating_search(cols, lhs, cap, failures):
         # how many distinct bounds fit below lhs: one list per bound, each
         # child (head, token, mask, U & ~mask, share), where head is a class's
         # count, or with in_order an option's (j, vec), in option order.
-        j, below = degrees[level], best[level + 1]
+        power, below = powers[level], best[level + 1]
         kept, cut = [], 0
         for head, token, mask in options(level) if in_order else classes[level]:
             if below[U & ~mask] < inf:
-                share = j ** (U & mask).bit_count()
+                share = power[(U & mask).bit_count()]
                 kept.append((share * below[U & ~mask], (head, token, mask, U & ~mask, share)))
             else:
                 cut += 1 if in_order else head
@@ -291,10 +312,10 @@ def _violating_search(cols, lhs, cap, failures):
             else:
                 gen = min(gen + vec[0], n)
             child = transitions[key] = (
-                tuple(
+                tuple([
                     0 if vec[i] or U >> i & 1 else min(count + vec[i - 1], i + 1)
                     for i, count in enumerate(er, 1)
-                ),
+                ]),
                 gen,
                 late or bool(U & mask & (U >> 1)),
             )
@@ -315,11 +336,13 @@ def _violating_search(cols, lhs, cap, failures):
             # pinned * bound < lhs iff bound <= (lhs - 1) // pinned.
             fit = bisect_right(bounds, q)
             for count, token, mask, rest, share in entered[fit - 1] if fit else ():
-                child = tally(level + 1, rest, child_state(state, U, token, mask), q // share)
-                size += count * child[0]
-                cuts += count * child[1]
-                _add(failed, child[2], count)
-                passed += count * child[3]
+                child_size, child_cuts, child_failed, child_passed = tally(
+                    level + 1, rest, child_state(state, U, token, mask), q // share
+                )
+                size += count * child_size
+                cuts += count * child_cuts
+                _add(failed, child_failed, count)
+                passed += count * child_passed
             known = (size, cuts, failed, passed)
         summaries[key] = known
         return known
@@ -525,10 +548,12 @@ def _greedy_step(n):
     n! * e is at most its shift product. A leaf parent's leaves take their
     runs and lo, the runs' least vector, from a per-walk cache keyed flat on
     (v, w1, ..., w{n-1}), its value and outgoing blocks; leaves is called,
-    and vals + (v,) built, only on a miss. A new shift is 0 or lies above
-    every extension maximum, so max(new, maximum) is `new or maximum`. In a
-    run the shift product P is fixed while n! * e grows with v, so the bound
-    holds exactly for v <= P // n! - e(parent). lo in place of each run's
+    and vals + (v,) built, only on a miss. Its outgoing block of degree
+    socle_max depends on v alone, so it comes from a per-walk dict keyed on
+    v. A new shift is 0 or lies above every extension maximum, so
+    max(new, maximum) is `new or maximum`. In a run the shift product P is
+    fixed while n! * e grows with v, so the bound holds exactly for
+    v <= P // n! - e(parent). lo in place of each run's
     vector gives a threshold below every run's; when it reaches the family's
     last leaf and the family fits in the chunk, the family costs O(1).
     Otherwise its runs go through place, which splits them at chunk ends and
@@ -613,6 +638,7 @@ def _greedy_step(n):
         "    exceptions = []",
         "    families = {}",
         "    shared = {}  # one copy of each shift vector and each family across the cache",
+        "    socle_blocks = {}  # a leaf parent's block of degree socle_max, keyed on its value",
         "",
         "    def place(parent, first, last, top):",
         "        # The functions parent + (v,), first <= v <= last, of which those with",
@@ -659,7 +685,9 @@ def _greedy_step(n):
         "        h = vals[-1] if s else 0",
         "        for v in range(first, last + 1):",
         f"            w{n - 1} = block({n}, s, h, v) if s else zero",
-        f"            w{n} = block({n}, s + 1, v, 0)",
+        f"            w{n} = socle_blocks.get(v)",
+        f"            if w{n} is None:",
+        f"                w{n} = socle_blocks[v] = block({n}, s + 1, v, 0)",
         f"            {shifts} = {_display(f'x{i}' for i in range(n))}",
         *chains([0], hoisted, "            "),
         f"            {_display(f'y{i}' for i in range(n))} = {shifts}",

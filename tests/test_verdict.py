@@ -22,7 +22,7 @@ from multbound import (
     max_shifts,
     upper_bound_holds,
 )
-from multbound import verdict
+from multbound import scanner, verdict
 from multbound.hilbert import _enumerate_value_tuples
 from multbound.verdict import (
     DEFAULT_DFS_CAP,
@@ -404,16 +404,37 @@ def test_entry_caps():
 @example([7])  # n = 1: no pairs
 @example([0, 0, 0, 0])
 @example([9, 8, 7, 9, 6])  # every entry above its cap
+# Degree vectors of scan(4, 5, (1, 4, 10, 16, 20)), whose leading runs of
+# cancellations at both caps are long: 16 values at the first pair; none at
+# the first pair and 19 at the second; 7 at the third.
+@example([19, 28, 8, 1])
+@example([0, 54, 24, 2])
+@example([0, 0, 51, 7])
+@example([40, 31, 27, 35, 12])  # n = 5, every entry far above its cap
 def test_option_classes_count_the_options_by_support_and_capped_entries(start):
     n, start = len(start), tuple(start)
+    assert _option_classes(start, n) == _option_counter(start, n)
+
+
+def _option_counter(start, n):
+    """_degree_options's vectors at one degree, counted by brute force by (support mask, capped vector)."""
     caps = _entry_caps(n)
     cols = [{0: 1}] + [{5: count} for count in start]
-    expected = Counter((mask, tuple(map(min, vec, caps))) for vec, mask in _degree_options(cols, 5))
-    classes = _option_classes(start, n)
-    assert {
-        (sum(1 << i for i, x in enumerate(capped) if x), capped): count for capped, count in classes.items()
-    } == expected
+    return Counter((mask, tuple(map(min, vec, caps))) for vec, mask in _degree_options(cols, 5))
 
+
+
+@pytest.mark.parametrize("n, socle_max, prefix", [(4, 5, (1, 4)), (5, 3, (1, 5))])
+def test_option_classes_on_the_degree_vectors_of_real_exceptions(n, socle_max, prefix):
+    # Real lex columns have entries far above the drawn ones, so long runs
+    # fold at every pair, and n = 5 reaches every one of its caps.
+    exceptions = [vals for chunk in scanner._chunks(n, socle_max, prefix, 4096) for vals in chunk[2]]
+    assert len(exceptions) == {4: 20, 5: 2}[n]
+    for vals in exceptions:
+        cols = lex_columns(vals, n)
+        for j in sorted({j for col in cols[1:] for j in col}):
+            start = tuple(col.get(j, 0) for col in cols[1:])
+            assert _option_classes(start, n) == _option_counter(start, n), (vals, j)
 
 def test_a_search_without_survivors_or_cap_hit_never_lists_the_options(monkeypatch):
     # The classes carry the whole search: the options, in order, are listed
