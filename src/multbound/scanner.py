@@ -1,4 +1,4 @@
-"""Batch scans over Hilbert-function families, checkpointing, and reports."""
+"""Batch scans over Hilbert-function families: the generated scan walk, checkpointing, and reports."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from contextlib import ExitStack, suppress
 from csv import QUOTE_MINIMAL, writer as csv_writer
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from io import StringIO
 from math import factorial, floor, inf, prod
 
@@ -24,13 +25,12 @@ from .betti import (
 from .errors import NeedsCapError, NotAdmissibleError, _check_int
 from .hilbert import HilbertFunction, _checked_prefix, _growth_bound, _values, multiplicity
 from .koszul import DEFAULT_CHAR, _analysis, _compare_rows, _resolution, _truncation
-from .monomial import _hilbert_values, lex_columns, parse_ideal
+from .monomial import _hilbert_values, _lex_column_block, lex_columns, parse_ideal
 from .verdict import (
     DEFAULT_DFS_CAP,
     DEFAULT_FILTERS,
     ClassifyOptions,
     _classify_values,
-    _greedy_step,
     classify,
     lower_bound_holds,
     upper_bound_holds,
@@ -110,20 +110,247 @@ def _last_function(n, socle_max, prefix):
     return last
 
 
+def _cancel_lines(n, t, entry):
+    """Greedy cancellation at degree s+t as straight-line source, as in betti.greedy_columns.
+
+    Column i (0-based) reads entry(n-1+t-i, i), entry i of window block
+    n-1+t-i; blocks past degree s+1 are zero, so the chain starts at column
+    max(t-1, 0). A column the chain leaves nonzero gets shift s+t in r0..r{n-1}.
+    """
+    degree = f"s + {t}" if t else "s"
+    first = max(t - 1, 0)
+    lines = [f"left = {entry(n - 1 + t - first, first)}"]
+    for i in range(first + 1, n):
+        lines += [
+            f"count = {entry(n - 1 + t - i, i)}",
+            "if left > count:",
+            f"    r{i - 1} = {degree}",
+            "    left = 0",
+            "else:",
+            "    left = count - left",
+        ]
+    return lines + ["if left:", f"    r{n - 1} = {degree}"]
+
+
+def _display(names):
+    """Source of a tuple display (or assignment target) of the names."""
+    names = list(names)
+    return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
+
+
+@cache
+def _greedy_step(n):
+    """Functions (step, leaves, walk): greedy max shifts from state shared with a parent, and the scan walk.
+
+    Cancelling acts within one degree, and column i's lex entry at degree j
+    is entry i-1 of monomial._lex_column_block for degree j-i+1, so the
+    greedy vector at degree j depends only on the blocks of degrees
+    j-n+1..j. step takes vals, of socle degree s, the blocks of degrees
+    s-n+1..s-1 and each column's greedy max shift over degrees below s (0
+    while it has none); both are shared with the parent, so only degrees
+    s..s+n are new. It returns the blocks and maxima of vals's extensions,
+    the max shifts of vals (0 for a column the greedy diagram leaves empty),
+    and the largest value H(s+1) may take after vals. leaves(vals, blocks,
+    last), given the blocks step returned for vals, lists the runs
+    [first, last, vector] of vals + (v,), 1 <= v <= last: maximal ranges of
+    v with one vector of max shifts over the degrees past vals's, 0 for a
+    column with none there; vals's extension maxima fill the zeros.
+
+    walk(stack, socle_max, chunk_size, budget) is the scan walk. It
+    generates the chunks (count, bound_holds, exception value tuples, last
+    tuple) of chunk_size functions each, in tuple order, and stops after
+    budget functions; it returns the unfinished last chunk's (count,
+    bound_holds, exceptions), or None. A function holds when n! * e is at
+    most its shift product, and the exceptions are the functions that do
+    not. Each stack entry (vals, blocks, maxima, e, first, last) is a node
+    with the blocks and maxima step returned for it and e = sum(vals),
+    standing for its children vals + (v,), first <= v <= last, in ascending
+    v; the root's entry is ((), zero blocks, zero maxima, 0, 1, 1). An entry
+    whose children are not leaf parents evaluates its child vals + (first,)
+    through step, leaves the rest of the range on the stack and pushes the
+    entry of all the child's children, unless the child is a leaf. An entry
+    whose children are leaf parents walks its range of them in its own
+    frame, with no push or pop.
+
+    A leaf parent's leaves take their runs and lo, the runs' least vector,
+    from a per-walk cache keyed flat on (v, w1, ..., w{n-1}), its value and
+    outgoing blocks; leaves is called, and vals + (v,) built, only on a
+    miss. Its outgoing block of degree socle_max depends on v alone, so it
+    comes from a per-walk dict keyed on v. A new shift is 0 or lies above
+    every extension maximum, so max(new, maximum) is `new or maximum`. In a
+    run the shift product P is fixed while n! * e grows with v, so the bound
+    holds exactly for v <= P // n! - e(parent). lo in place of each run's
+    vector gives a threshold below every run's; when it reaches the family's
+    last leaf and the family fits in the chunk, the family costs O(1).
+    Otherwise its runs go through place, which splits them at chunk ends and
+    lists the exceptions.
+
+    All three are written out once per n as straight-line Python and
+    compiled under the filename "<greedy step n=N>". The window's blocks of
+    degrees s-n+1..s+1 are the locals w0..wn, the running max shifts
+    r0..r{n-1}, and each degree's cancellation chain is unrolled (see
+    _cancel_lines). leaves and the leaf parents' loop read the entries they
+    need of the fixed blocks w0..w{n-2} into locals once, before their loop
+    over v. The source holds nothing but indices derived from n.
+    """
+    _check_int("n", n, 1)
+    carried = _display(f"w{k}" for k in range(n - 1))
+    outgoing = _display(f"w{k}" for k in range(1, n))
+    shifts = _display(f"r{i}" for i in range(n))
+    product = " * ".join(f"r{i}" for i in range(n))
+    window = "w{}[{}]".format
+    # Block k (k < n-1) is read from entry n-1-k on, starting at degree s.
+    fixed = {(k, i): f"w{k}_{i}" for k in range(n - 1) for i in range(n - 1 - k, n)}
+
+    def hoisted(k, i):
+        return fixed.get((k, i)) or window(k, i)
+
+    def chains(degrees, entry, indent):
+        return [indent + line for t in degrees for line in _cancel_lines(n, t, entry)]
+
+    def bound_check(indent, e):
+        # Counts the child vals + (v,), of sum e and max shifts r0..r{n-1}, or places it alone.
+        return [indent + line for line in [
+            f"if room > 1 and n_factorial * {e} <= {product}:",
+            "    holds += 1",
+            "    room -= 1",
+            "else:",
+            f"    yield from place(vals, v, v, {product} // n_factorial - e)",
+            "    if not budget:",
+            "        return",
+        ]]
+
+    def threshold(news):
+        return " * ".join(f"({new} or y{i})" for i, new in enumerate(news)) + " // n_factorial - ev"
+
+    source = "\n".join([
+        "def step(vals, blocks, maxima):",
+        "    s = len(vals) - 1",
+        f"    {carried} = blocks",
+        f"    w{n - 1} = block({n}, s, vals[-2], vals[-1]) if s else zero",
+        f"    w{n} = block({n}, s + 1, vals[-1], 0)",
+        f"    {shifts} = maxima",
+        *chains([0], window, "    "),
+        f"    extension = {shifts}",
+        *chains(range(1, n + 1), window, "    "),
+        # With H(s+1) = 0 every degree-(s+1) monomial outside the shadow of
+        # H(s) is a generator, and Macaulay's growth bound counts exactly those.
+        f"    return {outgoing}, extension, {shifts}, w{n}[0]",
+        "",
+        "def leaves(vals, blocks, last):",
+        "    s = len(vals)",
+        "    h = vals[-1]",
+        f"    {carried} = blocks",
+        *(f"    {name} = {window(k, i)}" for (k, i), name in fixed.items()),
+        "    runs = []",
+        "    last_new = None",
+        "    for v in range(1, last + 1):",
+        f"        w{n - 1} = block({n}, s, h, v)",
+        f"        w{n} = block({n}, s + 1, v, 0)",
+        f"        {shifts} = {_display(['0'] * n)}",
+        *chains(range(n + 1), hoisted, "        "),
+        f"        new = {shifts}",
+        "        if new == last_new:",
+        "            run[1] = v",
+        "        else:",
+        "            run = [v, v, new]",
+        "            runs.append(run)",
+        "            last_new = new",
+        "    return runs",
+        "",
+        "def walk(stack, socle_max, chunk_size, budget):",
+        "    size = room = min(chunk_size, budget)  # the current chunk's size and what it can still take",
+        "    holds = 0",
+        "    exceptions = []",
+        "    families = {}",
+        "    shared = {}  # one copy of each shift vector and each family across the cache",
+        "    socle_blocks = {}  # a leaf parent's block of degree socle_max, keyed on its value",
+        "",
+        "    def place(parent, first, last, top):",
+        "        # The functions parent + (v,), first <= v <= last, of which those with",
+        "        # v <= top hold, split at chunk ends.",
+        "        nonlocal size, room, holds, exceptions, budget",
+        "        while first <= last:",
+        "            end = min(last, first + room - 1)",
+        "            holds += max(0, min(end, top) - first + 1)",
+        "            if top < end:",
+        "                exceptions.extend(parent + (v,) for v in range(max(first, top + 1), end + 1))",
+        "            room -= end - first + 1",
+        "            first = end + 1",
+        "            if not room:",
+        "                yield size, holds, exceptions, parent + (end,)",
+        "                budget -= size",
+        "                if not budget:",
+        "                    return",
+        "                size = room = min(chunk_size, budget)",
+        "                holds = 0",
+        "                exceptions = []",
+        "",
+        "    while stack:",
+        "        vals, blocks, maxima, e, first, last = stack.pop()",
+        "        s = len(vals)  # the children's socle degree",
+        "        if s != socle_max - 1:",
+        "            # One child; the rest of the range waits below the child's children.",
+        "            if first < last:",
+        "                stack.append((vals, blocks, maxima, e, first + 1, last))",
+        "            v = first",
+        "            child = vals + (v,)",
+        f"            outgoing, extension, {shifts}, bound = step(child, blocks, maxima)",
+        *bound_check("            ", "(e + v)"),
+        "            if s < socle_max:",
+        "                stack.append((child, outgoing, extension, e + v, 1, bound))",
+        "            continue",
+        # The leaf parents vals + (v,), first <= v <= last, in this frame.
+        f"        {carried} = blocks",
+        f"        {_display(f'x{i}' for i in range(n))} = maxima",
+        *(f"        {name} = {window(k, i)}" for (k, i), name in fixed.items()),
+        "        h = vals[-1] if s else 0",
+        "        for v in range(first, last + 1):",
+        f"            w{n - 1} = block({n}, s, h, v) if s else zero",
+        f"            w{n} = socle_blocks.get(v)",
+        f"            if w{n} is None:",
+        f"                w{n} = socle_blocks[v] = block({n}, s + 1, v, 0)",
+        f"            {shifts} = {_display(f'x{i}' for i in range(n))}",
+        *chains([0], hoisted, "            "),
+        f"            {_display(f'y{i}' for i in range(n))} = {shifts}",
+        *chains(range(1, n + 1), hoisted, "            "),
+        "            ev = e + v",
+        *bound_check("            ", "ev"),
+        f"            top = w{n}[0]  # the leaf family's size",
+        f"            key = {_display(['v', *(f'w{k}' for k in range(1, n))])}",
+        "            family = families.get(key)",
+        "            if family is None:",
+        "                found = leaves(vals + (v,), key[1:], top)",
+        "                runs = tuple((a, b, shared.setdefault(new, new)) for a, b, new in found)",
+        "                family = (runs, *map(min, zip(*(new for _, _, new in runs))))",
+        "                family = families[key] = shared.setdefault(family, family)",
+        f"            runs, {', '.join(f'lo{i}' for i in range(n))} = family",
+        f"            if top < room and {threshold(f'lo{i}' for i in range(n))} >= top:",
+        "                # The common case: the whole family holds and leaves the chunk room.",
+        "                holds += top",
+        "                room -= top",
+        "                continue",
+        "            parent = vals + (v,)",
+        f"            for a, b, {_display(f'new{i}' for i in range(n))} in runs:",
+        f"                yield from place(parent, a, b, {threshold(f'new{i}' for i in range(n))})",
+        "                if not budget:",
+        "                    return",
+        "    if room < size:",
+        "        return size - room, holds, exceptions",
+    ])
+    namespace = {"block": _lex_column_block, "zero": (0,) * n, "n_factorial": factorial(n)}
+    exec(compile(source, f"<greedy step n={n}>", "exec"), namespace)
+    return namespace["step"], namespace["leaves"], namespace["walk"]
+
+
 def _chunks(n, socle_max, start, chunk_size, limit=None, cursor=None):
-    """Walk the family and yield its chunks (count, bound_holds, exception value tuples, last tuple).
+    """Yield the chunks of _greedy_step's walk over a family, after cursor when given.
 
     The family is the O-sequences in n variables that extend start (a value
     tuple checked by hilbert._checked_prefix) up to socle degree socle_max,
-    in _enumerate_value_tuples's order. A chunk takes chunk_size functions,
-    and the walk stops after limit; the exceptions are the functions whose
-    greedy max shifts break the bound. The walk is verdict._greedy_step's
-    generated walk: its stack holds (node state, first v, last v) entries
-    for ranges of a node's children, each leaf parent is walked in its
-    grandparent's frame, and a leaf family is counted whole in O(1) from a
-    per-walk cache when a lower bound on its shifts shows that all of it
-    holds. This function only seeds that stack and gives the walk's last,
-    unfinished chunk its last tuple, the family's last function.
+    in _enumerate_value_tuples's order; the walk stops after limit
+    functions. This seeds the walk's stack and gives its last, unfinished
+    chunk the family's last function as its last tuple.
 
     Without a cursor (or with one before start) the stack holds start alone,
     as the range of one in its parent's entry (for start (1,), the root's
@@ -131,10 +358,9 @@ def _chunks(n, socle_max, start, chunk_size, limit=None, cursor=None):
     after it in tuple order are counted: the stack is seeded by stepping
     down the cursor's path once, from start on, and each prefix on it takes
     the range of its children after the cursor's next value, and the cursor,
-    when it is in the family, all its children. So a leaf parent on the
-    seeded stack is always part of a range and reaches the walk's one
-    leaf-parent loop, and a leaf there is evaluated alone, outside the
-    family cache. A cursor after the family leaves the stack empty.
+    when it is in the family, all its children. A seeded range of leaves
+    is evaluated through step, one leaf at a time, outside the family
+    cache. A cursor after the family leaves the stack empty.
     """
     step, _, walk = _greedy_step(n)
     zero = (0,) * n
@@ -237,26 +463,23 @@ def scan(
 ):
     """Classify every O-sequence extending prefix up to socle_max, in this process.
 
-    The walk settles each function whose greedy max shifts satisfy the
-    bound; the rest are classified chunk by chunk. The walk hands over
-    chunks of chunk_size functions in tuple order, each with its count of
-    holds and its exceptions (see _chunks): a leaf family, of socle degree
-    socle_max, is counted whole when a lower bound on its shifts shows that
-    all of it holds, and split into runs of one greedy shift vector only
-    when that bound fails or a chunk ends inside it. With checkpoint_path,
-    each consumed chunk is appended and flushed to that log file before the
-    next one is taken, and the log is fsync'd once SYNC_SECONDS have passed
-    since its last fsync and on every exit from scan. A rerun resumes after
-    the last chunk logged, so an interrupt loses at most the chunk being
-    classified, and an OS crash or power cut at most the lines of the last
-    SYNC_SECONDS. out_path is written to out_path + ".tmp" and renamed over
-    out_path, so an interrupted write leaves any old report whole. limit
-    caps the number of functions processed in this invocation, leaving an
-    INCOMPLETE report when the family has functions left. The report's
-    timing holds seconds, this call's time, and the stage times walk
-    (producing each chunk), classify and checkpoint (appending and syncing
-    its log line), summed over chunks and rounded down to the millisecond,
-    so that they sum to at most seconds.
+    The walk (see _greedy_step) settles each function whose greedy max
+    shifts satisfy the bound and hands over chunks of chunk_size functions
+    in tuple order; each chunk's exceptions are classified before the next
+    chunk is taken. With checkpoint_path, each consumed chunk is appended
+    and flushed to that log file before the next one is taken, and the log
+    is fsync'd once SYNC_SECONDS have passed since its last fsync and on
+    every exit from scan. A rerun resumes after the last chunk logged, so an
+    interrupt loses at most the chunk being classified, and an OS crash or
+    power cut at most the lines of the last SYNC_SECONDS. out_path is
+    written to out_path + ".tmp" and renamed over out_path, so an
+    interrupted write leaves any old report whole. limit caps the number of
+    functions processed in this invocation, leaving an INCOMPLETE report
+    when the family has functions left. The report's timing holds seconds,
+    this call's time, and the stage times walk (producing each chunk),
+    classify and checkpoint (appending and syncing its log line), summed
+    over chunks and rounded down to the millisecond, so that they sum to at
+    most seconds.
     n, socle_max and chunk_size must each be an int (not a bool), and so
     must limit unless it is None; n, chunk_size and limit must be at least
     1, and socle_max must be at least the prefix's socle degree. jobs is

@@ -12,7 +12,7 @@ from math import factorial, inf, prod
 from .betti import BettiDiagram, greedy_columns
 from .errors import MalformedDiagramError, _check_int, _check_ints
 from .hilbert import _values, aci_obstruction, ci_hilbert_function
-from .monomial import _lex_column_block, lex_columns
+from .monomial import lex_columns
 
 __all__ = [
     "BoundVerdict",
@@ -482,243 +482,6 @@ def _greedy(hvals, n):
             )
         shifts.append(max(cols[i]))
     return lex_cols, cols, tuple(shifts)
-
-
-def _cancel_lines(n, t, entry):
-    """Greedy cancellation at degree s+t as straight-line source, as in betti.greedy_columns.
-
-    Column i (0-based) reads entry(n-1+t-i, i), entry i of window block
-    n-1+t-i; blocks past degree s+1 are zero, so the chain starts at column
-    max(t-1, 0). A column the chain leaves nonzero gets shift s+t in r0..r{n-1}.
-    """
-    degree = f"s + {t}" if t else "s"
-    first = max(t - 1, 0)
-    lines = [f"left = {entry(n - 1 + t - first, first)}"]
-    for i in range(first + 1, n):
-        lines += [
-            f"count = {entry(n - 1 + t - i, i)}",
-            "if left > count:",
-            f"    r{i - 1} = {degree}",
-            "    left = 0",
-            "else:",
-            "    left = count - left",
-        ]
-    return lines + ["if left:", f"    r{n - 1} = {degree}"]
-
-
-def _display(names):
-    """Source of a tuple display (or assignment target) of the names."""
-    names = list(names)
-    return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
-
-
-@cache
-def _greedy_step(n):
-    """Functions (step, leaves, walk): greedy max shifts from state shared with a parent, and the scan walk.
-
-    Cancelling acts within one degree, and column i's lex entry at degree j
-    is entry i-1 of monomial._lex_column_block for degree j-i+1, so the
-    greedy vector at degree j depends only on the blocks of degrees
-    j-n+1..j. step takes vals, of socle degree s, the blocks of degrees
-    s-n+1..s-1 and each column's greedy max shift over degrees below s (0
-    while it has none); both are shared with the parent, so only degrees
-    s..s+n are new. It returns the blocks and maxima of vals's extensions,
-    the max shifts of vals (0 for a column the greedy diagram leaves empty),
-    and the largest value H(s+1) may take after vals. leaves(vals, blocks,
-    last), given the blocks step returned for vals, lists the runs
-    [first, last, vector] of vals + (v,), 1 <= v <= last: maximal ranges of
-    v with one vector of max shifts over the degrees past vals's, 0 for a
-    column with none there; vals's extension maxima fill the zeros.
-
-    walk(stack, socle_max, chunk_size, budget) is scanner._chunks's loop, a
-    generator of the chunks (count, bound_holds, exception value tuples,
-    last tuple) of chunk_size functions each, stopping after budget
-    functions; it returns the unfinished last chunk's (count, bound_holds,
-    exceptions), or None. Each stack entry (vals, blocks, maxima, e, first,
-    last) is a node with the blocks and maxima step returned for it and
-    e = sum(vals), standing for its children vals + (v,), first <= v <= last,
-    in ascending v. A node of socle degree socle_max - 2 walks that range of
-    its children, the leaf parents, in its own frame, with no push or pop;
-    any other entry evaluates its child vals + (first,), leaves the rest of
-    the range on the stack and pushes the entry of all the child's children,
-    unless the child is a leaf. So the root's entry is ((), zero blocks,
-    zero maxima, 0, 1, 1), and a leaf parent that scanner._chunks seeds (one
-    after a cursor, or the start itself) is in a range of its parent's
-    entry, which reaches the one leaf-parent loop. A function holds when
-    n! * e is at most its shift product. A leaf parent's leaves take their
-    runs and lo, the runs' least vector, from a per-walk cache keyed flat on
-    (v, w1, ..., w{n-1}), its value and outgoing blocks; leaves is called,
-    and vals + (v,) built, only on a miss. Its outgoing block of degree
-    socle_max depends on v alone, so it comes from a per-walk dict keyed on
-    v. A new shift is 0 or lies above every extension maximum, so
-    max(new, maximum) is `new or maximum`. In a run the shift product P is
-    fixed while n! * e grows with v, so the bound holds exactly for
-    v <= P // n! - e(parent). lo in place of each run's
-    vector gives a threshold below every run's; when it reaches the family's
-    last leaf and the family fits in the chunk, the family costs O(1).
-    Otherwise its runs go through place, which splits them at chunk ends and
-    lists the exceptions.
-
-    All three are written out once per n as straight-line Python and
-    compiled under the filename "<greedy step n=N>". The window's blocks of
-    degrees s-n+1..s+1 are the locals w0..wn, the running max shifts
-    r0..r{n-1}, and each degree's cancellation chain is unrolled (see
-    _cancel_lines). leaves and the leaf parents' loop read the entries they
-    need of the fixed blocks w0..w{n-2} into locals once, before their loop
-    over v. The source holds nothing but indices derived from n.
-    """
-    _check_int("n", n, 1)
-    carried = _display(f"w{k}" for k in range(n - 1))
-    outgoing = _display(f"w{k}" for k in range(1, n))
-    shifts = _display(f"r{i}" for i in range(n))
-    product = " * ".join(f"r{i}" for i in range(n))
-    window = "w{}[{}]".format
-    # Block k (k < n-1) is read from entry n-1-k on, starting at degree s.
-    fixed = {(k, i): f"w{k}_{i}" for k in range(n - 1) for i in range(n - 1 - k, n)}
-
-    def hoisted(k, i):
-        return fixed.get((k, i)) or window(k, i)
-
-    def chains(degrees, entry, indent):
-        return [indent + line for t in degrees for line in _cancel_lines(n, t, entry)]
-
-    def bound_check(indent, e):
-        # Counts the child vals + (v,), of sum e and max shifts r0..r{n-1}, or places it alone.
-        return [indent + line for line in [
-            f"if room > 1 and n_factorial * {e} <= {product}:",
-            "    holds += 1",
-            "    room -= 1",
-            "else:",
-            f"    yield from place(vals, v, v, {product} // n_factorial - e)",
-            "    if not budget:",
-            "        return",
-        ]]
-
-    def threshold(news):
-        return " * ".join(f"({new} or y{i})" for i, new in enumerate(news)) + " // n_factorial - ev"
-
-    source = "\n".join([
-        "def step(vals, blocks, maxima):",
-        "    s = len(vals) - 1",
-        f"    {carried} = blocks",
-        f"    w{n - 1} = block({n}, s, vals[-2], vals[-1]) if s else zero",
-        f"    w{n} = block({n}, s + 1, vals[-1], 0)",
-        f"    {shifts} = maxima",
-        *chains([0], window, "    "),
-        f"    extension = {shifts}",
-        *chains(range(1, n + 1), window, "    "),
-        # With H(s+1) = 0 every degree-(s+1) monomial outside the shadow of
-        # H(s) is a generator, and Macaulay's growth bound counts exactly those.
-        f"    return {outgoing}, extension, {shifts}, w{n}[0]",
-        "",
-        "def leaves(vals, blocks, last):",
-        "    s = len(vals)",
-        "    h = vals[-1]",
-        f"    {carried} = blocks",
-        *(f"    {name} = {window(k, i)}" for (k, i), name in fixed.items()),
-        "    runs = []",
-        "    last_new = None",
-        "    for v in range(1, last + 1):",
-        f"        w{n - 1} = block({n}, s, h, v)",
-        f"        w{n} = block({n}, s + 1, v, 0)",
-        f"        {shifts} = {_display(['0'] * n)}",
-        *chains(range(n + 1), hoisted, "        "),
-        f"        new = {shifts}",
-        "        if new == last_new:",
-        "            run[1] = v",
-        "        else:",
-        "            run = [v, v, new]",
-        "            runs.append(run)",
-        "            last_new = new",
-        "    return runs",
-        "",
-        "def walk(stack, socle_max, chunk_size, budget):",
-        "    size = room = min(chunk_size, budget)  # the current chunk's size and what it can still take",
-        "    holds = 0",
-        "    exceptions = []",
-        "    families = {}",
-        "    shared = {}  # one copy of each shift vector and each family across the cache",
-        "    socle_blocks = {}  # a leaf parent's block of degree socle_max, keyed on its value",
-        "",
-        "    def place(parent, first, last, top):",
-        "        # The functions parent + (v,), first <= v <= last, of which those with",
-        "        # v <= top hold, split at chunk ends.",
-        "        nonlocal size, room, holds, exceptions, budget",
-        "        while first <= last:",
-        "            end = min(last, first + room - 1)",
-        "            holds += max(0, min(end, top) - first + 1)",
-        "            if top < end:",
-        "                exceptions.extend(parent + (v,) for v in range(max(first, top + 1), end + 1))",
-        "            room -= end - first + 1",
-        "            first = end + 1",
-        "            if not room:",
-        "                yield size, holds, exceptions, parent + (end,)",
-        "                budget -= size",
-        "                if not budget:",
-        "                    return",
-        "                size = room = min(chunk_size, budget)",
-        "                holds = 0",
-        "                exceptions = []",
-        "",
-        "    while stack:",
-        "        vals, blocks, maxima, e, first, last = stack.pop()",
-        "        s = len(vals)  # the children's socle degree",
-        f"        {carried} = blocks",
-        "        if s != socle_max - 1:",
-        "            # One child; the rest of the range waits below the child's children.",
-        "            if first < last:",
-        "                stack.append((vals, blocks, maxima, e, first + 1, last))",
-        "            v = first",
-        f"            w{n - 1} = block({n}, s, vals[-1], v) if s else zero",
-        f"            w{n} = block({n}, s + 1, v, 0)",
-        f"            {shifts} = maxima",
-        *chains([0], window, "            "),
-        f"            extension = {shifts}",
-        *chains(range(1, n + 1), window, "            "),
-        *bound_check("            ", "(e + v)"),
-        "            if s < socle_max:",
-        f"                stack.append((vals + (v,), {outgoing}, extension, e + v, 1, w{n}[0]))",
-        "            continue",
-        # The leaf parents vals + (v,), first <= v <= last, in this frame.
-        f"        {_display(f'x{i}' for i in range(n))} = maxima",
-        *(f"        {name} = {window(k, i)}" for (k, i), name in fixed.items()),
-        "        h = vals[-1] if s else 0",
-        "        for v in range(first, last + 1):",
-        f"            w{n - 1} = block({n}, s, h, v) if s else zero",
-        f"            w{n} = socle_blocks.get(v)",
-        f"            if w{n} is None:",
-        f"                w{n} = socle_blocks[v] = block({n}, s + 1, v, 0)",
-        f"            {shifts} = {_display(f'x{i}' for i in range(n))}",
-        *chains([0], hoisted, "            "),
-        f"            {_display(f'y{i}' for i in range(n))} = {shifts}",
-        *chains(range(1, n + 1), hoisted, "            "),
-        "            ev = e + v",
-        *bound_check("            ", "ev"),
-        f"            top = w{n}[0]  # the leaf family's size",
-        f"            key = {_display(['v', *(f'w{k}' for k in range(1, n))])}",
-        "            family = families.get(key)",
-        "            if family is None:",
-        "                found = leaves(vals + (v,), key[1:], top)",
-        "                runs = tuple((a, b, shared.setdefault(new, new)) for a, b, new in found)",
-        "                family = (runs, *map(min, zip(*(new for _, _, new in runs))))",
-        "                family = families[key] = shared.setdefault(family, family)",
-        f"            runs, {', '.join(f'lo{i}' for i in range(n))} = family",
-        f"            if top < room and {threshold(f'lo{i}' for i in range(n))} >= top:",
-        "                # The common case: the whole family holds and leaves the chunk room.",
-        "                holds += top",
-        "                room -= top",
-        "                continue",
-        "            parent = vals + (v,)",
-        f"            for a, b, {_display(f'new{i}' for i in range(n))} in runs:",
-        f"                yield from place(parent, a, b, {threshold(f'new{i}' for i in range(n))})",
-        "                if not budget:",
-        "                    return",
-        "    if room < size:",
-        "        return size - room, holds, exceptions",
-    ])
-    namespace = {"block": _lex_column_block, "zero": (0,) * n, "n_factorial": factorial(n)}
-    exec(compile(source, f"<greedy step n={n}>", "exec"), namespace)
-    return namespace["step"], namespace["leaves"], namespace["walk"]
 
 
 def _classify_values(hvals, n, options):

@@ -18,11 +18,11 @@ def monomials_of_degree(d, n):
     exps = sorted((e for e in product(range(d + 1), repeat=n) if sum(e) == d), reverse=True)
     return tuple(Monomial(e) for e in exps)
 from multbound.hilbert import _growth_bound
-from multbound.verdict import _greedy_step
+from multbound.scanner import _greedy_step
 
 
 def walk_state(n, vals):
-    """verdict._greedy_step's step for vals, stepped down from the root along vals's prefixes.
+    """scanner._greedy_step's step for vals, stepped down from the root along vals's prefixes.
 
     That is (outgoing blocks, extension maxima, greedy max shifts, largest next value).
     """

@@ -259,7 +259,7 @@ def test_hilbert_from_diagram_rejects_inconsistent_diagrams():
         hilbert_from_diagram(negative)
 
 
-def test_check_shift_growth():
+def test_growth_filter_reference_cases():
     assert not _growth_ok(diagram(DIAG_STABLE_NONCM).columns())
     assert _growth_ok(BettiDiagram(1, {(0, 0): 1}).columns())
     assert _growth_ok(BettiDiagram(3, {(0, 0): 1, (2, 3): 1}).columns())

@@ -34,8 +34,8 @@ from multbound import (
 )
 from multbound.cli import main
 from multbound.hilbert import _enumerate_value_tuples
-from multbound.scanner import _chunks, _scan_chunk
-from multbound.verdict import _greedy, _greedy_step
+from multbound.scanner import _chunks, _greedy_step, _scan_chunk
+from multbound.verdict import _greedy
 
 from families import families, walk_state
 from goldens import (
@@ -237,7 +237,7 @@ def walk_windows(monkeypatch):
     block, have H(s+1) = 0. The generated code binds the block function
     when it is generated, so it is generated afresh around the test.
     """
-    real_block = verdict._lex_column_block
+    real_block = scanner._lex_column_block
     windows = []
 
     def recording_block(n, d, prev_h, h):
@@ -246,7 +246,7 @@ def walk_windows(monkeypatch):
         return real_block(n, d, prev_h, h)
 
     _greedy_step.cache_clear()
-    monkeypatch.setattr(verdict, "_lex_column_block", recording_block)
+    monkeypatch.setattr(scanner, "_lex_column_block", recording_block)
     yield windows
     monkeypatch.undo()
     _greedy_step.cache_clear()
@@ -340,6 +340,21 @@ def test_chunks_of_the_batched_walk_equal_per_function_chunks(family, chunk_size
     cursor = None if at is None else functions[at % len(functions)]
     chunks = list(_chunks(n, socle_max, prefix, chunk_size, limit, cursor))
     assert chunks == _reference_chunks(n, socle_max, prefix, chunk_size, limit, cursor)
+
+
+# The walk properties draw n <= 5; these run the kernels generated for n = 6 and 7.
+# The cursors are leaves just before the exceptions of their own leaf family.
+@pytest.mark.parametrize("family, cursor, functions, exceptions", [
+    ((6, 3, (1,)), (1, 6, 15, 20), 903, 7),
+    ((7, 3, (1,)), (1, 7, 20, 32), 1898, 20),
+])
+def test_chunks_in_six_and_seven_variables_equal_per_function_chunks(family, cursor, functions, exceptions):
+    for chunk_size in (1, 64):
+        chunks = list(_chunks(*family, chunk_size))
+        assert chunks == _reference_chunks(*family, chunk_size, None, None)
+    assert sum(chunk[0] for chunk in chunks) == functions
+    assert sum(len(chunk[2]) for chunk in chunks) == exceptions
+    assert list(_chunks(*family, 5, cursor=cursor)) == _reference_chunks(*family, 5, None, cursor)
 
 
 def test_lo_fails_family_example_holds_everywhere_but_not_by_its_least_vector():

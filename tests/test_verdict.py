@@ -24,6 +24,7 @@ from multbound import (
 )
 from multbound import scanner, verdict
 from multbound.hilbert import _enumerate_value_tuples
+from multbound.scanner import _greedy_step
 from multbound.verdict import (
     DEFAULT_DFS_CAP,
     DEFAULT_FILTERS,
@@ -32,7 +33,6 @@ from multbound.verdict import (
     _entry_caps,
     _filter_state_failures,
     _greedy,
-    _greedy_step,
     _option_classes,
     _path_diagram,
     _violating_search,
