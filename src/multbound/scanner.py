@@ -22,7 +22,7 @@ from .betti import (
     max_shifts,
     min_shifts,
 )
-from .errors import NeedsCapError, NotAdmissibleError, _check_int
+from .errors import NeedsCapError, NotAdmissibleError, _check_int, _check_ints
 from .hilbert import HilbertFunction, _checked_prefix, _growth_bound, _values, multiplicity
 from .koszul import DEFAULT_CHAR, _analysis, _compare_rows, _resolution, _truncation
 from .monomial import _hilbert_values, _lex_column_block, lex_columns, parse_ideal
@@ -151,9 +151,10 @@ def _greedy_step(n):
     s..s+n are new. It returns the blocks and maxima of vals's extensions,
     the max shifts of vals (0 for a column the greedy diagram leaves empty),
     and the largest value H(s+1) may take after vals. leaves(vals, blocks,
-    last), given the blocks step returned for vals, lists the runs
-    [first, last, vector] of vals + (v,), 1 <= v <= last: maximal ranges of
-    v with one vector of max shifts over the degrees past vals's, 0 for a
+    row), given the blocks step returned for vals and the block row of
+    vals's extensions (below), lists the runs [first, last, vector] of
+    vals + (v,), 1 <= v <= last, the row's last value: maximal ranges of v
+    with one vector of max shifts over the degrees past vals's, 0 for a
     column with none there; vals's extension maxima fill the zeros.
 
     walk(stack, socle_max, chunk_size, budget) is the scan walk. It
@@ -172,18 +173,28 @@ def _greedy_step(n):
     whose children are leaf parents walks its range of them in its own
     frame, with no push or pop.
 
+    The children of a node of degree s-1 and value h read two blocks each:
+    block(n, s, h, v) of their own degree (zero for the root's child) and
+    block(n, s+1, v, 0) of the next, where H(s+1) = 0. Both depend on (s,
+    h, v) alone, so the walk keeps a per-walk dict of block rows keyed on
+    (s, h): a row lists the triples (v, both blocks) for v = 1 up to the
+    growth bound after h. Only such full rows are kept; a range seeded from
+    a cursor or a start builds just its own entries, uncached, so a resume
+    evaluates nothing before its cursor. An entry's leaf parents walk the
+    row slice of their range, and leaves walks its leaf parent's row at
+    (s+1, v).
+
     A leaf parent's leaves take their runs and lo, the runs' least vector,
     from a per-walk cache keyed flat on (v, w1, ..., w{n-1}), its value and
     outgoing blocks; leaves is called, and vals + (v,) built, only on a
-    miss. Its outgoing block of degree socle_max depends on v alone, so it
-    comes from a per-walk dict keyed on v. A new shift is 0 or lies above
-    every extension maximum, so max(new, maximum) is `new or maximum`. In a
-    run the shift product P is fixed while n! * e grows with v, so the bound
-    holds exactly for v <= P // n! - e(parent). lo in place of each run's
-    vector gives a threshold below every run's; when it reaches the family's
-    last leaf and the family fits in the chunk, the family costs O(1).
-    Otherwise its runs go through place, which splits them at chunk ends and
-    lists the exceptions.
+    miss. A new shift is 0 or lies above every extension maximum, so
+    max(new, maximum) is `new or maximum`. In a run the shift product P is
+    fixed while n! * e grows with v, so the bound holds exactly for
+    v <= P // n! - e(parent). lo in place of each run's vector gives a
+    threshold below every run's; when it reaches the family's last leaf and
+    the family fits in the chunk, the family costs O(1). Otherwise its runs
+    go through place, which splits them at chunk ends and lists the
+    exceptions.
 
     All three are written out once per n as straight-line Python and
     compiled under the filename "<greedy step n=N>". The window's blocks of
@@ -237,16 +248,13 @@ def _greedy_step(n):
         # H(s) is a generator, and Macaulay's growth bound counts exactly those.
         f"    return {outgoing}, extension, {shifts}, w{n}[0]",
         "",
-        "def leaves(vals, blocks, last):",
+        "def leaves(vals, blocks, row):",
         "    s = len(vals)",
-        "    h = vals[-1]",
         f"    {carried} = blocks",
         *(f"    {name} = {window(k, i)}" for (k, i), name in fixed.items()),
         "    runs = []",
         "    last_new = None",
-        "    for v in range(1, last + 1):",
-        f"        w{n - 1} = block({n}, s, h, v)",
-        f"        w{n} = block({n}, s + 1, v, 0)",
+        f"    for v, w{n - 1}, w{n} in row:",
         f"        {shifts} = {_display(['0'] * n)}",
         *chains(range(n + 1), hoisted, "        "),
         f"        new = {shifts}",
@@ -264,7 +272,20 @@ def _greedy_step(n):
         "    exceptions = []",
         "    families = {}",
         "    shared = {}  # one copy of each shift vector and each family across the cache",
-        "    socle_blocks = {}  # a leaf parent's block of degree socle_max, keyed on its value",
+        "    rows = {}  # the full block rows, keyed on (s, h)",
+        "",
+        "    def row(s, h, first, last):",
+        "        # Row (s, h)'s entries for first <= v <= last; built on a miss, and kept when full.",
+        "        entries = rows.get((s, h))",
+        "        if entries is None:",
+        "            entries = [",
+        f"                (v, block({n}, s, h, v) if s else zero, block({n}, s + 1, v, 0))",
+        "                for v in range(first, last + 1)",
+        "            ]",
+        f"            if first == 1 and last == (growth({n}, s, h) if s else 1):",
+        "                rows[s, h] = entries",
+        "            return entries",
+        "        return entries[first - 1:last]",
         "",
         "    def place(parent, first, last, top):",
         "        # The functions parent + (v,), first <= v <= last, of which those with",
@@ -304,12 +325,7 @@ def _greedy_step(n):
         f"        {carried} = blocks",
         f"        {_display(f'x{i}' for i in range(n))} = maxima",
         *(f"        {name} = {window(k, i)}" for (k, i), name in fixed.items()),
-        "        h = vals[-1] if s else 0",
-        "        for v in range(first, last + 1):",
-        f"            w{n - 1} = block({n}, s, h, v) if s else zero",
-        f"            w{n} = socle_blocks.get(v)",
-        f"            if w{n} is None:",
-        f"                w{n} = socle_blocks[v] = block({n}, s + 1, v, 0)",
+        f"        for v, w{n - 1}, w{n} in row(s, vals[-1] if s else 0, first, last):",
         f"            {shifts} = {_display(f'x{i}' for i in range(n))}",
         *chains([0], hoisted, "            "),
         f"            {_display(f'y{i}' for i in range(n))} = {shifts}",
@@ -320,7 +336,7 @@ def _greedy_step(n):
         f"            key = {_display(['v', *(f'w{k}' for k in range(1, n))])}",
         "            family = families.get(key)",
         "            if family is None:",
-        "                found = leaves(vals + (v,), key[1:], top)",
+        "                found = leaves(vals + (v,), key[1:], row(s + 1, v, 1, top))",
         "                runs = tuple((a, b, shared.setdefault(new, new)) for a, b, new in found)",
         "                family = (runs, *map(min, zip(*(new for _, _, new in runs))))",
         "                family = families[key] = shared.setdefault(family, family)",
@@ -338,7 +354,7 @@ def _greedy_step(n):
         "    if room < size:",
         "        return size - room, holds, exceptions",
     ])
-    namespace = {"block": _lex_column_block, "zero": (0,) * n, "n_factorial": factorial(n)}
+    namespace = {"block": _lex_column_block, "growth": _growth_bound, "zero": (0,) * n, "n_factorial": factorial(n)}
     exec(compile(source, f"<greedy step n={n}>", "exec"), namespace)
     return namespace["step"], namespace["leaves"], namespace["walk"]
 
@@ -404,13 +420,16 @@ def _replay_log(log, path, parameters):
     """Replay the chunk log open in log; return (scanned, holds, records, cursor).
 
     The first line is the scan's parameters and each later line one consumed
-    chunk, [count, holds, records, last]. A last line without its newline was
-    cut off mid-write: it is left out and the file truncated back to the last
-    newline, so the next chunk appends after the last whole one.
+    chunk, [count, holds, records, last]: count >= 1 and 0 <= holds <= count
+    are ints, records lists the count - holds exceptions, and last is a
+    nonempty list of ints after the previous line's last in tuple order. A
+    line that breaks this does not parse. A last line without its newline
+    was cut off mid-write: it is left out and the file truncated back to the
+    last newline, so the next chunk appends after the last whole one.
     """
     scanned = holds = end = 0
     records = []
-    cursor = None
+    cursor = ()
     log.seek(0)
     for number, line in enumerate(log):
         if not line.endswith(b"\n"):
@@ -419,7 +438,16 @@ def _replay_log(log, path, parameters):
             entry = json.loads(line)
             if number:
                 count, held, recs, last = entry
-                scanned, holds, cursor = scanned + count, holds + held, tuple(last)
+                _check_int("count", count, 1)
+                _check_int("holds", held, 0)
+                if held > count:
+                    raise ValueError(f"holds {held} exceed count {count}")
+                if not isinstance(recs, list) or len(recs) != count - held:
+                    raise ValueError(f"records are not a list of the {count - held} exceptions")
+                last = _check_ints("last", last)
+                if last <= cursor:
+                    raise ValueError(f"last {list(last)} does not come after {list(cursor)}")
+                scanned, holds, cursor = scanned + count, holds + held, last
                 records.extend(recs)
         except (ValueError, TypeError) as err:
             raise ValueError(f"checkpoint {path} line {number + 1} does not parse: {err}") from None
@@ -432,7 +460,7 @@ def _replay_log(log, path, parameters):
     log.truncate(end)
     if not end:
         _append(log, parameters)
-    return scanned, holds, records, cursor
+    return scanned, holds, records, cursor or None
 
 
 def _lap(stages, stage, since):

@@ -1,7 +1,8 @@
 """Hypothesis strategies: small O-sequences, O-sequence families below a prefix, monomial ideals.
 
 Also monomials_of_degree, a brute-force enumerator that shares no code with
-the package's own, and walk_state, the scan walk's state of one function.
+the package's own, walk_state, the scan walk's state of one function, and
+block_row, the block row its extensions read.
 """
 
 from functools import cache
@@ -18,6 +19,7 @@ def monomials_of_degree(d, n):
     exps = sorted((e for e in product(range(d + 1), repeat=n) if sum(e) == d), reverse=True)
     return tuple(Monomial(e) for e in exps)
 from multbound.hilbert import _growth_bound
+from multbound.monomial import _lex_column_block
 from multbound.scanner import _greedy_step
 
 
@@ -33,6 +35,12 @@ def walk_state(n, vals):
         blocks, maxima, _, _ = step(*node)
         node = (node[0] + (v,), blocks, maxima)
     return step(*node)
+
+
+def block_row(n, vals, last):
+    """The scan walk's block row of vals + (v,), 1 <= v <= last: (v, its block, the next degree's block)."""
+    s, h = len(vals), vals[-1]
+    return [(v, _lex_column_block(n, s, h, v), _lex_column_block(n, s + 1, v, 0)) for v in range(1, last + 1)]
 
 
 @st.composite

@@ -37,7 +37,7 @@ from multbound.hilbert import _enumerate_value_tuples
 from multbound.scanner import _chunks, _greedy_step, _scan_chunk
 from multbound.verdict import _greedy
 
-from families import families, walk_state
+from families import block_row, families, walk_state
 from goldens import (
     IDEAL_STABLE_NONCM,
     IDEAL_TRUNC_CERT,
@@ -229,13 +229,14 @@ def test_scan_timing_adds_stage_times_that_sum_to_at_most_its_seconds(tmp_path, 
 
 @pytest.fixture
 def walk_windows(monkeypatch):
-    """List that collects (s, H(s-1), H(s)) of every function of socle degree s >= 1 the scan walk evaluates.
+    """List that collects (s, H(s-1), H(s)) of each lookup of a function's own lex block the scan walk makes.
 
-    Evaluating a function, in the generated walk, its step or its leaves,
-    looks up its own degree's lex block, monomial._lex_column_block(n, s,
-    H(s-1), H(s)), once; the only other lookups, of the next degree's
-    block, have H(s+1) = 0. The generated code binds the block function
-    when it is generated, so it is generated afresh around the test.
+    The generated walk looks up a function's own degree's block,
+    monomial._lex_column_block(n, s, H(s-1), H(s)) with s >= 1, once per
+    block-row entry it builds for the function, and once when it evaluates
+    the function through step; its only other lookups, of the next
+    degree's block, have H(s+1) = 0. The generated code binds the block
+    function when it is generated, so it is generated afresh around the test.
     """
     real_block = scanner._lex_column_block
     windows = []
@@ -261,8 +262,8 @@ def _evaluated_on_resume(n, socle_max, prefix, cursor):
 
     Seeding steps down the cursor's path from the prefix, through its
     prefixes of socle degree 1 to socle_max - 1 (the cursor itself among
-    them when it is no leaf); every function after the cursor is evaluated
-    once, when no two of its leaf parents share a leaf family.
+    them when it is no leaf); the window of every function after the cursor
+    is looked up once, when no two of the nodes after it share a block row.
     """
     after = [vals for vals in _enumerate_value_tuples(n, socle_max, prefix) if vals > cursor]
     path = [cursor[:k] for k in range(2, min(len(cursor), socle_max) + 1)]
@@ -281,6 +282,17 @@ def test_scan_resume_evaluates_nothing_before_the_cursor(baseline, tmp_path, wal
     # Only the last chunk's 13 functions, and the cursor's prefixes on the way down to it.
     assert len(after) == 13
     assert Counter(walk_windows) == expected
+
+
+@pytest.mark.parametrize("family", [(3, 6, (1, 3)), (4, 5, (1, 4))])
+def test_walk_looks_up_each_window_of_its_last_two_degrees_once(family, walk_windows):
+    # Each block row is built once per walk, however many nodes share it.
+    n, socle_max, prefix = family
+    list(_chunks(n, socle_max, prefix, scanner.DEFAULT_CHUNK_SIZE))
+    looked_up = Counter(window for window in walk_windows if window[0] >= socle_max - 1)
+    functions = _enumerate_value_tuples(n, socle_max, prefix)
+    assert set(looked_up) == {_window(vals) for vals in functions if len(vals) >= socle_max}
+    assert set(looked_up.values()) == {1}
 
 
 # In n=3, prefix 1,3,6,10,15, socle degree at most 6 (295 functions), the
@@ -334,6 +346,12 @@ LO_FAILS_FAMILY = (2, 4, (1, 2, 3, 2))
 @example(GRANDPARENT_START, 4, None, 17)  # resumed after its leaf 1,3,6,8,5,2
 @example((1, 5, (1,)), 4, None, None)  # no blocks carried
 @example((2, 5, (1, 2)), 8, None, None)  # one block carried
+@example((3, 1, (1,)), 1, None, None)  # the root's leaf-parent row, whose block is zero
+@example((3, 1, (1,)), 512, None, None)
+@example((2, 0, (1,)), 1, None, None)  # the root alone
+@example((2, 0, (1,)), 512, None, None)
+@example((1, 5, (1,)), 1, None, None)  # one-entry rows all the way down
+@example((1, 5, (1,)), 512, None, None)
 def test_chunks_of_the_batched_walk_equal_per_function_chunks(family, chunk_size, limit, at):
     n, socle_max, prefix = family
     functions = list(_enumerate_value_tuples(n, socle_max, prefix))
@@ -362,7 +380,7 @@ def test_lo_fails_family_example_holds_everywhere_but_not_by_its_least_vector():
     blocks, maxima, _, bound = walk_state(n, parent)
     _, leaves, _ = _greedy_step(n)
     assert (maxima, bound) == ((3, 0), 2)
-    assert leaves(parent, blocks, bound) == [[1, 1, (0, 6)], [2, 2, (5, 6)]]
+    assert leaves(parent, blocks, block_row(n, parent, bound)) == [[1, 1, (0, 6)], [2, 2, (5, 6)]]
     assert 2 * (sum(parent) + 1) <= 3 * 6 and 2 * (sum(parent) + 2) <= 5 * 6
     assert 3 * 6 // 2 - sum(parent) < bound
 
@@ -415,7 +433,8 @@ def test_split_family_example_splits_a_family_inside_a_run_with_exceptions():
     assert (family[0], family[-1], functions.index(parent + (10,))) == (134, 151, 143)
     blocks, maxima, _, bound = walk_state(n, parent)
     _, leaves, _ = _greedy_step(n)
-    runs = [(first, last, tuple(map(max, new, maxima))) for first, last, new in leaves(parent, blocks, bound)]
+    row = block_row(n, parent, bound)
+    runs = [(first, last, tuple(map(max, new, maxima))) for first, last, new in leaves(parent, blocks, row)]
     assert (10, 11, (5, 8, 9)) in runs
     # The parent and its 18 leaves, of which only v = 11 breaks the bound.
     assert list(_chunks(n, socle_max, parent, 64)) == [(19, 18, [parent + (11,)], parent + (18,))]
@@ -477,6 +496,37 @@ def test_scan_rejects_unreadable_checkpoints(tmp_path):
             scan(3, 4, (1, 3), chunk_size=50, checkpoint_path=str(cp))
 
 
+# Replacements for the last line [50, 50, [], [1, 3, 6, 3, 3]] of a log of two 50-function
+# chunks; the line before it ends at [1, 3, 5] and holds the family's one exception.
+MALFORMED_CHUNK_LINES = {
+    "fractional count and holds": [1.5, 1.5, [], [1, 3, 6, 3, 3]],
+    "negative count and holds": [-5, -5, [], [1, 3, 6, 3, 3]],
+    "bool count and holds": [True, True, [], [1, 3, 6, 3, 3]],
+    "zero count": [0, 0, [], [1, 3, 6, 3, 3]],
+    "negative holds": [1, -1, [{}, {}], [1, 3, 6, 3, 3]],
+    "holds above count": [50, 51, [], [1, 3, 6, 3, 3]],
+    "too few records": [50, 49, [], [1, 3, 6, 3, 3]],
+    "records not a list": [50, 49, "x", [1, 3, 6, 3, 3]],
+    "a cursor entry not an int": [50, 50, [], [1, 3, "x"]],
+    "a cursor entry a bool": [50, 50, [], [1, 3, 6, 3, True]],
+    "an empty cursor": [50, 50, [], []],
+    "a cursor not a list": [50, 50, [], "1,3,6,3,3"],
+    "the previous line's cursor": [50, 50, [], [1, 3, 5]],
+    "a cursor before the previous one": [50, 50, [], [1, 3, 4, 4, 3]],
+}
+
+
+@pytest.mark.parametrize("bad", MALFORMED_CHUNK_LINES.values(), ids=MALFORMED_CHUNK_LINES)
+def test_scan_rejects_malformed_chunk_lines(tmp_path, bad):
+    cp = tmp_path / "scan.ckpt"
+    scan(3, 4, (1, 3), chunk_size=50, checkpoint_path=str(cp), limit=100)
+    header, first, last = _log_lines(cp)
+    assert first[:2] == [50, 49] and first[3] == [1, 3, 5] and last == [50, 50, [], [1, 3, 6, 3, 3]]
+    cp.write_text("".join(json.dumps(line) + "\n" for line in (header, first, bad)))
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {cp} line 3 does not parse")):
+        scan(3, 4, (1, 3), chunk_size=50, checkpoint_path=str(cp))
+
+
 def test_scan_with_a_bad_prefix_leaves_no_checkpoint(tmp_path):
     cp = tmp_path / "scan.ckpt"
     for prefix in ((1, 3, 7), (1, 3, 0), (2,), ()):
@@ -495,7 +545,14 @@ def test_scan_rejects_inconsistent_checkpoint(tmp_path):
     cp = tmp_path / "scan.ckpt"
     scan(3, 4, (1, 3), checkpoint_path=str(cp))
     header, chunk = _log_lines(cp)
+    # A count that disagrees with the line's own records does not parse.
     chunk[0] += 1
+    cp.write_text(json.dumps(header) + "\n" + json.dumps(chunk) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {cp} line 2 does not parse")):
+        scan(3, 4, (1, 3), checkpoint_path=str(cp))
+    # One that disagrees with the records' statuses is caught by the report's totals.
+    chunk[0] -= 1
+    chunk[2][0]["status"] = "HOLDS"
     cp.write_text(json.dumps(header) + "\n" + json.dumps(chunk) + "\n")
     with pytest.raises(ValueError, match="scan counts disagree"):
         scan(3, 4, (1, 3), checkpoint_path=str(cp))

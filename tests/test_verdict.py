@@ -38,7 +38,7 @@ from multbound.verdict import (
     _violating_search,
 )
 
-from families import families, families_around, o_sequences, walk_state
+from families import block_row, families, families_around, o_sequences, walk_state
 from goldens import (
     MIN_1_3_6_10_15_15_11,
     MIN_1_3_6_7_3_1,
@@ -572,7 +572,7 @@ def test_greedy_step_and_leaf_family_loop_give_the_greedy_max_shifts(family):
         assert shifts == _greedy(vals, n)[2], vals
         if len(vals) > socle_max:
             continue
-        runs = leaves(vals, blocks, bound)
+        runs = leaves(vals, blocks, block_row(n, vals, bound))
         # Maximal runs that cover 1..bound in order.
         assert [run[0] for run in runs] == [1] + [run[1] + 1 for run in runs[:-1]], (vals, runs)
         assert runs[-1][1] == bound and all(a[2] != b[2] for a, b in zip(runs, runs[1:])), (vals, runs)
