@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
@@ -23,6 +25,12 @@ __all__ = [
 ]
 
 DEFAULT_CHAR = 32003
+
+# memoryview.cast codes by lane width in bits, for reading the lanes of a
+# little-endian to_bytes; on a big-endian host every width reads lane by lane.
+_LANE_CODES = {}
+if sys.byteorder == "little":
+    _LANE_CODES = {memoryview(bytes(8)).cast(c).itemsize * 8: c for c in "BHIQ"}
 
 
 @cache
@@ -117,19 +125,28 @@ def koszul_betti(I, field_char=DEFAULT_CHAR, degree_cap=None):
 
     The Koszul complex of S/I has one basis element e_S (x) x^s for each
     standard monomial x^s and subset S of the variables, in multidegree
-    mu = s + 1_S. One pass over the staircase of standard monomials files
-    every element in its block as a bit of the block's subset pattern, and
-    beta_{r,mu} is the homology of block mu in degree r, which depends only on
-    the pattern. Exact over the prime field of the given characteristic.
-    Non-Artinian ideals need degree_cap >= 0; entries are then complete for
-    internal degrees <= degree_cap, and elements of larger degree are dropped.
+    mu = s + 1_S. Block mu holds the elements e_S with x^(mu - 1_S) standard;
+    their set of subsets S is the block's pattern, and beta_{r,mu} is the
+    homology of block mu in degree r, which depends only on the pattern. The
+    patterns of a column of blocks (fixed exponents of x_1..x_{n-1}) are built
+    at once from the staircase's column heights. A block whose mu is itself
+    standard holds every S in supp(mu) and has no homology unless mu = 0, so
+    only the other blocks are read. Exact over the prime field of the given
+    characteristic. Non-Artinian ideals need degree_cap >= 0; entries are
+    then complete for internal degrees <= degree_cap, and elements of larger
+    degree are dropped.
     field_char and degree_cap (unless None) must be ints, not bools.
     """
     return _resolution(I, field_char, degree_cap)[0]
 
 
 def _resolution(I, field_char=DEFAULT_CHAR, degree_cap=None):
-    """(koszul_betti(I, field_char, degree_cap), the staircase of I it was filed from)."""
+    """(koszul_betti(I, field_char, degree_cap), the staircase of I it was filed from).
+
+    The blocks of a column are the lanes of one int, read after its standard
+    blocks are shifted away; beta_{0,0} = 1 is that of mu = 0. Each distinct
+    pattern's homology is looked up once per call.
+    """
     _check_int("field_char", field_char)
     if degree_cap is not None:
         _check_int("degree_cap", degree_cap)
@@ -143,34 +160,60 @@ def _resolution(I, field_char=DEFAULT_CHAR, degree_cap=None):
         raise NeedsCapError(f"ideal ({I}) is not Artinian; pass degree_cap")
     n = I.n
     z = _staircase(I, degree_cap)
-    # A block mu is keyed by the integer |mu| * B^n + sum_k mu_k * B^k. B
-    # exceeds every mu_k (at most the top standard degree plus one), so an
-    # element's key is its monomial's key plus its mask's offset, and
-    # multiplying the monomial by x_n adds B^n + B^(n-1).
-    base = max(sum(p) + h for p, h in z.items()) + 1
-    weights = [base**k for k in range(n)]
-    top = base**n
-    step = top + weights[-1]
-    offsets = []
-    for mask in range(1 << n):
-        size = mask.bit_count()
-        offset = size * top + sum(w for k, w in enumerate(weights) if mask >> k & 1)
-        offsets.append((size, offset, 1 << mask))
-    blocks = {}
-    for p, h in z.items():
-        d = sum(p)
-        key = d * top + sum(map(mul, p, weights))
-        for size, offset, bit in offsets:
-            # Column p holds h elements for this mask, fewer under the cap.
-            count = h if degree_cap is None else min(h, degree_cap - d - size + 1)
-            first = key + offset
-            for block in range(first, first + count * step, step):
-                blocks[block] = blocks.get(block, 0) | bit
-    entries = {}
-    for block, pattern in blocks.items():
-        j = block // top
-        for r, beta in _block_betti(n, pattern, field_char):
-            entries[(r, j)] = entries.get((r, j), 0) + beta
+    # A block mu = (q, t) sits in column q, an exponent prefix of x_1..x_{n-1},
+    # as lane t of the column's pattern int, width bits wide. Bit S of the lane
+    # is set when x^(mu - 1_S) is standard: for S = S' without x_n when
+    # t < h(q - S'), and for S' with x_n when 1 <= t <= h(q - S'). So column
+    # q's int is the sum over S' of ones(h(q - S')) * bits(S'). A column is
+    # keyed by |q| * B^(n-1) + sum_k q_k * B^k; B = |z| + 1 exceeds every q_k,
+    # as z is a down-set, so column p + S' has the key of p plus that of S'.
+    width = max(8, 1 << n)
+    base = len(z) + 1
+    top = base ** (n - 1)
+    weights = [top + base**k for k in range(n - 1)]
+    heights = {sum(map(mul, p, weights)): h for p, h in z.items()}
+    ones = [((1 << width * h) - 1) // ((1 << width) - 1) for h in range(max(z.values()) + 1)]
+    last = 1 << (n - 1)
+    subsets = []
+    for mask in range(last):
+        offset = sum(w for k, w in enumerate(weights) if mask >> k & 1)
+        bits = 1 << mask | 1 << (width + (mask | last))
+        subsets.append((offset, [one * bits for one in ones]))
+    own = subsets[0][1]
+    columns = {key: own[h] for key, h in heights.items()}
+    for key, h in heights.items():
+        for offset, row in subsets[1:]:
+            columns[key + offset] = columns.get(key + offset, 0) | row[h]
+    # Lanes t < h(q) are standard blocks: each holds e_S for every S in
+    # supp(mu), the complex of a full simplex, acyclic unless mu = 0. Shifted
+    # away, they leave the lanes t >= h(q) up to the column's top, and each of
+    # those holds some e_S, so no lane read is an empty pattern.
+    chunks = []
+    degrees = []
+    for key, pattern in columns.items():
+        h = heights.get(key, 0)
+        pattern >>= width * h
+        j = key // top + h
+        if degree_cap is not None:
+            # Every element of block mu has degree |mu|: the cap keeps whole lanes.
+            pattern &= (1 << width * max(degree_cap - j + 1, 0)) - 1
+            if not pattern:
+                continue
+        size = -(-pattern.bit_length() // width)
+        chunks.append(pattern.to_bytes(size * width // 8, "little"))
+        degrees += range(j, j + size)
+    data = b"".join(chunks)
+    code = _LANE_CODES.get(width)
+    if code:
+        lanes = memoryview(data).cast(code)
+    else:
+        step = width // 8
+        lanes = [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
+    homology = {pattern: _block_betti(n, pattern, field_char) for pattern in set(lanes)}
+    entries = {(0, 0): 1}
+    for (pattern, j), times in Counter(zip(lanes, degrees)).items():
+        for r, beta in homology[pattern]:
+            entries[(r, j)] = entries.get((r, j), 0) + beta * times
     return BettiDiagram(n, entries), z
 
 

@@ -416,16 +416,37 @@ def _scan_chunk(chunk, n, options):
     return count, holds, records, list(last)
 
 
+def _check_record(rec):
+    """Raise ValueError unless rec has the keys and types scan reads from an exception record.
+
+    Those are the strings hf, status and reason, and witnesses, a dict whose
+    violating_diagrams is an int >= 0 and whose survivors is a list. The
+    status value itself is left to the report's totals.
+    """
+    if not isinstance(rec, dict):
+        raise ValueError(f"record {rec!r} is not a dict")
+    for key in ("hf", "status", "reason"):
+        if not isinstance(rec.get(key), str):
+            raise ValueError(f"record {key} is not a string")
+    witnesses = rec.get("witnesses")
+    if not isinstance(witnesses, dict):
+        raise ValueError("record witnesses are not a dict")
+    _check_int("violating_diagrams", witnesses.get("violating_diagrams"), 0)
+    if not isinstance(witnesses.get("survivors"), list):
+        raise ValueError("record survivors are not a list")
+
+
 def _replay_log(log, path, parameters):
     """Replay the chunk log open in log; return (scanned, holds, records, cursor).
 
     The first line is the scan's parameters and each later line one consumed
     chunk, [count, holds, records, last]: count >= 1 and 0 <= holds <= count
-    are ints, records lists the count - holds exceptions, and last is a
-    nonempty list of ints after the previous line's last in tuple order. A
-    line that breaks this does not parse. A last line without its newline
-    was cut off mid-write: it is left out and the file truncated back to the
-    last newline, so the next chunk appends after the last whole one.
+    are ints, records lists the count - holds exceptions (see _check_record),
+    and last is a nonempty list of ints after the previous line's last in
+    tuple order. A line that breaks this does not parse. A last line without
+    its newline was cut off mid-write: it is left out and the file truncated
+    back to the last newline, so the next chunk appends after the last whole
+    one.
     """
     scanned = holds = end = 0
     records = []
@@ -444,6 +465,8 @@ def _replay_log(log, path, parameters):
                     raise ValueError(f"holds {held} exceed count {count}")
                 if not isinstance(recs, list) or len(recs) != count - held:
                     raise ValueError(f"records are not a list of the {count - held} exceptions")
+                for rec in recs:
+                    _check_record(rec)
                 last = _check_ints("last", last)
                 if last <= cursor:
                     raise ValueError(f"last {list(last)} does not come after {list(cursor)}")

@@ -111,23 +111,28 @@ def test_cross_check_entry_points_reject_non_int_degrees_and_sizes(call, args, k
         call(*args, **kwargs)
 
 
-def _brute_force_betti(I, p, degree_cap):
-    """Betti entries of S/I from each block {S in supp mu : x^(mu - 1_S) not in I}.
-
-    Ranges over every mu with |mu| <= degree_cap or, with no cap, every mu with
-    mu_k <= a_k for the pure powers x_k^a_k of the Artinian ideal I; the
-    boundary sends e_S to the signed sum of e_(S - k) over k in S.
-    """
-    n = I.n
+def _multidegrees(I, degree_cap):
+    """Every mu with |mu| <= degree_cap or, with no cap, every mu with mu_k <= a_k
+    for the pure powers x_k^a_k of the Artinian ideal I."""
     bounds = [
         degree_cap if degree_cap is not None
         else min(g.exponents[k] for g in I.generators if g.degree == g.exponents[k])
-        for k in range(n)
+        for k in range(I.n)
     ]
-    entries = {}
     for mu in itertools.product(*(range(b + 1) for b in bounds)):
-        if degree_cap is not None and sum(mu) > degree_cap:
-            continue
+        if degree_cap is None or sum(mu) <= degree_cap:
+            yield mu
+
+
+def _brute_force_betti(I, p, degree_cap):
+    """Betti entries of S/I from each block {S in supp mu : x^(mu - 1_S) not in I}.
+
+    Ranges over _multidegrees(I, degree_cap); the boundary sends e_S to the
+    signed sum of e_(S - k) over k in S.
+    """
+    n = I.n
+    entries = {}
+    for mu in _multidegrees(I, degree_cap):
         support = [k for k in range(n) if mu[k]]
         blocks = {}
         for r in range(len(support) + 1):
@@ -180,6 +185,20 @@ def test_koszul_betti_equals_the_block_basis_brute_force():
     for I, cap in cases:
         for p in (2, 3, 32003):
             assert koszul_betti(I, p, cap).entries() == _brute_force_betti(I, p, cap), (I, cap, p)
+    # Six variables fill 64-bit lanes; seven take the lane-by-lane path (capped
+    # only, to keep the brute force short). Caps 3 and 5 keep only the lower
+    # lanes of the columns that reach past them; caps 6 and 7 cut the column
+    # of c^8 within and just above its standard monomials.
+    wide = [
+        (MonomialIdeal(n, [[2 * (j == k) for j in range(n)] for k in range(n)] + [
+            [1, 1] + [0] * (n - 3) + [1], [0, 1, 1] + [0] * (n - 3),
+        ]), cap)
+        for n, caps in ((6, (None, 3, 5)), (7, (3, 5))) for cap in caps
+    ]
+    wide += [(parse_ideal("a^2; b^2; c^8; a*b*c^3; b*c^5"), cap) for cap in (None, 6, 7)]
+    for I, cap in wide:
+        for p in (2, 32003):
+            assert koszul_betti(I, p, cap).entries() == _brute_force_betti(I, p, cap), (I, cap, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,6 +207,32 @@ def test_koszul_betti_equals_the_brute_force_on_drawn_ideals(I, cap, p):
     if cap is None and not I.is_artinian():
         cap = 8
     assert koszul_betti(I, p, cap).entries() == _brute_force_betti(I, p, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_ideals(), st.one_of(st.none(), st.integers(0, 8)))
+def test_standard_blocks_are_acyclic_full_simplices(I, cap):
+    """The lemma the engine's skip of standard blocks rests on.
+
+    For a standard mu != 0 (of degree <= cap), every x^(mu - 1_S) with S in
+    supp(mu) divides x^mu and so is standard too: the block holds e_S for
+    every such S, and its complex has no homology.
+    """
+    if cap is None and not I.is_artinian():
+        cap = 8
+    n = I.n
+    for mu in _multidegrees(I, cap):
+        if not any(mu) or I.contains(Monomial(mu)):
+            continue
+        support = sum(1 << k for k in range(n) if mu[k])
+        subsets = [S for S in range(1 << n) if not S & ~support]
+        pattern = sum(
+            1 << S for S in subsets
+            if not I.contains(Monomial([m - (S >> k & 1) for k, m in enumerate(mu)]))
+        )
+        assert pattern == sum(1 << S for S in subsets), (I, mu)
+        for p in (2, 32003):
+            assert _block_betti(n, pattern, p) == (), (I, mu, p)
 
 
 # Stanley-Reisner ideal of the six-vertex real projective plane: the triples

@@ -496,6 +496,15 @@ def test_scan_rejects_unreadable_checkpoints(tmp_path):
             scan(3, 4, (1, 3), chunk_size=50, checkpoint_path=str(cp))
 
 
+def _record(**changes):
+    """An exception record of the keys scan reads, with changes applied; a change to None drops its key."""
+    rec = {
+        "hf": "1,3,6,3,3", "status": "ELIMINATED", "reason": "er",
+        "witnesses": {"violating_diagrams": 1, "survivors": []},
+    } | changes
+    return {key: value for key, value in rec.items() if value is not None}
+
+
 # Replacements for the last line [50, 50, [], [1, 3, 6, 3, 3]] of a log of two 50-function
 # chunks; the line before it ends at [1, 3, 5] and holds the family's one exception.
 MALFORMED_CHUNK_LINES = {
@@ -513,6 +522,25 @@ MALFORMED_CHUNK_LINES = {
     "a cursor not a list": [50, 50, [], "1,3,6,3,3"],
     "the previous line's cursor": [50, 50, [], [1, 3, 5]],
     "a cursor before the previous one": [50, 50, [], [1, 3, 4, 4, 3]],
+    # One exception record with a key scan reads missing or of the wrong type.
+    "a record not a dict": [50, 49, [5], [1, 3, 6, 3, 3]],
+    "a record without hf": [50, 49, [_record(hf=None)], [1, 3, 6, 3, 3]],
+    "a record status not a string": [50, 49, [_record(status=1)], [1, 3, 6, 3, 3]],
+    "a record without a reason": [50, 49, [_record(reason=None)], [1, 3, 6, 3, 3]],
+    "a record without witnesses": [50, 49, [_record(witnesses=None)], [1, 3, 6, 3, 3]],
+    "record witnesses not a dict": [50, 49, [_record(witnesses=[0, []])], [1, 3, 6, 3, 3]],
+    "a record without a violating count": [
+        50, 49, [_record(witnesses={"survivors": []})], [1, 3, 6, 3, 3],
+    ],
+    "a fractional violating count": [
+        50, 49, [_record(witnesses={"violating_diagrams": 1.5, "survivors": []})], [1, 3, 6, 3, 3],
+    ],
+    "a negative violating count": [
+        50, 49, [_record(witnesses={"violating_diagrams": -1, "survivors": []})], [1, 3, 6, 3, 3],
+    ],
+    "record survivors not a list": [
+        50, 49, [_record(witnesses={"violating_diagrams": 1, "survivors": 3})], [1, 3, 6, 3, 3],
+    ],
 }
 
 
