@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from itertools import accumulate, groupby
+from itertools import accumulate, combinations_with_replacement, groupby, islice
 from math import comb, inf
 from operator import le
 
@@ -89,29 +89,8 @@ class Monomial:
 
 def _exponents_of_degree(d, n):
     """Yield degree-d exponent tuples in n variables in descending lex order."""
-    if n == 1:
-        yield (d,)
-        return
-    for e in range(d, -1, -1):
-        for rest in _exponents_of_degree(d - e, n - 1):
-            yield (e,) + rest
-
-
-def _mono_unrank(d, n, rank):
-    """Exponent tuple at a zero-based position in descending lex order, degree d."""
-    exps = []
-    rem = d
-    for pos in range(n - 1):
-        width = n - pos - 1
-        for v in range(rem, -1, -1):
-            block = comb(rem - v + width - 1, width - 1)
-            if rank < block:
-                exps.append(v)
-                rem -= v
-                break
-            rank -= block
-    exps.append(rem)
-    return tuple(exps)
+    for idx in combinations_with_replacement(range(n), d):
+        yield tuple(map(idx.count, range(n)))
 
 
 def _minimalize(monomials):
@@ -230,12 +209,12 @@ def _lex_segment(n, d, prev_h, h):
     return total - bound, total - h
 
 
-def _lex_segment_plan(H, n):
-    """Per-degree (d, shadow_count, segment_count) for the lex ideal of H.
+def _lex_generators(n, d, prev_h, h):
+    """The lex ideal's degree-d minimal generators x_{i1}...x_{id} as index tuples i1 <= ... <= id.
 
-    Raises NotAdmissibleError when H is not an O-sequence in n variables.
+    combinations_with_replacement lists all degree-d monomials this way, in descending lex order.
     """
-    return [(d, *_lex_segment(n, d, prev_h, h)) for d, prev_h, h in _lex_degrees(H, n)]
+    return islice(combinations_with_replacement(range(n), d), *_lex_segment(n, d, prev_h, h))
 
 
 def lex_ideal(H, n):
@@ -243,10 +222,7 @@ def lex_ideal(H, n):
 
     Raises NotAdmissibleError when no such ideal exists.
     """
-    gens = []
-    for d, shadow, segment in _lex_segment_plan(H, n):
-        for rank in range(shadow, segment):
-            gens.append(Monomial(_mono_unrank(d, n, rank)))
+    gens = [Monomial(tuple(map(g.count, range(n)))) for key in _lex_degrees(H, n) for g in _lex_generators(n, *key)]
     ideal = MonomialIdeal(n, gens)
     assert len(ideal.generators) == len(gens)
     return ideal
@@ -261,23 +237,18 @@ def lex_generator_profile(H, n):
     perfbench's scan-n3 replay imports it as its lex layer, until that replay
     moves to the scan walk (ROADMAP item 5).
     """
-    return tuple(
-        (d, _max_var(_mono_unrank(d, n, rank)))
-        for d, shadow, segment in _lex_segment_plan(H, n)
-        for rank in range(shadow, segment)
-    )
+    return tuple((d, g[-1] + 1) for d, *key in _lex_degrees(H, n) for g in _lex_generators(n, d, *key))
 
 
 @cache
 def _lex_column_block(n, d, prev_h, h):
     """(beta_{1,d}, beta_{2,d+1}, ..., beta_{n,d+n-1}) of the degree-d lex generators.
 
-    A generator whose largest variable is m contributes C(m-1, i-1) to
-    beta_{i,d+i-1} (the Eliahou-Kervaire formula).
+    A generator whose largest variable is m, its last index + 1, contributes
+    C(m-1, i-1) to beta_{i,d+i-1} (the Eliahou-Kervaire formula).
     """
-    shadow, segment = _lex_segment(n, d, prev_h, h)
-    max_vars = [_max_var(_mono_unrank(d, n, rank)) for rank in range(shadow, segment)]
-    return tuple(sum(comb(m - 1, i - 1) for m in max_vars) for i in range(1, n + 1))
+    last = [g[-1] for g in _lex_generators(n, d, prev_h, h)]
+    return tuple(sum(comb(j, i) for j in last) for i in range(n))
 
 
 def lex_columns(H, n):

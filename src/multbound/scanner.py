@@ -110,6 +110,27 @@ def _last_function(n, socle_max, prefix):
     return last
 
 
+def _family_rank(n, socle_max, prefix, cursor):
+    """How many functions of _chunks's family come up to cursor in tuple order; None if cursor is not one.
+
+    They are cursor's path from prefix and the subtrees of the path's earlier
+    siblings. sums[d][m] counts the functions at and below the values 1..m at
+    degree d, for m up to top[d], the most a sibling or a parent reads.
+    """
+    k, path = len(prefix), range(len(prefix), len(cursor))
+    if cursor[:k] != prefix or len(cursor) > socle_max + 1 or not all(
+        1 <= cursor[d] <= _growth_bound(n, d, cursor[d - 1]) for d in path
+    ):
+        return None
+    top, sums = [0] * (socle_max + 1), [[0] for _ in range(socle_max + 2)]
+    for d in range(k, socle_max + 1):
+        top[d] = max(cursor[d] - 1 if d < len(cursor) else 0, top[d - 1] and _growth_bound(n, d, top[d - 1]))
+    for d in range(socle_max, k - 1, -1):
+        for v in range(1, top[d] + 1):
+            sums[d].append(sums[d][-1] + 1 + sums[d + 1][_growth_bound(n, d + 1, v) if d < socle_max else 0])
+    return len(cursor) - k + 1 + sum(sums[d][cursor[d] - 1] for d in path)
+
+
 def _cancel_lines(n, t, entry):
     """Greedy cancellation at degree s+t as straight-line source, as in betti.greedy_columns.
 
@@ -522,7 +543,8 @@ def scan(
     is fsync'd once SYNC_SECONDS have passed since its last fsync and on
     every exit from scan. A rerun resumes after the last chunk logged, so an
     interrupt loses at most the chunk being classified, and an OS crash or
-    power cut at most the lines of the last SYNC_SECONDS. out_path is
+    power cut at most the lines of the last SYNC_SECONDS; it raises
+    ValueError unless the log counts the functions up to its cursor. out_path is
     written to out_path + ".tmp" and renamed over out_path, so an
     interrupted write leaves any old report whole. limit caps the number of
     functions processed in this invocation, leaving an INCOMPLETE report
@@ -575,6 +597,12 @@ def scan(
             stack.callback(os.fsync, log.fileno())
             synced = time.monotonic()
             scanned, bound_holds, exceptions, cursor = _replay_log(log, checkpoint_path, parameters)
+            if cursor and scanned != (rank := _family_rank(n, socle_max, prefix, cursor)):
+                found = f"the family has {rank}" if rank else "that is not a function of the family"
+                raise ValueError(
+                    f"scan counts disagree: checkpoint {checkpoint_path} logs {scanned} functions "
+                    f"up to {','.join(map(str, cursor))}, but {found}"
+                )
         chunks = _chunks(n, socle_max, prefix, chunk_size, limit, cursor)
         while True:
             lap = time.perf_counter()

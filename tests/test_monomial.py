@@ -28,7 +28,7 @@ from multbound import (
 )
 from multbound.betti import columns_from_profile
 from multbound.koszul import DEFAULT_CHAR, _truncation
-from multbound.monomial import _exponents_of_degree, _lex_segment, _mono_unrank, _staircase
+from multbound.monomial import _exponents_of_degree, _lex_column_block, _lex_segment, _staircase
 
 from families import monomial_ideals, monomials_of_degree, o_sequences
 
@@ -113,13 +113,6 @@ def test_monomials_of_degree_descending_lex():
             assert list(_exponents_of_degree(d, n)) == mons
 
 
-def test_rank_unrank_round_trip():
-    for n in range(1, 5):
-        for d in range(0, 7):
-            for i, m in enumerate(monomials_of_degree(d, n)):
-                assert _mono_unrank(d, n, i) == m.exponents
-
-
 def test_lex_segment_shadow_matches_brute_force():
     # Macaulay: the shadow x*L of the lex-first segment L of degree d-1 is the
     # lex-first segment of degree d that leaves the growth bound outside.
@@ -196,6 +189,60 @@ def test_lex_columns_match_the_generator_profile_on_whole_families():
     for n, socle_max, prefix in [(2, 10, (1,)), (3, 6, (1, 3)), (4, 4, (1,))]:
         for H in enumerate_o_sequences(n, socle_max, prefix):
             assert lex_columns(H, n) == columns_from_profile(lex_generator_profile(H, n), n)
+
+
+def brute_lex_generators(n, d, prev_h, h):
+    """Exponents of the degree-d lex generators, by brute force, or None when H(d) = h is too large.
+
+    They are the lex-first degree-d segment that leaves h monomials out,
+    minus the shadow of the degree d-1 segment that leaves prev_h out; h is
+    too large when that segment misses part of the shadow.
+    """
+    prev = monomials_of_degree(d - 1, n)
+    shadow = {
+        tuple(e + (k == i) for k, e in enumerate(m.exponents))
+        for m in prev[: len(prev) - prev_h]
+        for i in range(n)
+    }
+    mons = [m.exponents for m in monomials_of_degree(d, n)]
+    segment = mons[: len(mons) - h]
+    if not shadow <= set(segment):
+        return None
+    return [e for e in segment if e not in shadow]
+
+
+def last_variable(exps):
+    return max(k for k, e in enumerate(exps) if e) + 1
+
+
+def test_lex_blocks_and_profiles_match_brute_force_eliahou_kervaire_counts():
+    # An oracle that shares no code with the package's lex enumeration.
+    blocks = 0
+    for n, d_max in ((1, 8), (2, 7), (3, 6), (4, 5), (5, 4), (6, 3), (7, 3)):
+        for d in range(1, d_max + 1):
+            # H(0) = 1: the degree-1 block always follows the constant 1.
+            for prev_h in range(d == 1, len(monomials_of_degree(d - 1, n)) + 1):
+                for h in range(len(monomials_of_degree(d, n)) + 1):
+                    gens = brute_lex_generators(n, d, prev_h, h)
+                    if gens is None:
+                        with pytest.raises(NotAdmissibleError):
+                            _lex_column_block(n, d, prev_h, h)
+                        break
+                    expected = tuple(
+                        sum(comb(last_variable(g) - 1, i - 1) for g in gens) for i in range(1, n + 1)
+                    )
+                    assert _lex_column_block(n, d, prev_h, h) == expected, (n, d, prev_h, h)
+                    blocks += 1
+    assert blocks == 5_169
+    for n, socle_max, prefix in ((1, 6, (1,)), (2, 6, (1,)), (3, 5, (1, 3)), (4, 4, (1, 4)), (7, 3, (1, 7))):
+        for H in enumerate_o_sequences(n, socle_max, prefix):
+            padded = H.values + (0,)
+            expected = tuple(
+                (d, last_variable(g))
+                for d in range(1, len(padded))
+                for g in brute_lex_generators(n, d, padded[d - 1], padded[d])
+            )
+            assert lex_generator_profile(H, n) == expected, (n, H)
 
 
 def test_lex_columns_reject_non_o_sequences_on_every_call():

@@ -586,6 +586,38 @@ def test_scan_rejects_inconsistent_checkpoint(tmp_path):
         scan(3, 4, (1, 3), checkpoint_path=str(cp))
 
 
+def test_scan_rejects_a_log_whose_counts_or_cursor_leave_the_family(tmp_path):
+    # Each line is consistent with itself, but the log as a whole is not: a
+    # count one short of the functions up to its cursor once resumed to
+    # "scanned 170, COMPLETE" for a family of 171.
+    cp = tmp_path / "scan.ckpt"
+    args = ["scan", "--vars", "3", "--socle-max", "4", "--prefix", "1,3", "--chunk-size", "50", "--checkpoint", str(cp)]
+    assert main(args + ["--limit", "100"]) == 1
+    header, first, last = _log_lines(cp)
+    for bad, message in (
+        ([49, 49, [], last[3]], "99 functions up to 1,3,6,3,3, but the family has 100"),
+        ([50, 50, [], [1, 3, 6, 3, 4]], "100 functions up to 1,3,6,3,4, but that is not a function of the family"),
+        ([50, 50, [], [1, 3, 6, 10, 15, 1]], "100 functions up to 1,3,6,10,15,1, but that is not a function of the family"),
+        ([50, 50, [], [1, 4]], "100 functions up to 1,4, but that is not a function of the family"),
+    ):
+        cp.write_text("".join(json.dumps(line) + "\n" for line in (header, first, bad)))
+        message = f"scan counts disagree: checkpoint {cp} logs {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scan(3, 4, (1, 3), chunk_size=50, checkpoint_path=str(cp))
+        assert main(args) == 1
+    cp.write_text("".join(json.dumps(line) + "\n" for line in (header, first, last)))
+    assert main(args) == 0
+    assert scan(3, 4, (1, 3), checkpoint_path=str(cp)).counts["scanned"] == 171
+
+
+def test_family_rank_counts_every_function_up_to_it():
+    for n, socle_max, prefix in ((1, 6, (1,)), (2, 6, (1,)), (3, 5, (1,)), (3, 5, (1, 3, 6)), (4, 4, (1, 4))):
+        family = list(_enumerate_value_tuples(n, socle_max, prefix))
+        assert [scanner._family_rank(n, socle_max, prefix, vals) for vals in family] == list(range(1, len(family) + 1))
+    # A deep family: the counts do not recurse through its degrees.
+    assert scanner._family_rank(1, 5000, (1,), (1,) * 5001) == 5001
+
+
 def test_scan_records_match_classify(baseline):
     for report, n in ((baseline, 3), (scan(4, 4, (1, 4)), 4)):
         assert report.exceptions

@@ -395,6 +395,17 @@ def test_lex_searches_in_at_most_three_variables_cut_no_degenerate_child(family)
     assert res["degenerate"] == 0 and not res["cap_exceeded"], (n, vals)
 
 
+def test_a_seven_variable_lex_search_cuts_degenerate_children_as_the_tree_walk():
+    # 1,7,8,4 is the first lex search seen with degenerate children; every
+    # n <= 6 search measured has none. The cut must count as the tree walk
+    # does, also when the cap stops the search inside the tree.
+    H = (1, 7, 8, 4)
+    for cap, nodes, degenerate in ((DEFAULT_DFS_CAP, 10_148, 3_120), (1_000, 1_001, 308), (5_000, 5_001, 1_538)):
+        res = _classify_values(H, 7, ClassifyOptions(DEFAULT_FILTERS, cap))
+        assert (res.nodes, res.degenerate, res.cap_exceeded) == (nodes, degenerate, cap != DEFAULT_DFS_CAP)
+        assert _evidence(res) == reference_evidence(H, 7, DEFAULT_FILTERS, cap), cap
+
+
 def test_entry_caps():
     assert [_entry_caps(n) for n in range(1, 6)] == [(1,), (2, 1), (5, 3, 2), (4, 3, 4, 1), (5, 3, 4, 5, 1)]
 
