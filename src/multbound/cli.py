@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import IdealParseError, NeedsCapError, NotAdmissibleError
 from .koszul import DEFAULT_CHAR
 from .scanner import DEFAULT_CHUNK_SIZE, check_hf, check_ideal, scan
 from .verdict import DEFAULT_DFS_CAP, DEFAULT_FILTERS
@@ -126,7 +125,7 @@ def main(argv=None):
         if args.command == "check-hf":
             return _run_check_hf(args)
         return _run_check_ideal(args)
-    except (IdealParseError, NeedsCapError, NotAdmissibleError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
 

@@ -706,7 +706,11 @@ def check_hf(sequence, n=None, filters=DEFAULT_FILTERS, dfs_cap=DEFAULT_DFS_CAP)
     for i, stage in enumerate(stages, start=1):
         lines += ["", f"after cancellations in columns ({i},{i + 1}):", stage.to_text()]
     result = classify(H, n, options)
-    lines += ["", *_shift_lines(result.greedy, result.e, n)]
+    if 0 in result.shifts:
+        empty = result.shifts.index(0) + 1
+        lines += ["", f"greedy diagram has an empty column {empty}: no module has this diagram"]
+    else:
+        lines += ["", *_shift_lines(result.greedy, result.e, n)]
     if result.status != "BOUND_HOLDS":
         lines += [
             "",

@@ -10,7 +10,7 @@ from functools import cache
 from math import factorial, inf, prod
 
 from .betti import BettiDiagram, greedy_columns
-from .errors import MalformedDiagramError, _check_int, _check_ints
+from .errors import _check_int, _check_ints
 from .hilbert import _values, aci_obstruction, ci_hilbert_function
 from .monomial import lex_columns
 
@@ -471,28 +471,24 @@ def _greedy(hvals, n):
 
     The greedy diagram is the bottom of H's poset of diagrams: the upper
     bound holds for every module with Hilbert function H iff it holds there.
+    An empty column has shift 0, as in the scan walk: no module has such a
+    diagram, and the search decides H over those with every column nonzero.
     """
     lex_cols = lex_columns(hvals, n)
     cols = greedy_columns([dict(col) for col in lex_cols])
-    shifts = []
-    for i in range(1, n + 1):
-        if not cols[i]:
-            raise MalformedDiagramError(
-                f"greedy diagram for H={hvals} has an empty column {i}"
-            )
-        shifts.append(max(cols[i]))
-    return lex_cols, cols, tuple(shifts)
+    return lex_cols, cols, tuple(max(col, default=0) for col in cols[1:])
 
 
 def _classify_values(hvals, n, options):
     """Classification of an O-sequence's values; the only builder of Classification."""
     lex_cols, cols, shifts = _greedy(hvals, n)
-    bound = upper_bound_holds(sum(hvals), shifts, n)
+    e = sum(hvals)
+    lhs, rhs = factorial(n) * e, prod(shifts)
     greedy = BettiDiagram.from_columns(n, cols)
-    if bound.holds:
-        return Classification(hvals, n, "BOUND_HOLDS", "", bound.e, shifts, bound.lhs, bound.rhs, greedy)
+    if lhs <= rhs:
+        return Classification(hvals, n, "BOUND_HOLDS", "", e, shifts, lhs, rhs, greedy)
     stats = _violating_search(
-        lex_cols, bound.lhs, options.dfs_cap,
+        lex_cols, lhs, options.dfs_cap,
         lambda state: _filter_state_failures(state, hvals, n, options.filters),
     )
     histogram, survivors = stats["histogram"], stats["survivors"]
@@ -503,7 +499,7 @@ def _classify_values(hvals, n, options):
     else:
         status, reason = "ELIMINATED", ",".join(sorted(set().union(*histogram)))
     return Classification(
-        hvals, n, status, reason, bound.e, shifts, bound.lhs, bound.rhs, greedy,
+        hvals, n, status, reason, e, shifts, lhs, rhs, greedy,
         violating=histogram.total() + len(survivors),
         degenerate=stats["degenerate"],
         nodes=stats["nodes"],

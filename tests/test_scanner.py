@@ -344,6 +344,7 @@ LO_FAILS_FAMILY = (2, 4, (1, 2, 3, 2))
 @example(GRANDPARENT_START, 11, 31, None)  # chunk 1 ends at function 10, the limit at 30: leaf parents
 @example(GRANDPARENT_START, 4, None, 15)  # resumed after leaf parent 1,3,6,8,5
 @example(GRANDPARENT_START, 4, None, 17)  # resumed after its leaf 1,3,6,8,5,2
+@example((4, 8, (1, 4, 8, 12, 15, 16, 14)), 64, None, None)  # three exceptions with an empty greedy column
 @example((1, 5, (1,)), 4, None, None)  # no blocks carried
 @example((2, 5, (1, 2)), 8, None, None)  # one block carried
 @example((3, 1, (1,)), 1, None, None)  # the root's leaf-parent row, whose block is zero
@@ -824,6 +825,16 @@ def test_check_hf_single_variable_default():
     assert "(n=1, socle degree 2)" in text
     assert "bounds: 3 <= 3 <= 3" in text
     assert result.status == "BOUND_HOLDS"
+
+
+def test_check_hf_names_an_empty_greedy_column_and_searches():
+    result, text, code = check_hf("1,4,8,12,15,16,14,9,3", n=4)
+    assert code == 0
+    assert result.shifts == (2, 0, 11, 12)
+    assert "greedy diagram has an empty column 2: no module has this diagram" in text
+    assert "max shifts:" not in text
+    assert "violating diagrams: 47334 (dfs nodes 216736, degenerate skipped 294)" in text
+    assert text.rstrip().endswith("status: ELIMINATED (er,gen,growth)")
 
 
 def test_check_hf_not_admissible():

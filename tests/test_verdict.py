@@ -292,7 +292,7 @@ EXCEPTIONS = [(3, vals) for vals in [
 def test_filter_state_gives_the_filter_verdicts_of_the_leaf_maps(family, cap):
     n, socle_max, prefix = family
     for vals in _enumerate_value_tuples(n, socle_max, prefix):
-        if upper_bound_holds(sum(vals), _greedy(vals, n)[2], n).holds:
+        if factorial(n) * sum(vals) <= prod(_greedy(vals, n)[2]):
             continue
         for filters in FILTER_SUBSETS:
             res = _classify_values(vals, n, ClassifyOptions(filters, cap))
@@ -312,7 +312,7 @@ def test_memoized_search_gives_the_tree_walks_evidence_at_every_cap(family, filt
     # search has to split memoized subtrees to stop at the same node.
     n, socle_max, prefix = family
     for vals in _enumerate_value_tuples(n, socle_max, prefix):
-        if upper_bound_holds(sum(vals), _greedy(vals, n)[2], n).holds:
+        if factorial(n) * sum(vals) <= prod(_greedy(vals, n)[2]):
             continue
         total = reference_evidence(vals, n, filters, DEFAULT_DFS_CAP)["nodes"]
         cap = data.draw(
@@ -396,14 +396,32 @@ def test_lex_searches_in_at_most_three_variables_cut_no_degenerate_child(family)
 
 
 def test_a_seven_variable_lex_search_cuts_degenerate_children_as_the_tree_walk():
-    # 1,7,8,4 is the first lex search seen with degenerate children; every
-    # n <= 6 search measured has none. The cut must count as the tree walk
-    # does, also when the cap stops the search inside the tree.
+    # 1,7,8,4 is the first lex search seen with degenerate children; the
+    # four-variable ones below have them too. The cut must count as the tree
+    # walk does, also when the cap stops the search inside the tree.
     H = (1, 7, 8, 4)
     for cap, nodes, degenerate in ((DEFAULT_DFS_CAP, 10_148, 3_120), (1_000, 1_001, 308), (5_000, 5_001, 1_538)):
         res = _classify_values(H, 7, ClassifyOptions(DEFAULT_FILTERS, cap))
         assert (res.nodes, res.degenerate, res.cap_exceeded) == (nodes, degenerate, cap != DEFAULT_DFS_CAP)
         assert _evidence(res) == reference_evidence(H, 7, DEFAULT_FILTERS, cap), cap
+
+
+@pytest.mark.parametrize("H, degenerate", [
+    ((1, 4, 8, 12, 15, 16, 14, 9, 3), 294),
+    ((1, 4, 8, 12, 15, 16, 14, 10, 4), 126),
+    ((1, 4, 8, 12, 15, 16, 14, 10, 5), 180),
+    ((1, 4, 10, 17, 23, 26, 24, 16, 5), 132),
+    ((1, 4, 10, 18, 26, 32, 33, 27, 14), 60),
+])
+def test_a_greedy_diagram_with_an_empty_column_goes_to_the_search(H, degenerate):
+    # The greedy diagram leaves a column empty, so no module has it: its shift
+    # reads 0, as in the scan walk, and the search over the diagrams with
+    # every column nonzero decides H. These are also four-variable searches
+    # with degenerate children.
+    res = classify(H, 4)
+    assert 0 in res.shifts and res.rhs == 0 and res.lhs == factorial(4) * sum(H)
+    assert (res.status, res.reason, res.degenerate) == ("ELIMINATED", "er,gen,growth", degenerate)
+    assert _evidence(res) == reference_evidence(H, 4, DEFAULT_FILTERS, DEFAULT_DFS_CAP)
 
 
 def test_entry_caps():
