@@ -114,21 +114,16 @@ class BettiDiagram:
     def to_text(self):
         """Human layout: entry beta_{i,j} at row j-i, column i, dots for zeros."""
         width = self.projective_dimension
-        reg = self.regularity
-        grid = [["total:"] + [str(self.column_total(i)) for i in range(width + 1)]]
-        for r in range(reg + 1):
-            cells = [f"{r}:"]
-            for i in range(width + 1):
-                c = self.entry(i, r + i)
-                cells.append(str(c) if c else ".")
-            grid.append(cells)
-        pads = [max(len(row[k]) for row in grid) for k in range(width + 2)]
-        lines = []
-        for row in grid:
-            cells = [row[0].ljust(pads[0])]
-            cells += [row[k].rjust(pads[k]) for k in range(1, width + 2)]
-            lines.append(" ".join(cells).rstrip())
-        return "\n".join(lines)
+        totals = [0] * (width + 1)
+        grid = [[f"{r}:"] + ["."] * (width + 1) for r in range(self.regularity + 1)]
+        for (i, j), c in self._entries.items():
+            totals[i] += c
+            if j >= i:  # an entry below row 0 counts in its total but is not drawn
+                grid[j - i][i + 1] = str(c)
+        grid.insert(0, ["total:", *map(str, totals)])
+        pads = [max(map(len, cells)) for cells in zip(*grid)]
+        lines = (" ".join([label.ljust(pads[0]), *map(str.rjust, cells, pads[1:])]) for label, *cells in grid)
+        return "\n".join(map(str.rstrip, lines))
 
     @classmethod
     def from_text(cls, text, n=None):

@@ -7,7 +7,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
-from operator import mul
 
 from .betti import BettiDiagram, is_quasipure, max_shifts
 from .errors import NeedsCapError, _check_int
@@ -165,23 +164,18 @@ def _resolution(I, field_char=DEFAULT_CHAR, degree_cap=None):
     # is set when x^(mu - 1_S) is standard: for S = S' without x_n when
     # t < h(q - S'), and for S' with x_n when 1 <= t <= h(q - S'). So column
     # q's int is the sum over S' of ones(h(q - S')) * bits(S'). A column is
-    # keyed by |q| * B^(n-1) + sum_k q_k * B^k; B = |z| + 1 exceeds every q_k,
-    # as z is a down-set, so column p + S' has the key of p plus that of S'.
+    # keyed as in z, so column p + S' has the key of p plus that of S'.
     width = max(8, 1 << n)
-    base = len(z) + 1
-    top = base ** (n - 1)
-    weights = [top + base**k for k in range(n - 1)]
-    heights = {sum(map(mul, p, weights)): h for p, h in z.items()}
     ones = [((1 << width * h) - 1) // ((1 << width) - 1) for h in range(max(z.values()) + 1)]
     last = 1 << (n - 1)
     subsets = []
     for mask in range(last):
-        offset = sum(w for k, w in enumerate(weights) if mask >> k & 1)
+        offset = sum(w for k, w in enumerate(z.weights) if mask >> k & 1)
         bits = 1 << mask | 1 << (width + (mask | last))
         subsets.append((offset, [one * bits for one in ones]))
     own = subsets[0][1]
-    columns = {key: own[h] for key, h in heights.items()}
-    for key, h in heights.items():
+    columns = {key: own[h] for key, h in z.items()}
+    for key, h in z.items():
         for offset, row in subsets[1:]:
             columns[key + offset] = columns.get(key + offset, 0) | row[h]
     # Lanes t < h(q) are standard blocks: each holds e_S for every S in
@@ -191,9 +185,9 @@ def _resolution(I, field_char=DEFAULT_CHAR, degree_cap=None):
     chunks = []
     degrees = []
     for key, pattern in columns.items():
-        h = heights.get(key, 0)
+        h = z.get(key, 0)
         pattern >>= width * h
-        j = key // top + h
+        j = key // z.top + h
         if degree_cap is not None:
             # Every element of block mu has degree |mu|: the cap keeps whole lanes.
             pattern &= (1 << width * max(degree_cap - j + 1, 0)) - 1
@@ -210,11 +204,13 @@ def _resolution(I, field_char=DEFAULT_CHAR, degree_cap=None):
         step = width // 8
         lanes = [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
     homology = {pattern: _block_betti(n, pattern, field_char) for pattern in set(lanes)}
+    # Every count is beta * times > 0, and no lane is a standard block, so
+    # beta_{0,0} = 1 is the only entry in column 0: the entries are clean.
     entries = {(0, 0): 1}
     for (pattern, j), times in Counter(zip(lanes, degrees)).items():
         for r, beta in homology[pattern]:
             entries[(r, j)] = entries.get((r, j), 0) + beta * times
-    return BettiDiagram(n, entries), z
+    return BettiDiagram._trusted(n, entries), z
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import re
 from functools import cache
 from itertools import accumulate, combinations_with_replacement, groupby, islice
 from math import comb, inf
-from operator import le
+from operator import le, mul
 
 from .errors import IdealParseError, NeedsCapError, NotAdmissibleError, _check_int, _check_ints
 from .hilbert import HilbertFunction, _growth_bound, _value_type, _values
@@ -25,14 +25,6 @@ __all__ = [
 ]
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-def _max_var(exps):
-    """One-based index of the last nonzero exponent, 0 for the zero tuple."""
-    mv = len(exps)
-    while mv > 0 and exps[mv - 1] == 0:
-        mv -= 1
-    return mv
 
 
 @_value_type
@@ -58,7 +50,10 @@ class Monomial:
     @property
     def max_var(self):
         """One-based index of the last variable dividing this monomial, 0 for 1."""
-        return _max_var(self.exponents)
+        mv = len(self.exponents)
+        while mv > 0 and self.exponents[mv - 1] == 0:
+            mv -= 1
+        return mv
 
     def divides(self, other):
         if len(self.exponents) != len(other.exponents):
@@ -235,7 +230,7 @@ def lex_generator_profile(H, n):
     the resolution of a lex ideal depends on; lex_columns turns it into Betti
     columns without listing generators. No scan calls it; it stays because
     perfbench's scan-n3 replay imports it as its lex layer, until that replay
-    moves to the scan walk (ROADMAP item 5).
+    moves to the scan walk (ROADMAP item 6).
     """
     return tuple((d, g[-1] + 1) for d, *key in _lex_degrees(H, n) for g in _lex_generators(n, d, *key))
 
@@ -280,14 +275,22 @@ def _truncate(I, d, z):
     if d < 0:
         raise ValueError(f"truncation degree must be nonnegative, got {d}")
     gens = [g for g in I.generators if g.degree >= d]
-    gens += [e for e in _exponents_of_degree(d, I.n) if e[-1] >= z.get(e[:-1], 0)]
+    # A prefix with an exponent of B or more keys no column of z: its key,
+    # carried into base-B digits below B^(n-1), would need a smaller |p|.
+    gens += [e for e in _exponents_of_degree(d, I.n) if e[-1] >= z.get(sum(map(mul, e, z.weights)), 0)]
     return MonomialIdeal(I.n, gens)
 
 
-def _staircase(I, d_max=None):
-    """Column heights {prefix: h} of the monomials outside I.
+class _Staircase(dict):
+    """Column heights {key: h} of a staircase, with the top and weights of its prefix keys."""
 
-    A prefix is an exponent tuple of x_1..x_{n-1}, and the standard monomials
+    __slots__ = ("top", "weights")
+
+
+def _staircase(I, d_max=None):
+    """Column heights {key: h} of the monomials outside I.
+
+    A prefix p is an exponent tuple of x_1..x_{n-1}, and the standard monomials
     with prefix p are p * x_n^j for j = 0..h(p)-1, where
     h(p) = min(own(p), h(p - e_k) for p_k > 0) and own(p) is the x_n-exponent
     of the minimal generator with prefix p, if there is one. Under d_max a
@@ -295,38 +298,57 @@ def _staircase(I, d_max=None):
     <= d_max. The prefixes with h > 0 form a down-set, walked layer by layer;
     each is reached once, from p / x_m with m its last nonzero variable.
     Without d_max the walk ends only for Artinian ideals.
+
+    p is keyed by the int |p| * B^(n-1) + sum_k p_k * B^k, its dot product
+    with z.weights; z.top is B^(n-1), so |p| = key // z.top. B is 2 + the
+    largest prefix exponent of a generator, and of d_max under a cap, so it
+    exceeds every exponent of p + S' for p in z and S' a subset of
+    x_1..x_{n-1}: those keys are distinct, and the key of p + S' is that of p
+    plus that of S'. Each layer entry carries the weights of its support, so
+    a child is key + w[m] and its down-neighbours are key - w[k], found
+    without reading digits.
     """
     n = I.n
-    own = {g.exponents[:-1]: g.exponents[-1] for g in I.generators}
+    base = 2 + max([e for g in I.generators for e in g.exponents[:-1]] + [-1 if d_max is None else d_max])
+    top = base ** (n - 1)
+    w = [top + base**k for k in range(n - 1)]
+    own = {sum(map(mul, g.exponents, w)): g.exponents[-1] for g in I.generators}
     cap = inf if d_max is None else d_max + 1
-    zero = (0,) * (n - 1)
-    h = min(own.get(zero, cap), cap)
-    z = {zero: h} if h > 0 else {}
-    layer = list(z)
+    h = min(own.get(0, cap), cap)
+    z = _Staircase({0: h} if h > 0 else {})
+    z.top, z.weights = top, w
+    get = z.get
+    # (key, height, last support variable, weights of the support); the root's last is 0.
+    layer = [(0, h, 0, ())] if h > 0 else []
     while layer:
         cap -= 1
         nxt = []
-        for t in layer:
-            ht = min(z[t], cap)
-            for m in range(max(_max_var(t) - 1, 0), n - 1):
-                s = t[:m] + (t[m] + 1,) + t[m + 1:]
-                h = min(own.get(s, ht), ht)
-                for k in range(m):
-                    if h and s[k]:
-                        h = min(h, z.get(s[:k] + (s[k] - 1,) + s[k + 1:], 0))
+        for t, ht, last, support in layer:
+            ht = min(ht, cap)
+            for m in range(last, n - 1):
+                s = t + w[m]
+                downs = support[:-1] if m == last else support
+                h = own.get(s, ht)
+                if h > ht:
+                    h = ht
+                for down in downs:
+                    below = get(s - down, 0)
+                    if below < h:
+                        h = below
                 if h:
                     z[s] = h
-                    nxt.append(s)
+                    nxt.append((s, h, m, downs + (w[m],)))
         layer = nxt
     return z
 
 
 def _hilbert_values(z):
     """H(0), H(1), ... of a staircase: column p adds 1 to degrees |p|..|p|+h-1."""
-    diff = [0] * (max((sum(p) + h for p, h in z.items()), default=0) + 1)
+    top = z.top
+    diff = [0] * (max((p // top + h for p, h in z.items()), default=0) + 1)
     for p, h in z.items():
-        diff[sum(p)] += 1
-        diff[sum(p) + h] -= 1
+        diff[p // top] += 1
+        diff[p // top + h] -= 1
     return list(accumulate(diff[:-1]))
 
 

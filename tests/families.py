@@ -1,4 +1,4 @@
-"""Hypothesis strategies: small O-sequences, O-sequence families below a prefix, monomial ideals.
+"""Hypothesis strategies: small O-sequences, O-sequence families below a prefix, monomial ideals, Betti diagrams.
 
 Also monomials_of_degree, a brute-force enumerator that shares no code with
 the package's own, walk_state, the scan walk's state of one function, and
@@ -7,10 +7,11 @@ block_row, the block row its extensions read.
 
 from functools import cache
 from itertools import product
+from math import prod
 
 from hypothesis import strategies as st
 
-from multbound import Monomial, MonomialIdeal
+from multbound import BettiDiagram, Monomial, MonomialIdeal
 
 
 @cache
@@ -86,3 +87,38 @@ def monomial_ideals(draw):
         for k, a in enumerate(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))):
             gens.append([a if j == k else 0 for j in range(n)])
     return MonomialIdeal(n, gens)
+
+
+@st.composite
+def wide_monomial_ideals(draw):
+    """(I, cap) with exponents up to 12 in n = 1..5 variables, where a staircase key's digits reach past 4.
+
+    Each variable gets a pure power only sometimes. cap is None only for an
+    Artinian I whose pure powers multiply to at most 400, which bounds its
+    standard monomials; otherwise it is drawn from 0..12.
+    """
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(any), max_size=5))
+    powers = draw(st.lists(st.one_of(st.none(), st.integers(1, 12)), min_size=n, max_size=n))
+    gens += [[a if j == k else 0 for j in range(n)] for k, a in enumerate(powers) if a]
+    I = MonomialIdeal(n, gens)
+    small = None not in powers and prod(powers) <= 400
+    return I, draw(st.one_of(st.none(), st.integers(0, 12)) if small else st.integers(0, 12))
+
+
+@st.composite
+def betti_diagrams(draw):
+    """Diagrams in n = 1..5 variables with up to 8 entries beyond beta_{0,0} = 1.
+
+    Columns stop at a drawn projective dimension, which may be below n; rows
+    run from -i (degree 0 in column i) to 8, so inner rows are often empty;
+    counts reach 10^4, so totals may take five or more digits.
+    """
+    n = draw(st.integers(1, 5))
+    pd = draw(st.integers(0, n))
+    entries = {(0, 0): 1}
+    if pd:
+        for _ in range(draw(st.integers(0, 8))):
+            i = draw(st.integers(1, pd))
+            entries[(i, i + draw(st.integers(-i, 8)))] = draw(st.integers(1, 10**4))
+    return BettiDiagram(n, entries)

@@ -4,7 +4,8 @@ _violating_diagrams is the reference for verdict._violating_search: it visits
 every tree node and leaf one by one, where the search adds up memoized
 subtrees. The er, gen and growth predicates below are the filter reference
 that the search's carried filter state is checked against: they read a
-diagram's column maps directly.
+diagram's column maps directly. reference_to_text is the per-cell layout
+that BettiDiagram.to_text renders in one pass.
 """
 
 from bisect import bisect_right
@@ -232,3 +233,26 @@ def reference_evidence(hvals, n, filters, cap):
         "degenerate": stats["degenerate"],
         "cap_exceeded": stats["cap_exceeded"],
     }
+
+
+def reference_to_text(D):
+    """BettiDiagram.to_text rendered cell by cell from column_total and entry.
+
+    The total: row, then rows 0 through the regularity, with the row label
+    left-aligned and each column right-aligned to its widest cell.
+    """
+    width = D.projective_dimension
+    grid = [["total:"] + [str(D.column_total(i)) for i in range(width + 1)]]
+    for r in range(D.regularity + 1):
+        cells = [f"{r}:"]
+        for i in range(width + 1):
+            c = D.entry(i, r + i)
+            cells.append(str(c) if c else ".")
+        grid.append(cells)
+    pads = [max(len(row[k]) for row in grid) for k in range(width + 2)]
+    lines = []
+    for row in grid:
+        cells = [row[0].ljust(pads[0])]
+        cells += [row[k].rjust(pads[k]) for k in range(1, width + 2)]
+        lines.append(" ".join(cells).rstrip())
+    return "\n".join(lines)

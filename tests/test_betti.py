@@ -1,6 +1,7 @@
 """Tests for Betti diagrams: closed-form resolutions, greedy cancellation, shifts, layouts."""
 
 import pytest
+from hypothesis import example, given, settings
 
 from multbound import (
     BettiDiagram,
@@ -36,7 +37,8 @@ from goldens import (
     MIN_1_3_6_9_9_6_2,
     diagram,
 )
-from leaves import _growth_ok
+from families import betti_diagrams
+from leaves import _growth_ok, reference_to_text
 
 CI_5_5_5 = BettiDiagram(3, {(0, 0): 1, (1, 5): 3, (2, 10): 3, (3, 15): 1})
 
@@ -114,6 +116,16 @@ def test_to_text_layout_is_exact():
         "2:     . . 1",
     ])
     assert str(D) == D.to_text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(betti_diagrams())
+# An empty inner row, projective dimension 2 < n = 4, and a five-digit total.
+@example(BettiDiagram(4, {(0, 0): 1, (1, 3): 7, (2, 5): 9999, (2, 6): 12}))
+# An entry below row 0, which the layout leaves out and the totals count.
+@example(BettiDiagram(3, {(0, 0): 1, (1, 0): 2, (3, 9): 1}))
+def test_to_text_equals_the_per_cell_reference(D):
+    assert D.to_text() == reference_to_text(D)
 
 
 def test_text_round_trips():

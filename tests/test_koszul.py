@@ -3,6 +3,8 @@
 import itertools
 import random
 import re
+from math import comb, inf
+from operator import le, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +29,9 @@ from multbound import (
     verify_truncation_rows,
 )
 from multbound.koszul import _block_betti, rank_mod_p
+from multbound.monomial import _staircase
 
-from families import monomial_ideals, monomials_of_degree, o_sequences
+from families import monomial_ideals, monomials_of_degree, o_sequences, wide_monomial_ideals
 
 from goldens import (
     DIAG_ROWS_DEMO,
@@ -206,7 +209,66 @@ def test_koszul_betti_equals_the_block_basis_brute_force():
 def test_koszul_betti_equals_the_brute_force_on_drawn_ideals(I, cap, p):
     if cap is None and not I.is_artinian():
         cap = 8
-    assert koszul_betti(I, p, cap).entries() == _brute_force_betti(I, p, cap)
+    D = koszul_betti(I, p, cap)
+    assert D.entries() == _brute_force_betti(I, p, cap)
+    # The engine builds D unchecked; the validating constructor must accept it.
+    assert BettiDiagram(D.n, D.entries()) == D
+
+
+def _tuple_staircase(I, cap):
+    """{prefix: h} with h the least j, or cap - |prefix| + 1, at which prefix * x_n^j lies in I.
+
+    Each h is a minimum over the generators that divide prefix * x_n^h,
+    ranging over every prefix whose exponents stay below the cap, or below
+    the pure powers of an Artinian I.
+    """
+    n = I.n
+    bounds = [cap + 1 if cap is not None else min(
+        g.exponents[k] for g in I.generators if g.exponents[k] == g.degree > 0
+    ) for k in range(n - 1)]
+    z = {}
+    for p in itertools.product(*map(range, bounds)):
+        h = min([g.exponents[-1] for g in I.generators if all(map(le, g.exponents[:-1], p))]
+                + [inf if cap is None else cap - sum(p) + 1])
+        if h > 0:
+            z[p] = h
+    return z
+
+
+def _decode(z, key):
+    """The prefix of a staircase key: |p| = key // z.top, and B^k = z.weights[k] - z.top."""
+    rest, p = key % z.top, []
+    for w in reversed(z.weights):
+        p.append(rest // (w - z.top))
+        rest %= w - z.top
+    return tuple(reversed(p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_monomial_ideals())
+def test_staircase_keys_do_not_carry_for_large_exponents(case):
+    """The int-keyed staircase and the engine on exponents up to 12, where a too-small key base would carry."""
+    I, cap = case
+    z = _staircase(I, cap)
+    decoded = {}
+    for key, h in z.items():
+        p = _decode(z, key)
+        # A carried digit would decode to a prefix of another degree.
+        assert key // z.top == sum(p) and sum(map(mul, p, z.weights)) == key, (I, cap, key)
+        decoded[p] = h
+    assert decoded == _tuple_staircase(I, cap)
+    D = koszul_betti(I, degree_cap=cap)
+    assert BettiDiagram(D.n, D.entries()) == D
+    if cap is None:
+        assert hilbert_from_diagram(D) == quotient_hilbert_function(I)
+    else:
+        # The numerator sum_{i,j} (-1)^i beta_{i,j} t^j over (1 - t)^n, through the cap.
+        series = [
+            sum((-1) ** i * c * comb(d - j + I.n - 1, I.n - 1) for (i, j), c in D.entries().items() if j <= d)
+            for d in range(cap + 1)
+        ]
+        H = quotient_hilbert_function(I, cap)
+        assert series == [H[d] for d in range(cap + 1)]
 
 
 @settings(max_examples=60, deadline=None)

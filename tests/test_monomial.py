@@ -2,6 +2,7 @@
 
 import itertools
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,11 +330,16 @@ def test_staircase_columns_are_the_monomials_outside_the_ideal(I, cap):
     # Each x_k^a in I has a <= 4, so an Artinian I holds every monomial of degree 3n + 1.
     top = 3 * I.n + 1 if cap is None else cap
     z = _staircase(I, cap)
-    assert all(h > 0 and sum(p) + h - 1 <= top for p, h in z.items())
+    # A prefix p is keyed by its dot product with z.weights, and |p| = key // z.top.
+    assert all(h > 0 and key // z.top + h - 1 <= top for key, h in z.items())
+    standard = 0
     for d in range(top + 1):
         for m in monomials_of_degree(d, I.n):
-            *prefix, last = m.exponents
-            assert (last < z.get(tuple(prefix), 0)) == (not I.contains(m)), (I, cap, m)
+            key = sum(map(mul, m.exponents[:-1], z.weights))
+            assert (m.exponents[-1] < z.get(key, 0)) == (not I.contains(m)), (I, cap, m)
+            standard += not I.contains(m)
+    # So no key of z is left unread: its columns hold exactly the standard monomials.
+    assert sum(z.values()) == standard
 
 
 @settings(max_examples=80, deadline=None)
