@@ -27,7 +27,8 @@ class BettiDiagram:
     """Table of graded Betti numbers beta_{i,j} for a quotient in n variables.
 
     Only nonzero entries are stored. Every diagram has the cyclic-quotient
-    shape: beta_{0,0} = 1 is the only entry in column 0 and columns stop at n.
+    shape: beta_{0,0} = 1 is the only entry in column 0, columns stop at n
+    and no entry lies below row 0 (beta_{i,j} = 0 for j < i).
     """
 
     n: int
@@ -48,8 +49,8 @@ class BettiDiagram:
                 continue
             if not 0 <= i <= n:
                 raise ValueError(f"column {i} outside 0..{n}")
-            if j < 0:
-                raise ValueError(f"negative degree {j} at column {i}")
+            if j < i:
+                raise ValueError(f"degree {j} at column {i} is below row 0")
             clean[(i, j)] = c
         if clean.get((0, 0)) != 1 or any(i == 0 and j != 0 for i, j in clean):
             raise ValueError("column 0 must hold exactly beta_{0,0} = 1")
@@ -118,8 +119,7 @@ class BettiDiagram:
         grid = [[f"{r}:"] + ["."] * (width + 1) for r in range(self.regularity + 1)]
         for (i, j), c in self._entries.items():
             totals[i] += c
-            if j >= i:  # an entry below row 0 counts in its total but is not drawn
-                grid[j - i][i + 1] = str(c)
+            grid[j - i][i + 1] = str(c)
         grid.insert(0, ["total:", *map(str, totals)])
         pads = [max(map(len, cells)) for cells in zip(*grid)]
         lines = (" ".join([label.ljust(pads[0]), *map(str.rjust, cells, pads[1:])]) for label, *cells in grid)

@@ -155,6 +155,39 @@ def _option_classes(start, n):
     }
 
 
+@cache
+def _level_classes(start, n, j):
+    """One degree's option classes for _violating_search, shared by every search in the process.
+
+    start is the degree's column vector and j its degree for n = 3, whose
+    gen reads it, else None. Returns a tuple of (count, token, mask), one
+    per class of _option_classes(start, n), with token (j, capped vector),
+    and the frozenset of the class masks.
+    """
+    found = _option_classes(start, n)
+    classes = tuple((count, (j, capped), mask) for (mask, capped), count in found.items())
+    return classes, frozenset(mask for mask, _ in found)
+
+
+@cache
+def _best_row(n, j, masks, below):
+    """Row best[L] of _violating_search for a level of degree j, shared by every search in the process.
+
+    masks is the level's set of class masks and below the row best[L + 1].
+    Entry U is the least j ** |U & m| * below[U & ~m] over m in masks: a
+    running minimum, with the powers of j read from a table of k = 0..n.
+    Returns a tuple of 2 ** n entries.
+    """
+    power = [j ** k for k in range(n + 1)]
+    row = [inf] * (1 << n)
+    for m in masks:
+        for U in range(1 << n):
+            value = power[(U & m).bit_count()] * below[U & ~m]
+            if value < row[U]:
+                row[U] = value
+    return tuple(row)
+
+
 def _filter_state_failures(state, hvals, n, filters):
     """Names of enabled filters a leaf with this filter state fails (see _violating_search).
 
@@ -209,9 +242,7 @@ def _violating_search(cols, lhs, cap, failures):
     give to the columns in U, the set of columns still empty (inf when one
     can never become nonzero); a child is entered only when the pinned
     product times its share and best stays below lhs, so every node of the
-    tree has a leaf below it. Row L is a running minimum over level L's
-    distinct class masks, with the powers j ** k of its degree j read from a
-    table of k = 0..n.
+    tree has a leaf below it (see _best_row).
 
     Each node carries the filter state (er, gen, late) of its path, so that
     no leaf rescans its columns; failures(state) gives the names of the
@@ -244,8 +275,17 @@ def _violating_search(cols, lhs, cap, failures):
     cap nodes or has survivors, one descent in option order reads them off
     the summaries: it takes a child's summary whole when the child fits in
     the cap and holds no survivor, enters it otherwise, and builds each
-    survivor where it reaches it. Nothing is cached past one search: the
-    classes, best, the transitions and the summaries belong to the call.
+    survivor where it reaches it.
+
+    Each level's classes (_level_classes) and best row (_best_row) are
+    cached for the process. They are pure functions of small immutable
+    inputs: the degree's column vector, n, the degree (for the row's powers,
+    and for the tokens when n = 3), the class masks and the row below. They
+    are returned as tuples and frozensets that no search mutates, so every
+    search that meets the same degree vector, or the same levels below,
+    shares them. What depends on lhs, the cap, the filters or the lex
+    columns as a whole belongs to the call: the options, the children, the
+    transitions, the summaries, the descent and the survivors.
     Returns nodes (at most cap + 1), degenerate (children cut because some
     column can no longer become nonzero), whether the cap stopped the
     search, the histogram (a Counter) and the survivors.
@@ -253,31 +293,24 @@ def _violating_search(cols, lhs, cap, failures):
     n = len(cols) - 1
     degrees = sorted({j for col in cols[1:] for j in col}, reverse=True)
     depth = len(degrees)
-
-    # Per level, (count, token, mask) for each class; options(level) lists
-    # ((j, vec), token, mask) for each option, in option order.
-    classes = []
-    for j in degrees:
-        found = _option_classes(tuple(col.get(j, 0) for col in cols[1:]), n)
-        classes.append([(count, (j if n == 3 else None, capped), mask) for (mask, capped), count in found.items()])
+    full = (1 << n) - 1
+    # Per level, (count, token, mask) for each class and the class masks;
+    # options(level) lists ((j, vec), token, mask) for each option, in option order.
+    levels = [
+        _level_classes(tuple(col.get(j, 0) for col in cols[1:]), n, j if n == 3 else None)
+        for j in degrees
+    ]
+    classes = [found for found, _ in levels]
 
     @cache
     def options(level):
         j = degrees[level]
         return [((j, vec), (j if n == 3 else None, vec), mask) for vec, mask in _degree_options(cols, j)]
 
-    full = (1 << n) - 1
     powers = [[j ** k for k in range(n + 1)] for j in degrees]
-    best = [None] * depth + [[1] + [inf] * full]
+    best = [None] * depth + [(1,) + (inf,) * full]
     for level in reversed(range(depth)):
-        power, below = powers[level], best[level + 1]
-        row = [inf] * (full + 1)
-        for m in {mask for _, _, mask in classes[level]}:
-            for U in range(full + 1):
-                value = power[(U & m).bit_count()] * below[U & ~m]
-                if value < row[U]:
-                    row[U] = value
-        best[level] = row
+        best[level] = _best_row(n, degrees[level], levels[level][1], best[level + 1])
     transitions = {}
     summaries = {}
 

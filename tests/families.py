@@ -111,8 +111,8 @@ def betti_diagrams(draw):
     """Diagrams in n = 1..5 variables with up to 8 entries beyond beta_{0,0} = 1.
 
     Columns stop at a drawn projective dimension, which may be below n; rows
-    run from -i (degree 0 in column i) to 8, so inner rows are often empty;
-    counts reach 10^4, so totals may take five or more digits.
+    run from 0 to 8, so inner rows are often empty; counts reach 10^4, so
+    totals may take five or more digits.
     """
     n = draw(st.integers(1, 5))
     pd = draw(st.integers(0, n))
@@ -120,5 +120,5 @@ def betti_diagrams(draw):
     if pd:
         for _ in range(draw(st.integers(0, 8))):
             i = draw(st.integers(1, pd))
-            entries[(i, i + draw(st.integers(-i, 8)))] = draw(st.integers(1, 10**4))
+            entries[(i, i + draw(st.integers(0, 8)))] = draw(st.integers(1, 10**4))
     return BettiDiagram(n, entries)

@@ -2,10 +2,12 @@
 
 _violating_diagrams is the reference for verdict._violating_search: it visits
 every tree node and leaf one by one, where the search adds up memoized
-subtrees. The er, gen and growth predicates below are the filter reference
-that the search's carried filter state is checked against: they read a
-diagram's column maps directly. reference_to_text is the per-cell layout
-that BettiDiagram.to_text renders in one pass.
+subtrees; option_best, the rows of best it builds from the listed options,
+is the reference for verdict._best_row. The er, gen and growth predicates
+below are the filter reference that the search's carried filter state is
+checked against: they read a diagram's column maps directly.
+reference_to_text is the per-cell layout that BettiDiagram.to_text renders
+in one pass.
 """
 
 from bisect import bisect_right
@@ -55,15 +57,7 @@ def _violating_diagrams(cols, lhs, cap, visit):
     n = len(cols) - 1
     degrees = sorted({j for col in cols[1:] for j in col}, reverse=True)
     options = [_degree_options(cols, j) for j in degrees]
-    full = (1 << n) - 1
-    best = [None] * len(degrees) + [[1] + [inf] * full]
-    for level in reversed(range(len(degrees))):
-        j, below = degrees[level], best[level + 1]
-        masks = {mask for _, mask in options[level]}
-        best[level] = [
-            min(j ** (U & m).bit_count() * below[U & ~m] for m in masks)
-            for U in range(full + 1)
-        ]
+    best = option_best(n, degrees, options)
     path = [None] * len(degrees)
     transitions = {}
     stats = {"nodes": 0, "degenerate": 0, "cap_exceeded": False}
@@ -121,10 +115,31 @@ def _violating_diagrams(cols, lhs, cap, visit):
             descend(level + 1, pinned * share, rest, child)
 
     try:
-        descend(0, 1, full, ((0,) * (n - 1), ((), 0) if n == 3 else 0, False))
+        descend(0, 1, (1 << n) - 1, ((0,) * (n - 1), ((), 0) if n == 3 else 0, False))
     except _CapReached:
         stats["cap_exceeded"] = True
     return stats
+
+
+def option_best(n, degrees, options):
+    """The rows best[L] of the search tree, and the row [1, inf, ...] below the last level, from the listed options.
+
+    degrees holds the levels' degrees, top first, and options[L] level L's
+    _degree_options. best[L][U] is the least j ** |U & m| * best[L + 1][U & ~m]
+    over the support masks m of level L's options, where j = degrees[L]: the
+    least product of max shifts that levels L and below can give to the
+    columns in U (see _violating_diagrams).
+    """
+    full = (1 << n) - 1
+    best = [None] * len(degrees) + [[1] + [inf] * full]
+    for level in reversed(range(len(degrees))):
+        j, below = degrees[level], best[level + 1]
+        masks = {mask for _, mask in options[level]}
+        best[level] = [
+            min(j ** (U & m).bit_count() * below[U & ~m] for m in masks)
+            for U in range(full + 1)
+        ]
+    return best
 
 
 def path_columns(path, n):

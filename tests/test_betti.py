@@ -122,10 +122,32 @@ def test_to_text_layout_is_exact():
 @given(betti_diagrams())
 # An empty inner row, projective dimension 2 < n = 4, and a five-digit total.
 @example(BettiDiagram(4, {(0, 0): 1, (1, 3): 7, (2, 5): 9999, (2, 6): 12}))
-# An entry below row 0, which the layout leaves out and the totals count.
-@example(BettiDiagram(3, {(0, 0): 1, (1, 0): 2, (3, 9): 1}))
 def test_to_text_equals_the_per_cell_reference(D):
     assert D.to_text() == reference_to_text(D)
+
+
+def test_constructor_rejects_entries_below_row_0():
+    # No cyclic quotient has beta_{i,j} with 1 <= i and j < i. This diagram
+    # once built, and to_text counted its beta_{1,0} in the total: row but
+    # drew it nowhere, so from_text(to_text()) raised on it.
+    with pytest.raises(ValueError, match=r"^degree 0 at column 1 is below row 0$"):
+        BettiDiagram(3, {(0, 0): 1, (1, 0): 2, (3, 9): 1})
+    with pytest.raises(ValueError, match=r"^degree 2 at column 3 is below row 0$"):
+        BettiDiagram(3, {(0, 0): 1, (1, 2): 3, (3, 2): 1})
+    with pytest.raises(ValueError):
+        BettiDiagram.from_machine("0 0 1\n2 1 1")
+    assert BettiDiagram(3, {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1}).regularity == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(betti_diagrams())
+def test_text_and_machine_forms_round_trip(D):
+    # Without n, the parsers read n as the projective dimension.
+    assert BettiDiagram.from_text(D.to_text(), n=D.n) == D
+    assert BettiDiagram.from_machine(D.to_machine(), n=D.n) == D
+    if D.projective_dimension == D.n:
+        assert BettiDiagram.from_text(D.to_text()) == D
+        assert BettiDiagram.from_machine(D.to_machine()) == D
 
 
 def test_text_round_trips():

@@ -2,7 +2,7 @@
 
 from collections import Counter
 from itertools import product
-from math import factorial, prod
+from math import factorial, inf, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,11 +28,13 @@ from multbound.scanner import _greedy_step
 from multbound.verdict import (
     DEFAULT_DFS_CAP,
     DEFAULT_FILTERS,
+    _best_row,
     _classify_values,
     _degree_options,
     _entry_caps,
     _filter_state_failures,
     _greedy,
+    _level_classes,
     _option_classes,
     _path_diagram,
     _violating_search,
@@ -50,6 +52,7 @@ from leaves import (
     _generator_count_ok,
     _violating_diagrams,
     diagram_filter_failures,
+    option_best,
     path_columns,
     reference_evidence,
 )
@@ -464,6 +467,69 @@ def test_option_classes_on_the_degree_vectors_of_real_exceptions(n, socle_max, p
         for j in sorted({j for col in cols[1:] for j in col}):
             start = tuple(col.get(j, 0) for col in cols[1:])
             assert _option_classes(start, n) == _option_counter(start, n), (vals, j)
+
+
+SETUP_FAMILIES = [(3, 7, (1, 3)), (4, 5, (1, 4)), (5, 3, (1, 5))]
+
+
+def _family_exceptions(n, socle_max, prefix):
+    return [vals for chunk in scanner._chunks(n, socle_max, prefix, 4096) for vals in chunk[2]]
+
+
+def _cached_setup(cols):
+    # The search's per-level setup from the process-wide helpers: the class
+    # triples and masks, and the best rows down to the base row.
+    n = len(cols) - 1
+    degrees = sorted({j for col in cols[1:] for j in col}, reverse=True)
+    levels = [
+        _level_classes(tuple(col.get(j, 0) for col in cols[1:]), n, j if n == 3 else None)
+        for j in degrees
+    ]
+    best = [(1,) + (inf,) * ((1 << n) - 1)]
+    for j, (_, masks) in zip(reversed(degrees), reversed(levels)):
+        best.insert(0, _best_row(n, j, masks, best[0]))
+    return degrees, levels, best
+
+
+@pytest.mark.parametrize("n, socle_max, prefix", SETUP_FAMILIES)
+def test_the_setup_caches_never_change_a_classification(n, socle_max, prefix):
+    # The classes and best rows are shared across searches: classifying a
+    # family's exceptions in reverse, or after emptying both caches, must
+    # give the records of the forward pass.
+    exceptions = _family_exceptions(n, socle_max, prefix)
+    assert len(exceptions) == {3: 21, 4: 20, 5: 2}[n]
+    forward = [classify(vals, n).to_record() for vals in exceptions]
+    hits = _level_classes.cache_info().hits, _best_row.cache_info().hits
+    backward = [classify(vals, n).to_record() for vals in reversed(exceptions)]
+    assert backward[::-1] == forward
+    # The reverse pass found its setup in the caches.
+    assert _level_classes.cache_info().hits > hits[0] and _best_row.cache_info().hits > hits[1]
+    _level_classes.cache_clear()
+    _best_row.cache_clear()
+    assert [classify(vals, n).to_record() for vals in exceptions] == forward
+    # The shared values are immutable, so no search can change another's.
+    for vals in exceptions:
+        _, levels, best = _cached_setup(lex_columns(vals, n))
+        for classes, masks in levels:
+            assert type(classes) is tuple and type(masks) is frozenset
+            assert all(type(triple) is tuple and type(triple[1]) is tuple for triple in classes)
+        assert all(type(row) is tuple for row in best)
+
+
+@pytest.mark.parametrize("n, socle_max, prefix", SETUP_FAMILIES)
+def test_cached_best_rows_equal_the_rows_built_from_the_options(n, socle_max, prefix):
+    for vals in _family_exceptions(n, socle_max, prefix):
+        cols = lex_columns(vals, n)
+        degrees, levels, best = _cached_setup(cols)
+        reference = option_best(n, degrees, [_degree_options(cols, j) for j in degrees])
+        assert best == [tuple(row) for row in reference], vals
+        # Each level's classes are its options, counted by support and capped entries.
+        for j, (classes, masks) in zip(degrees, levels):
+            start = tuple(col.get(j, 0) for col in cols[1:])
+            assert Counter({(mask, capped): count for count, (_, capped), mask in classes}) == _option_counter(start, n)
+            assert masks == {mask for _, mask in _degree_options(cols, j)}
+            assert {token[0] for _, token, _ in classes} == {j if n == 3 else None}
+
 
 def test_a_search_without_survivors_or_cap_hit_never_lists_the_options(monkeypatch):
     # The classes carry the whole search: the options, in order, are listed
