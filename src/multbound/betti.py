@@ -127,18 +127,21 @@ class BettiDiagram:
 
     @classmethod
     def from_text(cls, text, n=None):
-        """Parse the human layout back into a diagram."""
+        """Parse the human layout back into a diagram; a repeated row label raises ValueError."""
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines or not lines[0].split()[0] == "total:":
             raise ValueError("diagram text must start with a total: row")
         totals = [int(tok) for tok in lines[0].split()[1:]]
         width = len(totals)
-        entries = {}
+        entries, rows = {}, set()
         for line in lines[1:]:
             tokens = line.split()
             if not tokens[0].endswith(":"):
                 raise ValueError(f"bad row label in {line!r}")
             r = int(tokens[0][:-1])
+            if r in rows:
+                raise ValueError(f"row {r} appears twice")
+            rows.add(r)
             cells = tokens[1:]
             if len(cells) != width:
                 raise ValueError(f"row {r} has {len(cells)} cells, expected {width}")
@@ -156,12 +159,14 @@ class BettiDiagram:
 
     @classmethod
     def from_machine(cls, text, n=None):
-        """Parse the machine form back into a diagram."""
+        """Parse the machine form back into a diagram; a repeated (i, j) line raises ValueError."""
         entries = {}
         for line in text.splitlines():
             if not line.strip():
                 continue
             i, j, c = (int(tok) for tok in line.split())
+            if (i, j) in entries:
+                raise ValueError(f"entry ({i}, {j}) appears twice")
             entries[(i, j)] = c
         if not entries:
             raise ValueError("machine-form diagram text has no entries")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .hilbert import _parse_ints
 from .koszul import DEFAULT_CHAR
 from .scanner import DEFAULT_CHUNK_SIZE, check_hf, check_ideal, scan
 from .verdict import DEFAULT_DFS_CAP, DEFAULT_FILTERS
@@ -74,14 +75,10 @@ def _filters(text):
 
 
 def _run_scan(args):
-    try:
-        prefix = tuple(int(v) for v in args.prefix.replace(",", " ").split())
-    except ValueError:
-        raise ValueError(f"non-integer value in --prefix {args.prefix!r}") from None
     report = scan(
         args.vars,
         args.socle_max,
-        prefix,
+        _parse_ints(args.prefix, "--prefix"),
         filters=_filters(args.filters),
         dfs_cap=args.dfs_cap,
         chunk_size=args.chunk_size,

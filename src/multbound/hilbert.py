@@ -86,15 +86,25 @@ class HilbertFunction:
 
     @classmethod
     def parse(cls, text):
-        """Parse a comma- or whitespace-separated value list like ``1,3,6,7,3,1``."""
-        tokens = text.replace(",", " ").split()
-        if not tokens:
+        """Parse a comma- or whitespace-separated value list like ``1,3,6,7,3,1`` (see _parse_ints)."""
+        vals = _parse_ints(text, "Hilbert function text")
+        if not vals:
             raise ValueError("empty Hilbert function text")
-        try:
-            vals = [int(tok) for tok in tokens]
-        except ValueError:
-            raise ValueError(f"non-integer value in Hilbert function text {text!r}") from None
         return cls(vals)
+
+
+def _parse_ints(text, source):
+    """Int tuple of a comma- or whitespace-separated list like ``1,3,6``, ``1 3 6`` or ``1, 3, 6``.
+
+    Raises ValueError, naming the text as source, on a value that is not
+    an int and on a blank field (a leading, trailing or doubled comma).
+    """
+    if "," in text and not all(field.strip() for field in text.split(",")):
+        raise ValueError(f"empty field in {source} {text!r}")
+    try:
+        return tuple(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"non-integer value in {source} {text!r}") from None
 
 
 def _values(H):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -253,21 +252,22 @@ def _violating_search(cols, lhs, cap, failures):
     is (column 1's degrees while there are at most four, else None, and
     column 3's total capped at 2); late is set once a column becomes
     nonzero while the next one is still empty, so its max shift is not
-    below the next one's. A move reads a vector only through its entries
-    capped at _entry_caps(n). The transitions are cached for the call on
-    (state, U, token), where token is (None, vec) for a vector vec, a
-    class's capped one or an option's own, and (j, vec) for n = 3, since
-    its gen reads the degree.
+    below the next one's. A move, child_state(state, U, token, mask),
+    reads a vector only through its entries capped at _entry_caps(n):
+    token is (None, vec) for a vector vec, a class's capped one or an
+    option's own, and (j, vec) for n = 3, since its gen reads the degree.
 
     A subtree depends only on its key (level, U, state, q), where
     q = (lhs - 1) // pinned: which children fit reads the pinned product
-    only through q, and a child's q is q // share. So each key's summary,
-    (tree nodes, degenerate children, histogram dict of failed-filter
-    tuples, survivors), is computed once, and a leaf's from its state
-    alone. Options with one capped vector (see _option_classes) have one
-    child key, so a summary adds up each class's child times its count,
-    and the options themselves are never listed. This pass always runs to
-    the root's summary; the cap only decides which searches stop.
+    only through q, and a child's q is q // share. So children(level, U,
+    q, in_order) gives the degenerate cut and only the children that fit,
+    and tally gives each key's summary, (tree nodes, degenerate children,
+    histogram dict of failed-filter tuples, survivors), a leaf's under the
+    same key as an inner node's. Options with one capped vector (see
+    _option_classes) have one child key, so a summary adds up each class's
+    child times its count, and the options themselves are never listed.
+    This pass always runs to the root's summary; the cap only decides
+    which searches stop.
     A tree of more than cap nodes stops the search: it reports the first
     cap nodes in preorder and the degenerate children and leaves among
     them, and counts node cap + 1 without reading it. The survivors, leaves
@@ -284,8 +284,8 @@ def _violating_search(cols, lhs, cap, failures):
     are returned as tuples and frozensets that no search mutates, so every
     search that meets the same degree vector, or the same levels below,
     shares them. What depends on lhs, the cap, the filters or the lex
-    columns as a whole belongs to the call: the options, the children, the
-    transitions, the summaries, the descent and the survivors.
+    columns as a whole belongs to the call: the descent, the survivors and
+    options, children, child_state and tally, functools.cache closures.
     Returns nodes (at most cap + 1), degenerate (children cut because some
     column can no longer become nonzero), whether the cap stopped the
     search, the histogram (a Counter) and the survivors.
@@ -311,74 +311,59 @@ def _violating_search(cols, lhs, cap, failures):
     best = [None] * depth + [(1,) + (inf,) * full]
     for level in reversed(range(depth)):
         best[level] = _best_row(n, degrees[level], levels[level][1], best[level + 1])
-    transitions = {}
-    summaries = {}
 
     @cache
-    def children(level, U, in_order):
-        # The children worth entering depend on the pinned product only through
-        # how many distinct bounds fit below lhs: one list per bound, each
-        # child (head, token, mask, U & ~mask, share), where head is a class's
-        # count, or with in_order an option's (j, vec), in option order.
+    def children(level, U, q, in_order):
+        # The children cut as degenerate, and those that fit under q, each
+        # (head, token, mask, U & ~mask, share), where head is a class's count,
+        # or with in_order an option's (j, vec), in option order. A child fits
+        # when pinned * share * below[rest] < lhs, that is share * below[rest] <= q.
         power, below = powers[level], best[level + 1]
         kept, cut = [], 0
         for head, token, mask in options(level) if in_order else classes[level]:
-            if below[U & ~mask] < inf:
-                share = power[(U & mask).bit_count()]
-                kept.append((share * below[U & ~mask], (head, token, mask, U & ~mask, share)))
-            else:
+            rest, share = U & ~mask, power[(U & mask).bit_count()]
+            if below[rest] == inf:
                 cut += 1 if in_order else head
-        bounds = sorted({bound for bound, _ in kept})
-        entered = [[child for bound, child in kept if bound <= top] for top in bounds]
-        return cut, bounds, entered
+            elif share * below[rest] <= q:
+                kept.append((head, token, mask, rest, share))
+        return cut, kept
 
+    @cache
     def child_state(state, U, token, mask):
-        key = (state, U, token)
-        child = transitions.get(key)
-        if child is None:
-            er, gen, late = state
-            j, vec = token
-            if n == 3:
-                degs, top = gen
-                fits = degs is not None and len(degs) + vec[0] <= 4
-                gen = (degs + (j,) * vec[0] if fits else None, min(top + vec[2], 2))
-            else:
-                gen = min(gen + vec[0], n)
-            child = transitions[key] = (
-                tuple([
-                    0 if vec[i] or U >> i & 1 else min(count + vec[i - 1], i + 1)
-                    for i, count in enumerate(er, 1)
-                ]),
-                gen,
-                late or bool(U & mask & (U >> 1)),
-            )
-        return child
+        er, gen, late = state
+        j, vec = token
+        if n == 3:
+            degs, top = gen
+            fits = degs is not None and len(degs) + vec[0] <= 4
+            gen = (degs + (j,) * vec[0] if fits else None, min(top + vec[2], 2))
+        else:
+            gen = min(gen + vec[0], n)
+        return (
+            tuple([
+                0 if vec[i] or U >> i & 1 else min(count + vec[i - 1], i + 1)
+                for i, count in enumerate(er, 1)
+            ]),
+            gen,
+            late or bool(U & mask & (U >> 1)),
+        )
 
+    @cache
     def tally(level, U, state, q):
         # The subtree's summary, adding up each class's child times its count.
-        key = state if level == depth else (level, U, state, q)
-        known = summaries.get(key)
-        if known is not None:
-            return known
         if level == depth:
             failed = tuple(failures(state))
-            known = (1, 0, {failed: 1}, 0) if failed else (1, 0, {}, 1)
-        else:
-            cut, bounds, entered = children(level, U, False)
-            size, cuts, failed, passed = 1, cut, {}, 0
-            # pinned * bound < lhs iff bound <= (lhs - 1) // pinned.
-            fit = bisect_right(bounds, q)
-            for count, token, mask, rest, share in entered[fit - 1] if fit else ():
-                child_size, child_cuts, child_failed, child_passed = tally(
-                    level + 1, rest, child_state(state, U, token, mask), q // share
-                )
-                size += count * child_size
-                cuts += count * child_cuts
-                _add(failed, child_failed, count)
-                passed += count * child_passed
-            known = (size, cuts, failed, passed)
-        summaries[key] = known
-        return known
+            return (1, 0, {failed: 1}, 0) if failed else (1, 0, {}, 1)
+        cut, kept = children(level, U, q, False)
+        size, cuts, failed, passed = 1, cut, {}, 0
+        for count, token, mask, rest, share in kept:
+            child_size, child_cuts, child_failed, child_passed = tally(
+                level + 1, rest, child_state(state, U, token, mask), q // share
+            )
+            size += count * child_size
+            cuts += count * child_cuts
+            _add(failed, child_failed, count)
+            passed += count * child_passed
+        return size, cuts, failed, passed
 
     path = [None] * depth
     survivors = []
@@ -395,9 +380,9 @@ def _violating_search(cols, lhs, cap, failures):
                 survivors.append(_path_diagram(n, path))
             _add(histogram, failed)
             return
-        cut, bounds, entered = children(level, U, True)
+        cut, kept = children(level, U, q, True)
         degenerate += cut
-        for pick, token, mask, rest, share in entered[bisect_right(bounds, q) - 1]:
+        for pick, token, mask, rest, share in kept:
             child = (level + 1, rest, child_state(state, U, token, mask), q // share)
             size, cuts, failed, passed = tally(*child)
             if passed or nodes + size > cap:

@@ -168,6 +168,11 @@ def test_machine_form_is_sorted_triples():
     assert D.to_machine() == "0 0 1\n1 2 2\n2 4 1"
     with pytest.raises(ValueError):
         BettiDiagram.from_machine("")
+    # A repeated entry once kept its last count and dropped the others.
+    with pytest.raises(ValueError, match=r"^entry \(1, 2\) appears twice$"):
+        BettiDiagram.from_machine("0 0 1\n1 2 3\n1 2 4\n2 3 2")
+    with pytest.raises(ValueError, match=r"^entry \(0, 0\) appears twice$"):
+        BettiDiagram.from_machine("0 0 1\n1 1 1\n0 0 1")
 
 
 def test_from_text_rejects_malformed_input():
@@ -179,6 +184,11 @@ def test_from_text_rejects_malformed_input():
         BettiDiagram.from_text("total: 1 2 1\n0: 1 .")
     with pytest.raises(ValueError):
         BettiDiagram.from_text("total: 1 9 1\n0: 1 . .\n1: . 2 .\n2: . . 1")
+    # A repeated row once overwrote the first one's cells, totals and all.
+    with pytest.raises(ValueError, match=r"^row 1 appears twice$"):
+        BettiDiagram.from_text("total: 1 2 1\n0: 1 . .\n1: . 2 .\n1: . 2 .\n2: . . 1")
+    with pytest.raises(ValueError, match=r"^row 1 appears twice$"):
+        BettiDiagram.from_text("total: 1 2 1\n0: 1 . .\n1: . 1 .\n1: . 2 .\n2: . . 1")
 
 
 def test_ek_betti_matches_reference_lex_resolutions():

@@ -25,10 +25,18 @@ def test_hilbert_function_trims_and_parses():
     assert str(H) == "1,3,6,7,3,1"
     assert HilbertFunction.parse("1,3,6,7,3,1") == H
     assert HilbertFunction.parse("1 3 6 7 3 1") == H
+    assert HilbertFunction.parse("1, 3, 6, 7, 3, 1") == H
     assert H[2] == 6
     assert H[99] == 0
     assert len(H) == 6
     assert hash(H) == hash(HilbertFunction((1, 3, 6, 7, 3, 1)))
+
+
+@pytest.mark.parametrize("text", ["1,,3", ",1,3", "1,3,", "1, ,3", "1,3 , ", ",", " , "])
+def test_parse_rejects_empty_fields(text):
+    # A leading, trailing or doubled comma once dropped the field it left empty.
+    with pytest.raises(ValueError, match=r"^empty field in Hilbert function text "):
+        HilbertFunction.parse(text)
 
 
 def test_hilbert_function_rejects_bad_values():

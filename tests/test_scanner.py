@@ -987,6 +987,22 @@ def test_cli_check_hf_exit_codes(capsys):
     assert "argument --vars: invalid int value: 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sequence", ["1,,3,6", ",1,3,6", "1,3,6,", "1,3, ,6"])
+def test_cli_check_hf_rejects_empty_fields(capsys, sequence):
+    assert main(["check-hf", sequence]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: empty field in Hilbert function text {sequence!r}\n"
+
+
+@pytest.mark.parametrize("prefix", ["1,,3", ",1,3", "1,3,", "1, ,3", "1,3,0,"])
+def test_cli_scan_rejects_empty_prefix_fields(capsys, prefix):
+    assert main(["scan", "--vars", "3", "--socle-max", "3", "--prefix", prefix]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: empty field in --prefix {prefix!r}\n"
+
+
 def test_cli_scan_exit_codes(capsys):
     assert main([
         "scan", "--vars", "3", "--socle-max", "4", "--prefix", "1,3",
@@ -1015,6 +1031,10 @@ def test_cli_scan_exit_codes(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: non-integer value in --prefix '1,x'\n"
+    assert main(["scan", "--vars", "3", "--socle-max", "3", "--prefix", "1, 3,0"]) == 1
+    assert capsys.readouterr().err == "error: prefix (1, 3, 0) has trailing zeros\n"
+    assert main(["scan", "--vars", "3", "--socle-max", "3", "--prefix", "1 3"]) == 0
+    assert "prefix=1,3 " in capsys.readouterr().out
     assert main(["scan", "--vars", "3", "--socle-max", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
