@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .hilbert import _parse_ints
+from .hilbert import _fields, _parse_ints
 from .koszul import DEFAULT_CHAR
 from .scanner import DEFAULT_CHUNK_SIZE, check_hf, check_ideal, scan
 from .verdict import DEFAULT_DFS_CAP, DEFAULT_FILTERS
@@ -70,8 +70,8 @@ def _build_parser():
 
 
 def _filters(text):
-    """Filter names of a comma- or whitespace-separated --filters value."""
-    return tuple(text.replace(",", " ").split())
+    """Filter names of a comma- or whitespace-separated --filters value; a blank field raises ValueError."""
+    return tuple(_fields(text, "--filters"))
 
 
 def _run_scan(args):

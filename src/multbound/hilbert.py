@@ -93,16 +93,26 @@ class HilbertFunction:
         return cls(vals)
 
 
-def _parse_ints(text, source):
-    """Int tuple of a comma- or whitespace-separated list like ``1,3,6``, ``1 3 6`` or ``1, 3, 6``.
+def _fields(text, source):
+    """Fields of a comma- or whitespace-separated list like ``1,3,6``, ``1 3 6`` or ``1, 3, 6``.
 
-    Raises ValueError, naming the text as source, on a value that is not
-    an int and on a blank field (a leading, trailing or doubled comma).
+    Raises ValueError, naming the text as source, on a blank field (a
+    leading, trailing or doubled comma).
     """
     if "," in text and not all(field.strip() for field in text.split(",")):
         raise ValueError(f"empty field in {source} {text!r}")
+    return text.replace(",", " ").split()
+
+
+def _parse_ints(text, source):
+    """Int tuple of a comma- or whitespace-separated list (see _fields).
+
+    Raises ValueError, naming the text as source, on a value that is not
+    an int and on a blank field.
+    """
+    fields = _fields(text, source)
     try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
+        return tuple(int(tok) for tok in fields)
     except ValueError:
         raise ValueError(f"non-integer value in {source} {text!r}") from None
 

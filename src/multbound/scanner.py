@@ -31,6 +31,7 @@ from .verdict import (
     DEFAULT_FILTERS,
     ClassifyOptions,
     _classify_values,
+    _display,
     classify,
     lower_bound_holds,
     upper_bound_holds,
@@ -151,12 +152,6 @@ def _cancel_lines(n, t, entry):
             "    left = count - left",
         ]
     return lines + ["if left:", f"    r{n - 1} = {degree}"]
-
-
-def _display(names):
-    """Source of a tuple display (or assignment target) of the names."""
-    names = list(names)
-    return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
 
 
 @cache

@@ -223,10 +223,67 @@ def _path_diagram(n, path):
     return BettiDiagram._trusted(n, entries)
 
 
-def _add(histogram, part, times=1):
-    """Add times * part's counts into the histogram dict."""
+def _add(histogram, part):
+    """Add part's counts into the histogram dict."""
     for failed, count in part.items():
-        histogram[failed] = histogram.get(failed, 0) + times * count
+        histogram[failed] = histogram.get(failed, 0) + count
+
+
+def _display(names):
+    """Source of a tuple display (or assignment target) of the names."""
+    names = list(names)
+    return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
+
+
+@cache
+def _move(n):
+    """The search's move in n variables, move(state, U, token, mask) -> the child's filter state.
+
+    state is a node's filter state (er, gen, late), U its set of still-empty
+    columns, token (j, vec) a picked vector (j only for n = 3, else None) and
+    mask vec's support (see _violating_search). Entry i of the child's er is
+    0 when column i+1 is nonzero in vec or still empty, else er[i-1] +
+    vec[i-1] capped at i + 1; gen adds vec[0] (for n = 3, column 1's degrees
+    and column 3's total); late is set when some column of U & mask has its
+    next column in U.
+
+    Written out once per n as straight-line Python and compiled under the
+    filename "<search move n=N>": the er entries and vec's entries are the
+    locals e1..e{n-1} and v0..v{n-1}, and each new er entry is one
+    conditional expression with its bit 1 << i and its cap i + 1 as
+    literals. The source holds nothing but indices derived from n.
+    """
+    er = _display(f"e{i}" for i in range(1, n)) if n > 1 else "_"
+    vec = _display(f"v{i}" for i in range(n))
+    if n == 3:
+        head = [
+            f"    {er}, (degs, top), late = state",
+            f"    j, {vec} = token",
+            "    if v0:",
+            "        degs = degs + (j,) * v0 if degs is not None and len(degs) + v0 <= 4 else None",
+            "    top += v2",
+        ]
+        gen = "(degs, top if top < 2 else 2)"
+    else:
+        head = [f"    {er}, gen, late = state", f"    _, {vec} = token", "    gen += v0"]
+        gen = f"gen if gen < {n} else {n}"
+    source = "\n".join([
+        "def move(state, U, token, mask):",
+        *head,
+        "    return (",
+        "        (",
+        *(
+            f"            0 if v{i} or U & {1 << i} else c if (c := e{i} + v{i - 1}) < {i + 1} else {i + 1},"
+            for i in range(1, n)
+        ),
+        "        ),",
+        f"        {gen},",
+        "        late or U & mask & U >> 1 != 0,",
+        "    )",
+    ])
+    namespace = {}
+    exec(compile(source, f"<search move n={n}>", "exec"), namespace)
+    return namespace["move"]
 
 
 def _violating_search(cols, lhs, cap, failures):
@@ -252,10 +309,12 @@ def _violating_search(cols, lhs, cap, failures):
     is (column 1's degrees while there are at most four, else None, and
     column 3's total capped at 2); late is set once a column becomes
     nonzero while the next one is still empty, so its max shift is not
-    below the next one's. A move, child_state(state, U, token, mask),
-    reads a vector only through its entries capped at _entry_caps(n):
-    token is (None, vec) for a vector vec, a class's capped one or an
-    option's own, and (j, vec) for n = 3, since its gen reads the degree.
+    below the next one's. A move, _move(n)(state, U, token, mask), reads
+    a vector only through its entries capped at _entry_caps(n): token is
+    (None, vec) for a vector vec, a class's capped one or an option's own,
+    and (j, vec) for n = 3, since its gen reads the degree. The move is a
+    kernel generated once per n, cheaper to run than a memo of its results
+    is to key, so it has none.
 
     A subtree depends only on its key (level, U, state, q), where
     q = (lhs - 1) // pinned: which children fit reads the pinned product
@@ -285,7 +344,8 @@ def _violating_search(cols, lhs, cap, failures):
     search that meets the same degree vector, or the same levels below,
     shares them. What depends on lhs, the cap, the filters or the lex
     columns as a whole belongs to the call: the descent, the survivors and
-    options, children, child_state and tally, functools.cache closures.
+    three functools.cache closures, options, children and tally, freed
+    when the search returns.
     Returns nodes (at most cap + 1), degenerate (children cut because some
     column can no longer become nonzero), whether the cap stopped the
     search, the histogram (a Counter) and the survivors.
@@ -307,6 +367,7 @@ def _violating_search(cols, lhs, cap, failures):
         j = degrees[level]
         return [((j, vec), (j if n == 3 else None, vec), mask) for vec, mask in _degree_options(cols, j)]
 
+    move = _move(n)
     powers = [[j ** k for k in range(n + 1)] for j in degrees]
     best = [None] * depth + [(1,) + (inf,) * full]
     for level in reversed(range(depth)):
@@ -329,25 +390,6 @@ def _violating_search(cols, lhs, cap, failures):
         return cut, kept
 
     @cache
-    def child_state(state, U, token, mask):
-        er, gen, late = state
-        j, vec = token
-        if n == 3:
-            degs, top = gen
-            fits = degs is not None and len(degs) + vec[0] <= 4
-            gen = (degs + (j,) * vec[0] if fits else None, min(top + vec[2], 2))
-        else:
-            gen = min(gen + vec[0], n)
-        return (
-            tuple([
-                0 if vec[i] or U >> i & 1 else min(count + vec[i - 1], i + 1)
-                for i, count in enumerate(er, 1)
-            ]),
-            gen,
-            late or bool(U & mask & (U >> 1)),
-        )
-
-    @cache
     def tally(level, U, state, q):
         # The subtree's summary, adding up each class's child times its count.
         if level == depth:
@@ -357,11 +399,12 @@ def _violating_search(cols, lhs, cap, failures):
         size, cuts, failed, passed = 1, cut, {}, 0
         for count, token, mask, rest, share in kept:
             child_size, child_cuts, child_failed, child_passed = tally(
-                level + 1, rest, child_state(state, U, token, mask), q // share
+                level + 1, rest, move(state, U, token, mask), q // share
             )
             size += count * child_size
             cuts += count * child_cuts
-            _add(failed, child_failed, count)
+            for key, times in child_failed.items():
+                failed[key] = failed.get(key, 0) + count * times
             passed += count * child_passed
         return size, cuts, failed, passed
 
@@ -383,7 +426,7 @@ def _violating_search(cols, lhs, cap, failures):
         cut, kept = children(level, U, q, True)
         degenerate += cut
         for pick, token, mask, rest, share in kept:
-            child = (level + 1, rest, child_state(state, U, token, mask), q // share)
+            child = (level + 1, rest, move(state, U, token, mask), q // share)
             size, cuts, failed, passed = tally(*child)
             if passed or nodes + size > cap:
                 path[level] = pick
@@ -402,6 +445,9 @@ def _violating_search(cols, lhs, cap, failures):
         nodes = degenerate = 0
         histogram = {}
         walk(0, *root)
+    # Both closures are cycles through their own cells; break them so that
+    # the search's tables go with its frame, not at the next cyclic collection.
+    tally = walk = None
     return {
         "nodes": nodes,
         "degenerate": degenerate,
@@ -502,7 +548,8 @@ def _classify_values(hvals, n, options):
     lex_cols, cols, shifts = _greedy(hvals, n)
     e = sum(hvals)
     lhs, rhs = factorial(n) * e, prod(shifts)
-    greedy = BettiDiagram.from_columns(n, cols)
+    # lex_columns and greedy_columns keep only positive counts at j >= i, with beta_{0,0} = 1.
+    greedy = BettiDiagram._trusted(n, {(i, j): c for i, col in enumerate(cols) for j, c in col.items()})
     if lhs <= rhs:
         return Classification(hvals, n, "BOUND_HOLDS", "", e, shifts, lhs, rhs, greedy)
     stats = _violating_search(

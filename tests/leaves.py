@@ -2,7 +2,8 @@
 
 _violating_diagrams is the reference for verdict._violating_search: it visits
 every tree node and leaf one by one, where the search adds up memoized
-subtrees; option_best, the rows of best it builds from the listed options,
+subtrees; reference_child_state, its move, is the reference for
+verdict._move; option_best, the rows of best it builds from the listed options,
 is the reference for verdict._best_row. The er, gen and growth predicates
 below are the filter reference that the search's carried filter state is
 checked against: they read a diagram's column maps directly.
@@ -48,9 +49,9 @@ def _violating_diagrams(cols, lhs, cap, visit):
     is (column 1's degrees while there are at most four, else None, and
     column 3's total capped at 2); late is set once a column becomes
     nonzero while the next one is still empty, so its max shift is not
-    below the next one's. The transitions are cached for the call on
-    (state, U, vec), and for n = 3 on (state, U, (j, vec)), since its gen
-    reads the degree. Returns stats:
+    below the next one's. The transitions, reference_child_state's, are
+    cached for the call on (state, U, vec), and for n = 3 on (state, U,
+    (j, vec)), since its gen reads the degree. Returns stats:
     nodes visited (at most cap + 1), children cut because some column can no
     longer become nonzero (degenerate), and whether the cap stopped the search.
     """
@@ -95,22 +96,7 @@ def _violating_diagrams(cols, lhs, cap, visit):
             key = (state, U, token)
             child = transitions.get(key)
             if child is None:
-                er, gen, late = state
-                j, vec = pick
-                if n == 3:
-                    degs, top = gen
-                    fits = degs is not None and len(degs) + vec[0] <= 4
-                    gen = (degs + (j,) * vec[0] if fits else None, min(top + vec[2], 2))
-                else:
-                    gen = min(gen + vec[0], n)
-                child = transitions[key] = (
-                    tuple(
-                        0 if vec[i] or U >> i & 1 else min(count + vec[i - 1], i + 1)
-                        for i, count in enumerate(er, 1)
-                    ),
-                    gen,
-                    late or bool(U & mask & (U >> 1)),
-                )
+                child = transitions[key] = reference_child_state(n, state, U, pick, mask)
             path[level] = pick
             descend(level + 1, pinned * share, rest, child)
 
@@ -119,6 +105,31 @@ def _violating_diagrams(cols, lhs, cap, visit):
     except _CapReached:
         stats["cap_exceeded"] = True
     return stats
+
+
+def reference_child_state(n, state, U, token, mask):
+    """Filter state of the child that picks vector vec, of support mask, at degree j, token = (j, vec).
+
+    state is the parent's filter state and U its set of columns still empty
+    (see _violating_diagrams); j is read only for n = 3. This loop over the
+    columns is the reference for verdict._move(n), which writes it out.
+    """
+    er, gen, late = state
+    j, vec = token
+    if n == 3:
+        degs, top = gen
+        fits = degs is not None and len(degs) + vec[0] <= 4
+        gen = (degs + (j,) * vec[0] if fits else None, min(top + vec[2], 2))
+    else:
+        gen = min(gen + vec[0], n)
+    return (
+        tuple(
+            0 if vec[i] or U >> i & 1 else min(count + vec[i - 1], i + 1)
+            for i, count in enumerate(er, 1)
+        ),
+        gen,
+        late or bool(U & mask & (U >> 1)),
+    )
 
 
 def option_best(n, degrees, options):

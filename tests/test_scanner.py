@@ -1003,6 +1003,24 @@ def test_cli_scan_rejects_empty_prefix_fields(capsys, prefix):
     assert captured.err == f"error: empty field in --prefix {prefix!r}\n"
 
 
+@pytest.mark.parametrize("filters", ["er,,gen", ",er,gen", "er,gen,", "er,,gen,", "er, ,gen", ","])
+@pytest.mark.parametrize("command", [
+    ["check-hf", "1,3,6,10,15,15,11"],
+    ["scan", "--vars", "3", "--socle-max", "3", "--prefix", "1,3"],
+])
+def test_cli_rejects_empty_filter_fields(capsys, command, filters):
+    assert main([*command, "--filters", filters]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: empty field in --filters {filters!r}\n"
+
+
+@pytest.mark.parametrize("filters", ["er,gen", "er gen", "er, gen", " er ,gen "])
+def test_cli_filter_lists_with_commas_or_spaces_parse_alike(capsys, filters):
+    assert main(["check-hf", "1,3,6,10,15,15,11", "--filters", filters]) == 0
+    assert "status: ELIMINATED (er)" in capsys.readouterr().out
+
+
 def test_cli_scan_exit_codes(capsys):
     assert main([
         "scan", "--vars", "3", "--socle-max", "4", "--prefix", "1,3",

@@ -1,5 +1,6 @@
 """Tests for bound verdicts, realizability filters, and the classification pipeline."""
 
+import gc
 from collections import Counter
 from itertools import product
 from math import factorial, inf, prod
@@ -35,6 +36,7 @@ from multbound.verdict import (
     _filter_state_failures,
     _greedy,
     _level_classes,
+    _move,
     _option_classes,
     _path_diagram,
     _violating_search,
@@ -54,6 +56,7 @@ from leaves import (
     diagram_filter_failures,
     option_best,
     path_columns,
+    reference_child_state,
     reference_evidence,
 )
 
@@ -376,6 +379,64 @@ def test_memoized_search_equals_the_tree_walk_for_any_columns_lhs_and_cap(inputs
     assert _violating_search(cols, lhs, cap, _state_failures) == expected
 
 
+@st.composite
+def move_inputs(draw):
+    """(n, state, U, token, mask) for a move in n = 1..7 variables.
+
+    er[i-1] runs up to its cap i + 1 and gen up to n; for n = 3 gen is
+    (column 1's degrees, up to four of them, or None; column 3's total up to
+    2). Each vector entry runs up to its _entry_caps(n) cap plus 2, and the
+    mask is the vector's support.
+    """
+    n = draw(st.integers(1, 7))
+    er = tuple(draw(st.integers(0, i + 1)) for i in range(1, n))
+    if n == 3:
+        degrees = st.lists(st.integers(1, 12), max_size=4).map(tuple)
+        gen, j = (draw(st.none() | degrees), draw(st.integers(0, 2))), draw(st.integers(1, 12))
+    else:
+        gen, j = draw(st.integers(0, n)), None
+    vec = tuple(draw(st.integers(0, cap + 2)) for cap in _entry_caps(n))
+    mask = sum(1 << i for i, count in enumerate(vec) if count)
+    return n, (er, gen, draw(st.booleans())), draw(st.integers(0, (1 << n) - 1)), (j, vec), mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(move_inputs())
+@example((1, ((), 0, False), 1, (None, (3,)), 1))  # n = 1: er is empty
+@example((1, ((), 1, True), 0, (None, (0,)), 0))
+@example((2, ((1,), 1, False), 1, (None, (2, 0)), 1))  # column 2 stays empty: er[0] grows to its cap
+@example((2, ((2,), 0, False), 3, (None, (1, 1)), 3))
+@example((3, ((1, 2), ((4, 4, 3), 1), False), 2, (3, (1, 0, 2)), 5))  # a fourth degree; column 3's total at its cap
+@example((3, ((0, 0), ((4, 4, 3), 0), False), 6, (3, (2, 0, 0)), 1))  # a fifth degree: gen's degrees become None
+def test_generated_move_equals_the_loop_form_move(inputs):
+    n, state, U, token, mask = inputs
+    child = _move(n)(state, U, token, mask)
+    expected = reference_child_state(n, state, U, token, mask)
+    # repr tells a bool late from an int one, and a tuple from a list.
+    assert child == expected and repr(child) == repr(expected)
+
+
+@pytest.mark.parametrize("n, H, survivors", [
+    (3, (1, 3, 6, 10, 15, 21, 22, 21, 15), 8),
+    (3, (1, 3, 6, 10, 15, 15, 11), 0),
+    (4, (1, 4, 10, 10, 8, 4), 30),
+])
+def test_a_search_leaves_no_cyclic_garbage(n, H, survivors):
+    # The search's memo tables and survivor list are freed when it returns,
+    # not left in reference cycles for the cyclic collector.
+    classify(H, n)  # fill the process-wide setup caches and the generated move first
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        res = classify(H, n)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(res.survivors) == survivors
+
+
 @settings(max_examples=100, deadline=None)
 @given(o_sequences([1, 2, 3], 10, least=1))
 @example((3, H_HARD))  # 4,164,624 tree nodes at this lhs
@@ -425,6 +486,41 @@ def test_a_greedy_diagram_with_an_empty_column_goes_to_the_search(H, degenerate)
     assert 0 in res.shifts and res.rhs == 0 and res.lhs == factorial(4) * sum(H)
     assert (res.status, res.reason, res.degenerate) == ("ELIMINATED", "er,gen,growth", degenerate)
     assert _evidence(res) == reference_evidence(H, 4, DEFAULT_FILTERS, DEFAULT_DFS_CAP)
+
+
+def _assert_greedy_is_the_validated_diagram(vals, n):
+    # The classification builds its greedy diagram unchecked; it must be the
+    # diagram BettiDiagram's validating constructor builds from the same columns.
+    res = classify(vals, n)
+    expected = BettiDiagram.from_columns(n, _greedy(vals, n)[1])
+    assert res.greedy == expected and hash(res.greedy) == hash(expected), vals
+    assert res.greedy.entries() == expected.entries() and res.greedy.to_text() == expected.to_text()
+    assert res.to_record()["diagram"] == expected.to_machine()
+
+
+@settings(max_examples=30, deadline=None)
+@given(families({2: 6, 3: 4, 4: 2}, max_prefix=4))
+def test_the_greedy_diagram_equals_the_validated_one_on_drawn_families(family):
+    n, socle_max, prefix = family
+    for vals in _enumerate_value_tuples(n, socle_max, prefix):
+        _assert_greedy_is_the_validated_diagram(vals, n)
+
+
+def test_the_greedy_diagram_equals_the_validated_one_on_empty_columns_and_the_flagship():
+    empty_columns = [
+        (1, 4, 8, 12, 15, 16, 14, 9, 3),
+        (1, 4, 8, 12, 15, 16, 14, 10, 4),
+        (1, 4, 8, 12, 15, 16, 14, 10, 5),
+        (1, 4, 10, 17, 23, 26, 24, 16, 5),
+        (1, 4, 10, 18, 26, 32, 33, 27, 14),
+    ]
+    for vals in empty_columns:
+        assert 0 in classify(vals, 4).shifts
+        _assert_greedy_is_the_validated_diagram(vals, 4)
+    flagship = _family_exceptions(3, 9, (1, 3))
+    assert len(flagship) == 197
+    for vals in flagship:
+        _assert_greedy_is_the_validated_diagram(vals, 3)
 
 
 def test_entry_caps():
