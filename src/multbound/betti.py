@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb
 
-from .errors import InconsistentDiagramError, MalformedDiagramError, NotStableError, _check_int
+from .errors import InconsistentDiagramError, MalformedDiagramError, NotStableError, _check_int, _check_vars
 from .hilbert import HilbertFunction, _value_type
 from .monomial import is_stable
 
@@ -35,9 +35,7 @@ class BettiDiagram:
     _entries: dict
 
     def __init__(self, n, entries):
-        _check_int("n", n)
-        if n < 1:
-            raise ValueError(f"need at least one variable, got n={n}")
+        _check_vars(n)
         clean = {}
         for (i, j), c in dict(entries).items():
             _check_int("column", i)

@@ -1,4 +1,13 @@
-"""Error types and the int argument check shared across the package."""
+"""Error types and the int and variable-count argument checks shared across the package."""
+
+__all__ = [
+    "NotAdmissibleError",
+    "NotStableError",
+    "MalformedDiagramError",
+    "InconsistentDiagramError",
+    "NeedsCapError",
+    "IdealParseError",
+]
 
 
 class NotAdmissibleError(ValueError):
@@ -37,6 +46,13 @@ def _check_int(name, value, least=None):
         raise ValueError(f"{name} must be an int, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _check_vars(n):
+    """Raise ValueError unless n is an int, not a bool, of at least 1: a variable count."""
+    _check_int("n", n)
+    if n < 1:
+        raise ValueError(f"need at least one variable, got n={n}")
 
 
 def _check_ints(name, values):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from math import comb
 
-from .errors import NotAdmissibleError, _check_int, _check_ints
+from .errors import NotAdmissibleError, _check_int, _check_ints, _check_vars
 
 __all__ = [
     "HilbertFunction",
@@ -167,10 +167,10 @@ def is_o_sequence(H, n):
     """True iff H is the Hilbert function of some Artinian quotient in n variables.
 
     That is Macaulay's condition: H(0) = 1 and 0 <= H(d) <= the growth bound
-    from H(d-1) for every d >= 1. Raises ValueError unless n and H's values
-    are ints (not bools).
+    from H(d-1) for every d >= 1. Raises ValueError unless n is an int (not a
+    bool) of at least 1 and H's values are ints (not bools).
     """
-    _check_int("n", n)
+    _check_vars(n)
     vals = _values(H)
     if not vals or vals[0] != 1:
         return False
@@ -213,10 +213,11 @@ def enumerate_o_sequences(n, socle_max, prefix=(1,)):
     This is the brute-force enumeration oracle: it lists the family one
     function at a time, independent of scanner._chunks, the walk that scans
     run, so tests can check that walk against it. Raises ValueError unless
-    n and socle_max are ints (not bools), and NotAdmissibleError unless
-    prefix is an O-sequence in n variables, both when called.
+    n and socle_max are ints (not bools) and n is at least 1, and
+    NotAdmissibleError unless prefix is an O-sequence in n variables, both
+    when called.
     """
-    _check_int("n", n)
+    _check_vars(n)
     _check_int("socle_max", socle_max)
     family = _enumerate_value_tuples(n, socle_max, _checked_prefix(n, prefix))
     return (HilbertFunction._trusted(vals) for vals in family)

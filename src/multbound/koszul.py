@@ -6,7 +6,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import isqrt
 
 from .betti import BettiDiagram, is_quasipure, max_shifts
 from .errors import NeedsCapError, _check_int
@@ -32,19 +31,34 @@ if sys.byteorder == "little":
     _LANE_CODES = {memoryview(bytes(8)).cast(c).itemsize * 8: c for c in "BHIQ"}
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 @cache
 def _is_prime(p):
-    return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
+    """Miller-Rabin with the first 12 primes as bases, which is exact for p < 2**64."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s  # p - 1 = d * 2**s with d odd
+    return all(pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s)) for a in _WITNESSES)
+
+
+def _check_char(p):
+    """Raise ValueError unless the int p is a prime below 2**64, where _is_prime is exact."""
+    if p >= 1 << 64:
+        raise ValueError(f"field characteristic must be prime and below 2**64, got {p}")
+    if not _is_prime(p):
+        raise ValueError(f"field characteristic must be prime, got {p}")
 
 
 def rank_mod_p(rows, p):
     """Rank of an integer matrix over the field with p elements, by elimination.
 
-    Raises ValueError unless p is an int (not a bool) and prime.
+    Raises ValueError unless p is an int (not a bool) and a prime below 2**64.
     """
     _check_int("p", p)
-    if not _is_prime(p):
-        raise ValueError(f"field characteristic must be prime, got {p}")
+    _check_char(p)
     mat = [[v % p for v in row] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
@@ -134,7 +148,8 @@ def koszul_betti(I, field_char=DEFAULT_CHAR, degree_cap=None):
     characteristic. Non-Artinian ideals need degree_cap >= 0; entries are
     then complete for internal degrees <= degree_cap, and elements of larger
     degree are dropped.
-    field_char and degree_cap (unless None) must be ints, not bools.
+    field_char and degree_cap (unless None) must be ints, not bools, and
+    field_char a prime below 2**64.
     """
     return _resolution(I, field_char, degree_cap)[0]
 
@@ -149,8 +164,7 @@ def _resolution(I, field_char=DEFAULT_CHAR, degree_cap=None):
     _check_int("field_char", field_char)
     if degree_cap is not None:
         _check_int("degree_cap", degree_cap)
-    if not _is_prime(field_char):
-        raise ValueError(f"field characteristic must be prime, got {field_char}")
+    _check_char(field_char)
     if degree_cap is not None and degree_cap < 0:
         raise ValueError(f"degree cap must be nonnegative, got {degree_cap}")
     if any(g.degree == 0 for g in I.generators):

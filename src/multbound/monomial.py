@@ -8,7 +8,7 @@ from itertools import accumulate, combinations_with_replacement, groupby, islice
 from math import comb, inf
 from operator import le, mul
 
-from .errors import IdealParseError, NeedsCapError, NotAdmissibleError, _check_int, _check_ints
+from .errors import IdealParseError, NeedsCapError, NotAdmissibleError, _check_int, _check_ints, _check_vars
 from .hilbert import HilbertFunction, _growth_bound, _value_type, _values
 
 __all__ = [
@@ -117,9 +117,7 @@ class MonomialIdeal:
     generators: tuple
 
     def __init__(self, n, generators):
-        _check_int("n", n)
-        if n < 1:
-            raise ValueError(f"need at least one variable, got n={n}")
+        _check_vars(n)
         gens = []
         for g in generators:
             m = g if isinstance(g, Monomial) else Monomial(g)
@@ -171,9 +169,7 @@ def _lex_degrees(H, n):
     an int (not a bool) of at least 1, and NotAdmissibleError when H does
     not start with 1.
     """
-    _check_int("n", n)
-    if n < 1:
-        raise ValueError(f"need at least one variable, got n={n}")
+    _check_vars(n)
     hvals = _values(H)
     while hvals and hvals[-1] == 0:
         hvals = hvals[:-1]
@@ -230,7 +226,7 @@ def lex_generator_profile(H, n):
     the resolution of a lex ideal depends on; lex_columns turns it into Betti
     columns without listing generators. No scan calls it; it stays because
     perfbench's scan-n3 replay imports it as its lex layer, until that replay
-    moves to the scan walk (ROADMAP item 6).
+    moves to the scan walk (ROADMAP item 5).
     """
     return tuple((d, g[-1] + 1) for d, *key in _lex_degrees(H, n) for g in _lex_generators(n, d, *key))
 

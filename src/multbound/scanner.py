@@ -22,7 +22,7 @@ from .betti import (
     max_shifts,
     min_shifts,
 )
-from .errors import NeedsCapError, NotAdmissibleError, _check_int, _check_ints
+from .errors import NeedsCapError, NotAdmissibleError, _check_int, _check_ints, _check_vars
 from .hilbert import HilbertFunction, _checked_prefix, _growth_bound, _values, multiplicity
 from .koszul import DEFAULT_CHAR, _analysis, _compare_rows, _resolution, _truncation
 from .monomial import _hilbert_values, _lex_column_block, lex_columns, parse_ideal
@@ -220,7 +220,7 @@ def _greedy_step(n):
     need of the fixed blocks w0..w{n-2} into locals once, before their loop
     over v. The source holds nothing but indices derived from n.
     """
-    _check_int("n", n, 1)
+    _check_vars(n)
     carried = _display(f"w{k}" for k in range(n - 1))
     outgoing = _display(f"w{k}" for k in range(1, n))
     shifts = _display(f"r{i}" for i in range(n))
@@ -554,7 +554,7 @@ def scan(
     kept only for callers that still pass it: it must be the int 1.
     """
     start = time.perf_counter()
-    _check_int("n", n)
+    _check_vars(n)
     _check_int("socle_max", socle_max)
     _check_int("chunk_size", chunk_size, 1)
     _check_int("jobs", jobs)
@@ -562,8 +562,6 @@ def scan(
         raise ValueError(f"jobs must be 1, got {jobs}: scans run in one process")
     if limit is not None:
         _check_int("limit", limit, 1)
-    if n < 1:
-        raise ValueError(f"need at least one variable, got n={n}")
     prefix = _values(prefix)
     if socle_max < len(prefix) - 1:
         raise ValueError(

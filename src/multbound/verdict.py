@@ -223,12 +223,6 @@ def _path_diagram(n, path):
     return BettiDiagram._trusted(n, entries)
 
 
-def _add(histogram, part):
-    """Add part's counts into the histogram dict."""
-    for failed, count in part.items():
-        histogram[failed] = histogram.get(failed, 0) + count
-
-
 def _display(names):
     """Source of a tuple display (or assignment target) of the names."""
     names = list(names)
@@ -421,7 +415,7 @@ def _violating_search(cols, lhs, cap, failures):
             _, _, failed, passed = tally(level, U, state, q)
             if passed:
                 survivors.append(_path_diagram(n, path))
-            _add(histogram, failed)
+            histogram.update(failed)
             return
         cut, kept = children(level, U, q, True)
         degenerate += cut
@@ -436,14 +430,14 @@ def _violating_search(cols, lhs, cap, failures):
             else:
                 nodes += size
                 degenerate += cuts
-                _add(histogram, failed)
+                histogram.update(failed)
 
     root = (full, ((0,) * (n - 1), ((), 0) if n == 3 else 0, False), lhs - 1)
     nodes, degenerate, histogram, alive = tally(0, *root)
     cap_exceeded = nodes > cap
     if cap_exceeded or alive:
         nodes = degenerate = 0
-        histogram = {}
+        histogram = Counter()
         walk(0, *root)
     # Both closures are cycles through their own cells; break them so that
     # the search's tables go with its frame, not at the next cyclic collection.

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import time
 from math import comb, inf
 from operator import le, mul
 
@@ -361,6 +362,17 @@ def test_rank_mod_p():
             rank_mod_p([[1]], p)
     with pytest.raises(ValueError, match="must be prime"):
         rank_mod_p([], 4)
+    # Exact below 2**64 in milliseconds, where trial division up to sqrt(p) would take minutes.
+    start = time.perf_counter()
+    assert rank_mod_p([[1, 2], [3, 4]], 2**61 - 1) == 2
+    assert time.perf_counter() - start < 1.0
+    # 2047 is a strong pseudoprime to base 2, 561 a Carmichael number, and the
+    # last two strong pseudoprimes to the bases 2..7 and 2..23.
+    for p in (2047, 561, 3215031751, 3825123056546413051):
+        with pytest.raises(ValueError, match=f"^field characteristic must be prime, got {p}$"):
+            rank_mod_p([[1]], p)
+    with pytest.raises(ValueError, match=r"must be prime and below 2\*\*64"):
+        rank_mod_p([[1]], 2**64 + 13)
 
 
 def test_truncation_rows_preserved_for_demo_ideal():

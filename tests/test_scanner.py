@@ -705,8 +705,13 @@ def test_scan_rejects_bad_arguments(tmp_path):
         with pytest.raises(ValueError):
             scan(3, 3, **bad)
     for n in (0, -1):
-        with pytest.raises(ValueError, match=f"need at least one variable, got n={n}"):
-            scan(n, 3)
+        for call in (
+            lambda: scan(n, 3),
+            lambda: hilbert.enumerate_o_sequences(n, 2),
+            lambda: hilbert.is_o_sequence((1,), n),
+        ):
+            with pytest.raises(ValueError, match=f"need at least one variable, got n={n}"):
+                call()
     # A socle_max below the prefix's socle degree leaves an empty family.
     log = tmp_path / "empty.log"
     for socle_max, prefix in ((-1, (1,)), (1, (1, 3, 6))):
@@ -1113,10 +1118,21 @@ def test_module_entry_point():
 
 
 def test_package_exports_every_module_name():
-    for module in (betti, hilbert, koszul, monomial, scanner, verdict):
+    modules = (betti, errors, hilbert, koszul, monomial, scanner, verdict)
+    for module in modules:
         missing = set(module.__all__) - set(multbound.__all__)
         assert not missing, f"{module.__name__} exports {sorted(missing)} the package does not"
+    assert multbound.__all__ == sorted(name for module in modules for name in module.__all__)
+    assert len(multbound.__all__) == 52
+    exceptions = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception) and value.__module__ == errors.__name__
+    }
+    assert set(errors.__all__) == exceptions and len(exceptions) == 6
     assert [name for name in multbound.__all__ if not hasattr(multbound, name)] == []
+    star = {}
+    exec("from multbound import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == multbound.__all__
     # Names neither pipeline called: gone from the package and their modules.
     removed = {
         betti: ["cancel", "huneke_miller", "dual_diagram", "check_shift_growth", "_growth_ok"],
