@@ -190,7 +190,13 @@ def columns_from_profile(profile, n):
 
 
 def ek_betti(I):
-    """Betti diagram of the quotient by a stable monomial ideal, in closed form."""
+    """Betti diagram of the quotient by a stable monomial ideal, in closed form.
+
+    Raises ValueError for the unit ideal, whose quotient is zero, as
+    koszul_betti does, and NotStableError when I is not stable.
+    """
+    if any(g.degree == 0 for g in I.generators):
+        raise ValueError("unit ideal has no quotient resolution")
     if not is_stable(I):
         raise NotStableError(f"ideal ({I}) is not stable")
     profile = [(g.degree, g.max_var) for g in I.generators]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .betti import BettiDiagram, is_quasipure, max_shifts
-from .errors import NeedsCapError, _check_int
+from .errors import NeedsCapError, _check_int, _check_ints
 from .hilbert import HilbertFunction, multiplicity
 from .monomial import MonomialIdeal, _hilbert_values, _staircase, _truncate, truncate
 from .verdict import BoundVerdict, upper_bound_holds
@@ -55,10 +55,14 @@ def _check_char(p):
 def rank_mod_p(rows, p):
     """Rank of an integer matrix over the field with p elements, by elimination.
 
-    Raises ValueError unless p is an int (not a bool) and a prime below 2**64.
+    Raises ValueError unless p is an int (not a bool) and a prime below 2**64,
+    and the rows are of one length with int (not bool) entries.
     """
     _check_int("p", p)
     _check_char(p)
+    rows = [_check_ints("entry", row) for row in rows]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"rows must have one length, got lengths {[len(row) for row in rows]}")
     mat = [[v % p for v in row] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0

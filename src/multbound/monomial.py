@@ -179,7 +179,6 @@ def _lex_degrees(H, n):
     return zip(range(1, len(padded)), padded, padded[1:])
 
 
-@cache
 def _lex_segment(n, d, prev_h, h):
     """(shadow_count, segment_count) of the degree-d lex segment in n variables.
 
@@ -386,11 +385,11 @@ def parse_monomial(text, n=None):
     """Parse ``a^2*b*c^3`` or ``(2,1,3)`` into a Monomial.
 
     With n omitted, symbolic form sizes by the last letter used and tuple form
-    by its length. A given n that is not an int, or is a bool, raises
-    ValueError.
+    by its length. A given n that is not an int of at least 1 (a bool is
+    not) raises ValueError.
     """
     if n is not None:
-        _check_int("n", n)
+        _check_vars(n)
     text = text.strip()
     if not text:
         raise IdealParseError("empty monomial")
@@ -432,10 +431,10 @@ def parse_ideal(text, n=None):
     With n omitted the variable count is the largest letter used across all
     generators, or the tuple width in exponent-tuple form. Parse errors carry
     the offending generator's character position in the input. A given n
-    that is not an int, or is a bool, raises ValueError.
+    that is not an int of at least 1 (a bool is not) raises ValueError.
     """
     if n is not None:
-        _check_int("n", n)
+        _check_vars(n)
     tokens = []
     offset = 0
     for part in text.replace("\n", ";").split(";"):

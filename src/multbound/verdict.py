@@ -110,18 +110,23 @@ def _entry_caps(n):
     return tuple(1 if c == n else max(n, 2) if c == 1 else c + 1 for c in range(1, n + 1))
 
 
-def _option_classes(start, n):
-    """_degree_options's vectors at one degree, counted by support and entries capped at _entry_caps(n).
+@cache
+def _level_classes(start, n):
+    """One degree's option classes for _violating_search, shared by every search in the process.
 
     start is the degree's column vector (entry i is column i+1's count).
-    Returns a dict from (support mask, capped vector) to its number of
-    options. A DP over the pairs counts the cancellation profiles without
-    listing them. Its state is the capped entries of the columns already
-    settled, their support mask and what the last pair left of the next
-    column. That rest is capped at the column's cap plus the following
-    column's entry: with more, the next pair leaves the column at its cap
-    whatever it cancels, with the same choices. At each pair the leading run
-    of cancellations c, those with both the settled entry (left - c) and the
+    The classes count _degree_options's vectors by support and entries
+    capped at _entry_caps(n), which is all a search reads of them, so they
+    depend on start and n only. Returns a tuple of (count, capped vector,
+    support mask), one per class, and the frozenset of the class masks.
+
+    A DP over the pairs counts the cancellation profiles without listing
+    them. Its state is the capped entries of the columns already settled,
+    their support mask and what the last pair left of the next column. That
+    rest is capped at the column's cap plus the following column's entry:
+    with more, the next pair leaves the column at its cap whatever it
+    cancels, with the same choices. At each pair the leading run of
+    cancellations c, those with both the settled entry (left - c) and the
     carried rest (nxt - c) at or above their caps, goes to one state, so it
     is added once, weighted by its length; only the other c are iterated.
     """
@@ -148,24 +153,10 @@ def _option_classes(start, n):
                 grown[key] = grown.get(key, 0) + count
         states = grown
     top = 1 << (n - 1)
-    return {
-        (mask | top if left else mask, done + (left,)): count
-        for (done, mask, left), count in states.items()
-    }
-
-
-@cache
-def _level_classes(start, n, j):
-    """One degree's option classes for _violating_search, shared by every search in the process.
-
-    start is the degree's column vector and j its degree for n = 3, whose
-    gen reads it, else None. Returns a tuple of (count, token, mask), one
-    per class of _option_classes(start, n), with token (j, capped vector),
-    and the frozenset of the class masks.
-    """
-    found = _option_classes(start, n)
-    classes = tuple((count, (j, capped), mask) for (mask, capped), count in found.items())
-    return classes, frozenset(mask for mask, _ in found)
+    classes = tuple(
+        (count, done + (left,), mask | top if left else mask) for (done, mask, left), count in states.items()
+    )
+    return classes, frozenset(mask for _, _, mask in classes)
 
 
 @cache
@@ -231,15 +222,15 @@ def _display(names):
 
 @cache
 def _move(n):
-    """The search's move in n variables, move(state, U, token, mask) -> the child's filter state.
+    """The search's move in n variables, move(state, U, j, vec, mask) -> the child's filter state.
 
     state is a node's filter state (er, gen, late), U its set of still-empty
-    columns, token (j, vec) a picked vector (j only for n = 3, else None) and
-    mask vec's support (see _violating_search). Entry i of the child's er is
-    0 when column i+1 is nonzero in vec or still empty, else er[i-1] +
-    vec[i-1] capped at i + 1; gen adds vec[0] (for n = 3, column 1's degrees
-    and column 3's total); late is set when some column of U & mask has its
-    next column in U.
+    columns, vec a vector picked at degree j, a class's capped one or an
+    option's own, and mask vec's support (see _violating_search). Entry i of
+    the child's er is 0 when column i+1 is nonzero in vec or still empty,
+    else er[i-1] + vec[i-1] capped at i + 1; gen adds vec[0] (for n = 3,
+    column 1's degrees, the only use of j, and column 3's total); late is
+    set when some column of U & mask has its next column in U.
 
     Written out once per n as straight-line Python and compiled under the
     filename "<search move n=N>": the er entries and vec's entries are the
@@ -248,21 +239,20 @@ def _move(n):
     literals. The source holds nothing but indices derived from n.
     """
     er = _display(f"e{i}" for i in range(1, n)) if n > 1 else "_"
-    vec = _display(f"v{i}" for i in range(n))
     if n == 3:
         head = [
             f"    {er}, (degs, top), late = state",
-            f"    j, {vec} = token",
             "    if v0:",
             "        degs = degs + (j,) * v0 if degs is not None and len(degs) + v0 <= 4 else None",
             "    top += v2",
         ]
         gen = "(degs, top if top < 2 else 2)"
     else:
-        head = [f"    {er}, gen, late = state", f"    _, {vec} = token", "    gen += v0"]
+        head = [f"    {er}, gen, late = state", "    gen += v0"]
         gen = f"gen if gen < {n} else {n}"
     source = "\n".join([
-        "def move(state, U, token, mask):",
+        "def move(state, U, j, vec, mask):",
+        f"    {_display(f'v{i}' for i in range(n))} = vec",
         *head,
         "    return (",
         "        (",
@@ -303,12 +293,11 @@ def _violating_search(cols, lhs, cap, failures):
     is (column 1's degrees while there are at most four, else None, and
     column 3's total capped at 2); late is set once a column becomes
     nonzero while the next one is still empty, so its max shift is not
-    below the next one's. A move, _move(n)(state, U, token, mask), reads
-    a vector only through its entries capped at _entry_caps(n): token is
-    (None, vec) for a vector vec, a class's capped one or an option's own,
-    and (j, vec) for n = 3, since its gen reads the degree. The move is a
-    kernel generated once per n, cheaper to run than a memo of its results
-    is to key, so it has none.
+    below the next one's. A move, _move(n)(state, U, j, vec, mask), reads
+    a vector vec picked at degree j only through its entries capped at
+    _entry_caps(n), so a class's capped vector and each of its options give
+    the same child. The move is a kernel generated once per n, cheaper to
+    run than a memo of its results is to key, so it has none.
 
     A subtree depends only on its key (level, U, state, q), where
     q = (lhs - 1) // pinned: which children fit reads the pinned product
@@ -317,7 +306,7 @@ def _violating_search(cols, lhs, cap, failures):
     and tally gives each key's summary, (tree nodes, degenerate children,
     histogram dict of failed-filter tuples, survivors), a leaf's under the
     same key as an inner node's. Options with one capped vector (see
-    _option_classes) have one child key, so a summary adds up each class's
+    _level_classes) have one child key, so a summary adds up each class's
     child times its count, and the options themselves are never listed.
     This pass always runs to the root's summary; the cap only decides
     which searches stop.
@@ -332,8 +321,8 @@ def _violating_search(cols, lhs, cap, failures):
 
     Each level's classes (_level_classes) and best row (_best_row) are
     cached for the process. They are pure functions of small immutable
-    inputs: the degree's column vector, n, the degree (for the row's powers,
-    and for the tokens when n = 3), the class masks and the row below. They
+    inputs: the degree's column vector and n, and for the row also the
+    degree (for its powers), the class masks and the row below. They
     are returned as tuples and frozensets that no search mutates, so every
     search that meets the same degree vector, or the same levels below,
     shares them. What depends on lhs, the cap, the filters or the lex
@@ -348,18 +337,14 @@ def _violating_search(cols, lhs, cap, failures):
     degrees = sorted({j for col in cols[1:] for j in col}, reverse=True)
     depth = len(degrees)
     full = (1 << n) - 1
-    # Per level, (count, token, mask) for each class and the class masks;
-    # options(level) lists ((j, vec), token, mask) for each option, in option order.
-    levels = [
-        _level_classes(tuple(col.get(j, 0) for col in cols[1:]), n, j if n == 3 else None)
-        for j in degrees
-    ]
+    # Per level, (count, vec, mask) for each class and the class masks;
+    # options(level) lists (1, vec, mask) for each option, in option order.
+    levels = [_level_classes(tuple(col.get(j, 0) for col in cols[1:]), n) for j in degrees]
     classes = [found for found, _ in levels]
 
     @cache
     def options(level):
-        j = degrees[level]
-        return [((j, vec), (j if n == 3 else None, vec), mask) for vec, mask in _degree_options(cols, j)]
+        return [(1, vec, mask) for vec, mask in _degree_options(cols, degrees[level])]
 
     move = _move(n)
     powers = [[j ** k for k in range(n + 1)] for j in degrees]
@@ -370,17 +355,17 @@ def _violating_search(cols, lhs, cap, failures):
     @cache
     def children(level, U, q, in_order):
         # The children cut as degenerate, and those that fit under q, each
-        # (head, token, mask, U & ~mask, share), where head is a class's count,
-        # or with in_order an option's (j, vec), in option order. A child fits
-        # when pinned * share * below[rest] < lhs, that is share * below[rest] <= q.
+        # (count, vec, mask, U & ~mask, share), from the classes or with
+        # in_order the options, in option order. A child fits when
+        # pinned * share * below[rest] < lhs, that is share * below[rest] <= q.
         power, below = powers[level], best[level + 1]
         kept, cut = [], 0
-        for head, token, mask in options(level) if in_order else classes[level]:
+        for count, vec, mask in options(level) if in_order else classes[level]:
             rest, share = U & ~mask, power[(U & mask).bit_count()]
             if below[rest] == inf:
-                cut += 1 if in_order else head
+                cut += count
             elif share * below[rest] <= q:
-                kept.append((head, token, mask, rest, share))
+                kept.append((count, vec, mask, rest, share))
         return cut, kept
 
     @cache
@@ -390,10 +375,10 @@ def _violating_search(cols, lhs, cap, failures):
             failed = tuple(failures(state))
             return (1, 0, {failed: 1}, 0) if failed else (1, 0, {}, 1)
         cut, kept = children(level, U, q, False)
-        size, cuts, failed, passed = 1, cut, {}, 0
-        for count, token, mask, rest, share in kept:
+        size, cuts, failed, passed, j = 1, cut, {}, 0, degrees[level]
+        for count, vec, mask, rest, share in kept:
             child_size, child_cuts, child_failed, child_passed = tally(
-                level + 1, rest, move(state, U, token, mask), q // share
+                level + 1, rest, move(state, U, j, vec, mask), q // share
             )
             size += count * child_size
             cuts += count * child_cuts
@@ -414,16 +399,16 @@ def _violating_search(cols, lhs, cap, failures):
         if level == depth:
             _, _, failed, passed = tally(level, U, state, q)
             if passed:
-                survivors.append(_path_diagram(n, path))
+                survivors.append(_path_diagram(n, zip(degrees, path)))
             histogram.update(failed)
             return
         cut, kept = children(level, U, q, True)
         degenerate += cut
-        for pick, token, mask, rest, share in kept:
-            child = (level + 1, rest, move(state, U, token, mask), q // share)
+        for _, vec, mask, rest, share in kept:
+            child = (level + 1, rest, move(state, U, degrees[level], vec, mask), q // share)
             size, cuts, failed, passed = tally(*child)
             if passed or nodes + size > cap:
-                path[level] = pick
+                path[level] = vec
                 walk(*child)
                 if nodes > cap:
                     return

@@ -16,6 +16,7 @@ from multbound import (
     hilbert_from_diagram,
     is_pure,
     is_quasipure,
+    koszul_betti,
     lex_ideal,
     max_shifts,
     min_shifts,
@@ -212,6 +213,13 @@ def test_ek_betti_rejects_unstable_ideals():
     I = parse_ideal("a^2; b^2", 2)
     with pytest.raises(NotStableError):
         ek_betti(I)
+    # The unit ideal is stable, but its quotient is zero; the oracle once
+    # gave it beta_{0,0} = 1, where koszul_betti refuses it.
+    for text in ("1; a", "1"):
+        with pytest.raises(ValueError, match="^unit ideal has no quotient resolution$"):
+            ek_betti(parse_ideal(text, 2))
+        with pytest.raises(ValueError, match="^unit ideal has no quotient resolution$"):
+            koszul_betti(parse_ideal(text, 2))
 
 
 def test_greedy_stages_reference_pipeline():

@@ -357,6 +357,14 @@ def test_rank_mod_p():
     assert rank_mod_p([], 5) == 0
     assert rank_mod_p([[0]], 7) == 0
     assert rank_mod_p([[-1, 1], [1, -1]], 3) == 1
+    # Ragged rows and non-int entries were once read as far as the first row
+    # went ([[1], [2, 3]] had rank 1), or raised IndexError or TypeError.
+    for rows in ([[1], [2, 3]], [[1, 2], [3]], [[1, 2], []]):
+        with pytest.raises(ValueError, match="^rows must have one length"):
+            rank_mod_p(rows, 5)
+    for rows, bad in (([[1.5, 2]], "1.5"), ([[True, 0]], "True"), ([[1, 0], [0, "1"]], "'1'")):
+        with pytest.raises(ValueError, match=f"^entry must be an int, got {bad}$"):
+            rank_mod_p(rows, 5)
     for p in (1, 0, -3, 4, 32001):
         with pytest.raises(ValueError, match="must be prime"):
             rank_mod_p([[1]], p)

@@ -97,8 +97,18 @@ def test_monomial_and_ideal_constructors_reject_non_int_values():
             make()
     with pytest.raises(ValueError, match=r"^negative exponent in \(1, -1\)$"):
         Monomial((1, -1))
-    with pytest.raises(ValueError, match="^need at least one variable, got n=0$"):
-        MonomialIdeal(0, [])
+    for make, n in (
+        (lambda: MonomialIdeal(0, []), 0),
+        # The parsers once skipped this rule: parse_monomial("1", -2) was
+        # Monomial(()) and parse_ideal("a", 0) said "uses more than 0 variables".
+        (lambda: parse_monomial("1", -2), -2),
+        (lambda: parse_monomial("1", 0), 0),
+        (lambda: parse_monomial("a", -2), -2),
+        (lambda: parse_ideal("a", 0), 0),
+        (lambda: parse_ideal("1", -2), -2),
+    ):
+        with pytest.raises(ValueError, match=f"^need at least one variable, got n={n}$"):
+            make()
 
 
 def test_monomials_of_degree_descending_lex():

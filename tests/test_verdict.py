@@ -37,7 +37,6 @@ from multbound.verdict import (
     _greedy,
     _level_classes,
     _move,
-    _option_classes,
     _path_diagram,
     _violating_search,
 )
@@ -410,7 +409,7 @@ def move_inputs(draw):
 @example((3, ((0, 0), ((4, 4, 3), 0), False), 6, (3, (2, 0, 0)), 1))  # a fifth degree: gen's degrees become None
 def test_generated_move_equals_the_loop_form_move(inputs):
     n, state, U, token, mask = inputs
-    child = _move(n)(state, U, token, mask)
+    child = _move(n)(state, U, *token, mask)
     expected = reference_child_state(n, state, U, token, mask)
     # repr tells a bool late from an int one, and a tuple from a list.
     assert child == expected and repr(child) == repr(expected)
@@ -541,7 +540,12 @@ def test_entry_caps():
 @example([40, 31, 27, 35, 12])  # n = 5, every entry far above its cap
 def test_option_classes_count_the_options_by_support_and_capped_entries(start):
     n, start = len(start), tuple(start)
-    assert _option_classes(start, n) == _option_counter(start, n)
+    assert _class_counter(start, n) == _option_counter(start, n)
+
+
+def _class_counter(start, n):
+    """_level_classes's classes at one degree as a Counter by (support mask, capped vector)."""
+    return Counter({(mask, capped): count for count, capped, mask in _level_classes(start, n)[0]})
 
 
 def _option_counter(start, n):
@@ -562,7 +566,7 @@ def test_option_classes_on_the_degree_vectors_of_real_exceptions(n, socle_max, p
         cols = lex_columns(vals, n)
         for j in sorted({j for col in cols[1:] for j in col}):
             start = tuple(col.get(j, 0) for col in cols[1:])
-            assert _option_classes(start, n) == _option_counter(start, n), (vals, j)
+            assert _class_counter(start, n) == _option_counter(start, n), (vals, j)
 
 
 SETUP_FAMILIES = [(3, 7, (1, 3)), (4, 5, (1, 4)), (5, 3, (1, 5))]
@@ -577,10 +581,7 @@ def _cached_setup(cols):
     # triples and masks, and the best rows down to the base row.
     n = len(cols) - 1
     degrees = sorted({j for col in cols[1:] for j in col}, reverse=True)
-    levels = [
-        _level_classes(tuple(col.get(j, 0) for col in cols[1:]), n, j if n == 3 else None)
-        for j in degrees
-    ]
+    levels = [_level_classes(tuple(col.get(j, 0) for col in cols[1:]), n) for j in degrees]
     best = [(1,) + (inf,) * ((1 << n) - 1)]
     for j, (_, masks) in zip(reversed(degrees), reversed(levels)):
         best.insert(0, _best_row(n, j, masks, best[0]))
@@ -603,6 +604,13 @@ def test_the_setup_caches_never_change_a_classification(n, socle_max, prefix):
     _level_classes.cache_clear()
     _best_row.cache_clear()
     assert [classify(vals, n).to_record() for vals in exceptions] == forward
+    # A degree's classes depend on its column vector and n only: one entry per vector.
+    vectors = {
+        tuple(col.get(j, 0) for col in cols[1:])
+        for cols in map(lex_columns, exceptions, [n] * len(exceptions))
+        for j in {j for col in cols[1:] for j in col}
+    }
+    assert _level_classes.cache_info().currsize == len(vectors) == {3: 79, 4: 112, 5: 14}[n]
     # The shared values are immutable, so no search can change another's.
     for vals in exceptions:
         _, levels, best = _cached_setup(lex_columns(vals, n))
@@ -622,9 +630,8 @@ def test_cached_best_rows_equal_the_rows_built_from_the_options(n, socle_max, pr
         # Each level's classes are its options, counted by support and capped entries.
         for j, (classes, masks) in zip(degrees, levels):
             start = tuple(col.get(j, 0) for col in cols[1:])
-            assert Counter({(mask, capped): count for count, (_, capped), mask in classes}) == _option_counter(start, n)
+            assert Counter({(mask, capped): count for count, capped, mask in classes}) == _option_counter(start, n)
             assert masks == {mask for _, mask in _degree_options(cols, j)}
-            assert {token[0] for _, token, _ in classes} == {j if n == 3 else None}
 
 
 def test_a_search_without_survivors_or_cap_hit_never_lists_the_options(monkeypatch):
