@@ -167,11 +167,14 @@ def _greedy_step(n):
     s..s+n are new. It returns the blocks and maxima of vals's extensions,
     the max shifts of vals (0 for a column the greedy diagram leaves empty),
     and the largest value H(s+1) may take after vals. leaves(vals, blocks,
-    row), given the blocks step returned for vals and the block row of
-    vals's extensions (below), lists the runs [first, last, vector] of
-    vals + (v,), 1 <= v <= last, the row's last value: maximal ranges of v
-    with one vector of max shifts over the degrees past vals's, 0 for a
-    column with none there; vals's extension maxima fill the zeros.
+    row, shared), given the blocks step returned for vals and the block row
+    of vals's extensions (below), returns vals's leaf family (runs, lo0,
+    ..., lo{n-1}). runs lists the (first, last, vector) of vals + (v,),
+    1 <= v <= last, the row's last value: maximal ranges of v with one
+    vector of max shifts over the degrees past vals's, 0 for a column with
+    none there; vals's extension maxima fill the zeros. lo is the runs'
+    componentwise least vector. The vectors and the family are the copies
+    held in the dict shared, so equal ones are stored once.
 
     walk(stack, socle_max, chunk_size, budget) is the scan walk. It
     generates the chunks (count, bound_holds, exception value tuples, last
@@ -200,10 +203,27 @@ def _greedy_step(n):
     row slice of their range, and leaves walks its leaf parent's row at
     (s+1, v).
 
-    A leaf parent's leaves take their runs and lo, the runs' least vector,
-    from a per-walk cache keyed flat on (v, w1, ..., w{n-1}), its value and
-    outgoing blocks; leaves is called, and vals + (v,) built, only on a
-    miss. A new shift is 0 or lies above every extension maximum, so
+    A leaf parent of socle degree s is first settled from a lower bound on
+    shift products, before the chains of degrees s+1..s+n. After the chain
+    of degree s, y0..y{n-1} hold its extension maxima, the max shifts over
+    degrees <= s, and every function below it shares them, since those
+    degrees depend only on H(0..s). A function of socle degree S has a last
+    max shift of exactly S + n: its lex ideal has the minimal generator
+    x_n^(S+1), whose Eliahou-Kervaire entry beta_{n,S+n} nothing cancels,
+    as no generator has degree S+2 (Eliahou and Kervaire, J. Algebra 129,
+    1990). With Y = y0 * ... * y{n-2}, the leaf parent's shift product is
+    at least Y * (s+n) and each leaf's at least Y * (s+n+1). So when
+    n! * e(parent) <= Y * (s+n) and n! * (e(parent) + top) <= Y * (s+n+1),
+    top being the family's size, the leaf parent and all its leaves hold,
+    and when no chunk ends among them they are counted at once. Otherwise
+    the chains run and the leaf parent is checked alone; then, if the
+    leaves' inequality holds and no chunk ends among them, the family is
+    counted without its runs.
+
+    Any other leaf parent's leaves take their runs and lo from a per-walk
+    cache keyed flat on (v, w1, ..., w{n-1}), its value and outgoing
+    blocks; leaves is called, and vals + (v,) built, only on a miss. A new
+    shift is 0 or lies above every extension maximum, so
     max(new, maximum) is `new or maximum`. In a run the shift product P is
     fixed while n! * e grows with v, so the bound holds exactly for
     v <= P // n! - e(parent). lo in place of each run's vector gives a
@@ -224,6 +244,7 @@ def _greedy_step(n):
     carried = _display(f"w{k}" for k in range(n - 1))
     outgoing = _display(f"w{k}" for k in range(1, n))
     shifts = _display(f"r{i}" for i in range(n))
+    lows = [f"lo{i}" for i in range(n)]
     product = " * ".join(f"r{i}" for i in range(n))
     window = "w{}[{}]".format
     # Block k (k < n-1) is read from entry n-1-k on, starting at degree s.
@@ -264,23 +285,25 @@ def _greedy_step(n):
         # H(s) is a generator, and Macaulay's growth bound counts exactly those.
         f"    return {outgoing}, extension, {shifts}, w{n}[0]",
         "",
-        "def leaves(vals, blocks, row):",
+        "def leaves(vals, blocks, row, shared):",
         "    s = len(vals)",
         f"    {carried} = blocks",
         *(f"    {name} = {window(k, i)}" for (k, i), name in fixed.items()),
         "    runs = []",
-        "    last_new = None",
+        "    vec = None",
+        f"    {_display(lows)} = {_display(['inf'] * n)}",
         f"    for v, w{n - 1}, w{n} in row:",
         f"        {shifts} = {_display(['0'] * n)}",
         *chains(range(n + 1), hoisted, "        "),
         f"        new = {shifts}",
-        "        if new == last_new:",
-        "            run[1] = v",
-        "        else:",
-        "            run = [v, v, new]",
-        "            runs.append(run)",
-        "            last_new = new",
-        "    return runs",
+        "        if new != vec:",
+        "            if vec is not None:",
+        "                runs.append((first, v - 1, vec))",
+        "            first, vec = v, shared.setdefault(new, new)",
+        *(line for i in range(n) for line in [f"            if r{i} < lo{i}:", f"                lo{i} = r{i}"]),
+        "    runs.append((first, v, vec))",
+        f"    family = (tuple(runs), {', '.join(lows)})",
+        "    return shared.setdefault(family, family)",
         "",
         "def walk(stack, socle_max, chunk_size, budget):",
         "    size = room = min(chunk_size, budget)  # the current chunk's size and what it can still take",
@@ -341,23 +364,32 @@ def _greedy_step(n):
         f"        {carried} = blocks",
         f"        {_display(f'x{i}' for i in range(n))} = maxima",
         *(f"        {name} = {window(k, i)}" for (k, i), name in fixed.items()),
+        f"        tail = s + {n}  # the leaf parents' last shift; their leaves' is tail + 1",
         f"        for v, w{n - 1}, w{n} in row(s, vals[-1] if s else 0, first, last):",
         f"            {shifts} = {_display(f'x{i}' for i in range(n))}",
         *chains([0], hoisted, "            "),
         f"            {_display(f'y{i}' for i in range(n))} = {shifts}",
-        *chains(range(1, n + 1), hoisted, "            "),
         "            ev = e + v",
-        *bound_check("            ", "ev"),
         f"            top = w{n}[0]  # the leaf family's size",
+        f"            low = {' * '.join(f'y{i}' for i in range(n - 1)) or '1'}",
+        "            family_holds = n_factorial * (ev + top) <= low * (tail + 1)",
+        "            if family_holds and top + 1 < room and n_factorial * ev <= low * tail:",
+        "                # The leaf parent and its family hold by the lower bound, inside the chunk.",
+        "                holds += top + 1",
+        "                room -= top + 1",
+        "                continue",
+        *chains(range(1, n + 1), hoisted, "            "),
+        *bound_check("            ", "ev"),
+        "            if family_holds and top < room:",
+        "                holds += top",
+        "                room -= top",
+        "                continue",
         f"            key = {_display(['v', *(f'w{k}' for k in range(1, n))])}",
         "            family = families.get(key)",
         "            if family is None:",
-        "                found = leaves(vals + (v,), key[1:], row(s + 1, v, 1, top))",
-        "                runs = tuple((a, b, shared.setdefault(new, new)) for a, b, new in found)",
-        "                family = (runs, *map(min, zip(*(new for _, _, new in runs))))",
-        "                family = families[key] = shared.setdefault(family, family)",
-        f"            runs, {', '.join(f'lo{i}' for i in range(n))} = family",
-        f"            if top < room and {threshold(f'lo{i}' for i in range(n))} >= top:",
+        "                family = families[key] = leaves(vals + (v,), key[1:], row(s + 1, v, 1, top), shared)",
+        f"            runs, {', '.join(lows)} = family",
+        f"            if top < room and {threshold(lows)} >= top:",
         "                # The common case: the whole family holds and leaves the chunk room.",
         "                holds += top",
         "                room -= top",
@@ -370,7 +402,9 @@ def _greedy_step(n):
         "    if room < size:",
         "        return size - room, holds, exceptions",
     ])
-    namespace = {"block": _lex_column_block, "growth": _growth_bound, "zero": (0,) * n, "n_factorial": factorial(n)}
+    namespace = {
+        "block": _lex_column_block, "growth": _growth_bound, "zero": (0,) * n, "n_factorial": factorial(n), "inf": inf,
+    }
     exec(compile(source, f"<greedy step n={n}>", "exec"), namespace)
     return namespace["step"], namespace["leaves"], namespace["walk"]
 

@@ -320,6 +320,12 @@ SCAN_N4_FAMILY = (4, 5, (1, 4, 10, 16, 20))
 GRANDPARENT_START = (3, 5, (1, 3, 6, 8))
 
 
+# In n=3, prefix 1,3,6, socle degree at most 6 (3,046 functions), the leaf
+# parent 1,3,6,4,5,5 (function 85) and its 5 leaves hold by the walk's lower
+# bound: chunks of 91 end at its last leaf, and chunks of 88 after its second.
+BOUND_FAMILY = (3, 6, (1, 3, 6))
+
+
 # In n=2, the family of 1,2,3,2 has two runs, (0, 6) at v=1 and (5, 6) at
 # v=2, and extension maxima (3, 0): both leaves hold, but the runs' least
 # vector (0, 6), filled to (3, 6), bounds only v <= 1.
@@ -339,6 +345,9 @@ LO_FAILS_FAMILY = (2, 4, (1, 2, 3, 2))
 @example(SPLIT_FAMILY, 1, None, 140)  # one-function chunks from inside the family
 @example(LO_FAILS_FAMILY, 64, None, None)  # every leaf holds, but not by the least vector
 @example((3, 5, (1, 3)), 100, None, None)  # whole-holding families straddle chunk ends
+@example(BOUND_FAMILY, 91, None, None)  # the bound holds, but the family fills the chunk: top + 1 == room
+@example(BOUND_FAMILY, 88, None, None)  # a chunk ends inside a family the bound holds for
+@example((3, 5, (1, 3, 6, 10)), 64, None, None)  # no generator below degree 4: Y = 0 at every leaf parent
 @example(SCAN_N4_FAMILY, 64, None, None)  # the start is a leaf parent
 @example(GRANDPARENT_START, 64, None, None)  # the start walks its leaf parents in its frame
 @example(GRANDPARENT_START, 11, 31, None)  # chunk 1 ends at function 10, the limit at 30: leaf parents
@@ -376,12 +385,41 @@ def test_chunks_in_six_and_seven_variables_equal_per_function_chunks(family, cur
     assert list(_chunks(*family, 5, cursor=cursor)) == _reference_chunks(*family, 5, None, cursor)
 
 
+@settings(max_examples=40, deadline=None)
+@given(families({1: 6, 2: 4, 3: 2, 4: 1, 5: 1, 6: 1, 7: 1}, max_prefix=3))
+@example((6, 3, (1, 6)))
+@example((7, 3, (1, 7, 28)))
+def test_every_greedy_diagram_ends_at_its_socle_degree_plus_n(family):
+    # The walk's lower bound rests on this: x_n^(S+1) is a minimal generator of the
+    # lex ideal of a function of socle degree S, and beta_{n,S+n} never cancels.
+    n, socle_max, prefix = family
+    for vals in _enumerate_value_tuples(n, socle_max, prefix):
+        assert _greedy(vals, n)[2][-1] == len(vals) - 1 + n, vals
+
+
+def test_walk_calls_leaves_only_for_the_leaf_parents_the_bound_leaves_open(monkeypatch):
+    # 2,850 and 8,924 calls when every leaf parent ran its chains and looked up its family.
+    for family, expected in [((3, 8, (1, 3)), 2185), ((4, 6, (1, 4)), 8279)]:
+        _, leaves, walk = _greedy_step(family[0])
+        calls = []
+        monkeypatch.setitem(walk.__globals__, "leaves", lambda *args: calls.append(args) or leaves(*args))
+        list(_chunks(*family, scanner.DEFAULT_CHUNK_SIZE))
+        assert len(calls) == expected
+
+
+def test_two_variable_scans_count_every_function_and_all_hold():
+    for socle_max in range(1, 15):
+        report = scan(2, socle_max, (1, 2))
+        assert report.counts["scanned"] == report.counts["bound_holds"] == 2 ** (socle_max + 1) - socle_max - 2
+        assert report.exceptions == [] and report.status == "COMPLETE"
+
+
 def test_lo_fails_family_example_holds_everywhere_but_not_by_its_least_vector():
     n, socle_max, parent = LO_FAILS_FAMILY
     blocks, maxima, _, bound = walk_state(n, parent)
     _, leaves, _ = _greedy_step(n)
     assert (maxima, bound) == ((3, 0), 2)
-    assert leaves(parent, blocks, block_row(n, parent, bound)) == [[1, 1, (0, 6)], [2, 2, (5, 6)]]
+    assert leaves(parent, blocks, block_row(n, parent, bound), {}) == (((1, 1, (0, 6)), (2, 2, (5, 6))), 0, 6)
     assert 2 * (sum(parent) + 1) <= 3 * 6 and 2 * (sum(parent) + 2) <= 5 * 6
     assert 3 * 6 // 2 - sum(parent) < bound
 
@@ -435,7 +473,8 @@ def test_split_family_example_splits_a_family_inside_a_run_with_exceptions():
     blocks, maxima, _, bound = walk_state(n, parent)
     _, leaves, _ = _greedy_step(n)
     row = block_row(n, parent, bound)
-    runs = [(first, last, tuple(map(max, new, maxima))) for first, last, new in leaves(parent, blocks, row)]
+    runs, *_ = leaves(parent, blocks, row, {})
+    runs = [(first, last, tuple(map(max, new, maxima))) for first, last, new in runs]
     assert (10, 11, (5, 8, 9)) in runs
     # The parent and its 18 leaves, of which only v = 11 breaks the bound.
     assert list(_chunks(n, socle_max, parent, 64)) == [(19, 18, [parent + (11,)], parent + (18,))]

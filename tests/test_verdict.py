@@ -770,7 +770,9 @@ def test_greedy_step_and_leaf_family_loop_give_the_greedy_max_shifts(family):
         assert shifts == _greedy(vals, n)[2], vals
         if len(vals) > socle_max:
             continue
-        runs = leaves(vals, blocks, block_row(n, vals, bound))
+        runs, *lo = leaves(vals, blocks, block_row(n, vals, bound), {})
+        # lo is the runs' componentwise least vector.
+        assert lo == [min(column) for column in zip(*(new for _, _, new in runs))], (vals, runs)
         # Maximal runs that cover 1..bound in order.
         assert [run[0] for run in runs] == [1] + [run[1] + 1 for run in runs[:-1]], (vals, runs)
         assert runs[-1][1] == bound and all(a[2] != b[2] for a, b in zip(runs, runs[1:])), (vals, runs)
