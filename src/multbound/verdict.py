@@ -53,11 +53,11 @@ class BoundVerdict:
 def _checked_shifts(e, shifts, c):
     """shifts as a tuple, for a bound verdict in codimension c.
 
-    Raises ValueError unless e, c and the shifts are ints (not bools) and
-    there are c shifts, each at least 1.
+    Raises ValueError unless e, c and the shifts are ints (not bools), e
+    and c are at least 1 and there are c shifts, each at least 1.
     """
-    _check_int("e", e)
-    _check_int("c", c)
+    _check_int("e", e, 1)
+    _check_int("c", c, 1)
     shifts = _check_ints("shift", shifts)
     if len(shifts) != c or any(s < 1 for s in shifts):
         raise ValueError(f"need {c} positive shifts, got {shifts}")
@@ -118,7 +118,8 @@ def _level_classes(start, n):
     The classes count _degree_options's vectors by support and entries
     capped at _entry_caps(n), which is all a search reads of them, so they
     depend on start and n only. Returns a tuple of (count, capped vector,
-    support mask), one per class, and the frozenset of the class masks.
+    support mask), one per class, the frozenset of the class masks and the
+    number of options, the classes' counts added up.
 
     A DP over the pairs counts the cancellation profiles without listing
     them. Its state is the capped entries of the columns already settled,
@@ -156,7 +157,7 @@ def _level_classes(start, n):
     classes = tuple(
         (count, done + (left,), mask | top if left else mask) for (done, mask, left), count in states.items()
     )
-    return classes, frozenset(mask for _, _, mask in classes)
+    return classes, frozenset(mask for _, _, mask in classes), sum(count for count, _, _ in classes)
 
 
 @cache
@@ -303,13 +304,19 @@ def _violating_search(cols, lhs, cap, failures):
     q = (lhs - 1) // pinned: which children fit reads the pinned product
     only through q, and a child's q is q // share. So children(level, U,
     q, in_order) gives the degenerate cut and only the children that fit,
-    and tally gives each key's summary, (tree nodes, degenerate children,
-    histogram dict of failed-filter tuples, survivors), a leaf's under the
-    same key as an inner node's. Options with one capped vector (see
-    _level_classes) have one child key, so a summary adds up each class's
-    child times its count, and the options themselves are never listed.
-    This pass always runs to the root's summary; the cap only decides
-    which searches stop.
+    and tally gives each key's summary, a leaf's under the same key as an
+    inner node's. A summary is one int of lanes width bits wide, as in
+    koszul._resolution: lane 0 counts tree nodes, lane 1 degenerate
+    children, lane 2 survivors, and each lane from 3 on the leaves of one
+    failed-filter tuple, assigned in the order the leaves meet them. A
+    leaf is 1 | 1 << its lane's shift. Options with one capped vector (see _level_classes) have
+    one child key, so a summary is 1 plus the cut in lane 1 plus each
+    class's count times its child's summary, and the options themselves
+    are never listed. No lane carries into the next: every lane of every
+    summary is at most the product of K_L + 1 over the levels, K_L the
+    number of options at level L, since a subtree has no more nodes, leaves
+    or cut children than that. This pass always runs to the root's
+    summary; the cap only decides which searches stop.
     A tree of more than cap nodes stops the search: it reports the first
     cap nodes in preorder and the degenerate children and leaves among
     them, and counts node cap + 1 without reading it. The survivors, leaves
@@ -317,7 +324,10 @@ def _violating_search(cols, lhs, cap, failures):
     cap nodes or has survivors, one descent in option order reads them off
     the summaries: it takes a child's summary whole when the child fits in
     the cap and holds no survivor, enters it otherwise, and builds each
-    survivor where it reaches it.
+    survivor where it reaches it. It reads only a child's node and
+    survivor lanes; it adds each summary it takes whole, each leaf's less
+    its node, and each cut it makes into one int, whose degenerate and
+    failed-filter lanes are read once, when the search returns.
 
     Each level's classes (_level_classes) and best row (_best_row) are
     cached for the process. They are pure functions of small immutable
@@ -326,9 +336,9 @@ def _violating_search(cols, lhs, cap, failures):
     are returned as tuples and frozensets that no search mutates, so every
     search that meets the same degree vector, or the same levels below,
     shares them. What depends on lhs, the cap, the filters or the lex
-    columns as a whole belongs to the call: the descent, the survivors and
-    three functools.cache closures, options, children and tally, freed
-    when the search returns.
+    columns as a whole belongs to the call: the lanes, the descent, the
+    survivors and three functools.cache closures, options, children and
+    tally, freed when the search returns.
     Returns nodes (at most cap + 1), degenerate (children cut because some
     column can no longer become nonzero), whether the cap stopped the
     search, the histogram (a Counter) and the survivors.
@@ -337,10 +347,17 @@ def _violating_search(cols, lhs, cap, failures):
     degrees = sorted({j for col in cols[1:] for j in col}, reverse=True)
     depth = len(degrees)
     full = (1 << n) - 1
-    # Per level, (count, vec, mask) for each class and the class masks;
-    # options(level) lists (1, vec, mask) for each option, in option order.
+    # Per level, (count, vec, mask) for each class, the class masks and the
+    # number of options; options(level) lists (1, vec, mask) for each
+    # option, in option order.
     levels = [_level_classes(tuple(col.get(j, 0) for col in cols[1:]), n) for j in degrees]
-    classes = [found for found, _ in levels]
+    classes = [found for found, _, _ in levels]
+    # Lanes width bits wide hold every count (see above); lane masks one
+    # lane, and alive is the shift of the survivor lane.
+    width = prod(total + 1 for _, _, total in levels).bit_length()
+    lane, alive = (1 << width) - 1, 2 * width
+    # The shift of each failed-filter tuple's lane, from 3 * width on.
+    failed_lanes = {}
 
     @cache
     def options(level):
@@ -373,65 +390,65 @@ def _violating_search(cols, lhs, cap, failures):
         # The subtree's summary, adding up each class's child times its count.
         if level == depth:
             failed = tuple(failures(state))
-            return (1, 0, {failed: 1}, 0) if failed else (1, 0, {}, 1)
+            if not failed:
+                return 1 | 1 << alive
+            shift = failed_lanes.get(failed)
+            if shift is None:
+                shift = failed_lanes[failed] = (3 + len(failed_lanes)) * width
+            return 1 | 1 << shift
         cut, kept = children(level, U, q, False)
-        size, cuts, failed, passed, j = 1, cut, {}, 0, degrees[level]
+        summary, j = 1 | cut << width, degrees[level]
         for count, vec, mask, rest, share in kept:
-            child_size, child_cuts, child_failed, child_passed = tally(
-                level + 1, rest, move(state, U, j, vec, mask), q // share
-            )
-            size += count * child_size
-            cuts += count * child_cuts
-            for key, times in child_failed.items():
-                failed[key] = failed.get(key, 0) + count * times
-            passed += count * child_passed
-        return size, cuts, failed, passed
+            summary += count * tally(level + 1, rest, move(state, U, j, vec, mask), q // share)
+        return summary
 
     path = [None] * depth
     survivors = []
 
     def walk(level, U, state, q):
-        # The subtree in option order, up to node cap + 1.
-        nonlocal nodes, degenerate
+        # The subtree in option order, up to node cap + 1. Its cuts, its
+        # leaves less their nodes and the subtrees it takes whole go into summary.
+        nonlocal nodes, summary
         nodes += 1
         if nodes > cap:
             return
         if level == depth:
-            _, _, failed, passed = tally(level, U, state, q)
-            if passed:
+            leaf = tally(level, U, state, q)
+            if leaf >> alive & lane:
                 survivors.append(_path_diagram(n, zip(degrees, path)))
-            histogram.update(failed)
+            summary += leaf - 1
             return
         cut, kept = children(level, U, q, True)
-        degenerate += cut
+        summary += cut << width
         for _, vec, mask, rest, share in kept:
             child = (level + 1, rest, move(state, U, degrees[level], vec, mask), q // share)
-            size, cuts, failed, passed = tally(*child)
-            if passed or nodes + size > cap:
+            subtree = tally(*child)
+            size = subtree & lane
+            if subtree >> alive & lane or nodes + size > cap:
                 path[level] = vec
                 walk(*child)
                 if nodes > cap:
                     return
             else:
                 nodes += size
-                degenerate += cuts
-                histogram.update(failed)
+                summary += subtree
 
     root = (full, ((0,) * (n - 1), ((), 0) if n == 3 else 0, False), lhs - 1)
-    nodes, degenerate, histogram, alive = tally(0, *root)
+    summary = tally(0, *root)
+    nodes = summary & lane
     cap_exceeded = nodes > cap
-    if cap_exceeded or alive:
-        nodes = degenerate = 0
-        histogram = Counter()
+    if cap_exceeded or summary >> alive & lane:
+        nodes = summary = 0
         walk(0, *root)
     # Both closures are cycles through their own cells; break them so that
     # the search's tables go with its frame, not at the next cyclic collection.
     tally = walk = None
+    histogram = Counter({failed: summary >> shift & lane for failed, shift in failed_lanes.items()})
     return {
         "nodes": nodes,
-        "degenerate": degenerate,
+        "degenerate": summary >> width & lane,
         "cap_exceeded": cap_exceeded,
-        "histogram": Counter(histogram),
+        "histogram": +histogram,
         "survivors": survivors,
     }
 

@@ -817,6 +817,20 @@ def test_classify_and_hilbert_functions_reject_non_int_values():
             make()
 
 
+def test_bound_verdicts_reject_a_codimension_or_multiplicity_below_1():
+    # Each once gave a verdict: upper_bound_holds(5, (), 0) said FAILS (5 > 1),
+    # and upper_bound_holds(-5, (2,), 1) said HOLDS.
+    for bound in (verdict.upper_bound_holds, verdict.lower_bound_holds):
+        for args, name, value in (
+            ((5, (), 0), "c", 0),
+            ((5, (), -1), "c", -1),
+            ((0, (2,), 1), "e", 0),
+            ((-5, (2,), 1), "e", -5),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
+                bound(*args)
+
+
 def test_scan_runs_in_one_process_and_rejects_any_other_jobs_before_writing_a_checkpoint(tmp_path):
     log = tmp_path / "scan.log"
     for jobs in (2, 0, -1):

@@ -458,6 +458,29 @@ def test_lex_searches_in_at_most_three_variables_cut_no_degenerate_child(family)
     assert res["degenerate"] == 0 and not res["cap_exceeded"], (n, vals)
 
 
+@pytest.mark.parametrize("n, H, leaves", [
+    (4, (1, 4, 10, 20, 35, 56, 84, 120, 165, 220, 200, 150, 90, 30), 227_539_750_112_880_605_769_600),
+    (5, (1, 5, 15, 35, 70, 126, 150, 100, 40), 8_867_037_024_882_207_518_911_200),
+    (6, (1, 6, 21, 56, 126, 100, 40), 138_770_840_281_090_425_408_000),
+])
+def test_summary_lanes_hold_counts_past_2_to_the_64(n, H, leaves):
+    # An lhs above every product enters every child, so the tree is the
+    # full product of the levels' options: sum over d of prod_{L < d} K_L
+    # nodes and prod_L K_L leaves, K_L the number of options at level L.
+    # Splitting the leaves on late fills two failed-filter lanes, each at
+    # far more than 64 bits.
+    cols = lex_columns(H, n)
+    degrees = sorted({j for col in cols[1:] for j in col}, reverse=True)
+    K = [sum(count for count, _, _ in _level_classes(tuple(col.get(j, 0) for col in cols[1:]), n)[0]) for j in degrees]
+    res = _violating_search(cols, 10 ** 60, 10 ** 60, lambda state: ("growth",) if state[2] else ("er",))
+    assert prod(K) == leaves > 2 ** 64
+    assert res["nodes"] == sum(prod(K[:d]) for d in range(len(K) + 1))
+    assert res["histogram"].total() == prod(K)
+    assert set(res["histogram"]) == {("er",), ("growth",)}
+    assert min(res["histogram"].values()) > 2 ** 64
+    assert res["degenerate"] == 0 and not res["cap_exceeded"] and res["survivors"] == []
+
+
 def test_a_seven_variable_lex_search_cuts_degenerate_children_as_the_tree_walk():
     # 1,7,8,4 is the first lex search seen with degenerate children; the
     # four-variable ones below have them too. The cut must count as the tree
@@ -583,7 +606,7 @@ def _cached_setup(cols):
     degrees = sorted({j for col in cols[1:] for j in col}, reverse=True)
     levels = [_level_classes(tuple(col.get(j, 0) for col in cols[1:]), n) for j in degrees]
     best = [(1,) + (inf,) * ((1 << n) - 1)]
-    for j, (_, masks) in zip(reversed(degrees), reversed(levels)):
+    for j, (_, masks, _) in zip(reversed(degrees), reversed(levels)):
         best.insert(0, _best_row(n, j, masks, best[0]))
     return degrees, levels, best
 
@@ -614,7 +637,7 @@ def test_the_setup_caches_never_change_a_classification(n, socle_max, prefix):
     # The shared values are immutable, so no search can change another's.
     for vals in exceptions:
         _, levels, best = _cached_setup(lex_columns(vals, n))
-        for classes, masks in levels:
+        for classes, masks, _ in levels:
             assert type(classes) is tuple and type(masks) is frozenset
             assert all(type(triple) is tuple and type(triple[1]) is tuple for triple in classes)
         assert all(type(row) is tuple for row in best)
@@ -628,10 +651,11 @@ def test_cached_best_rows_equal_the_rows_built_from_the_options(n, socle_max, pr
         reference = option_best(n, degrees, [_degree_options(cols, j) for j in degrees])
         assert best == [tuple(row) for row in reference], vals
         # Each level's classes are its options, counted by support and capped entries.
-        for j, (classes, masks) in zip(degrees, levels):
+        for j, (classes, masks, total) in zip(degrees, levels):
             start = tuple(col.get(j, 0) for col in cols[1:])
             assert Counter({(mask, capped): count for count, capped, mask in classes}) == _option_counter(start, n)
             assert masks == {mask for _, mask in _degree_options(cols, j)}
+            assert total == len(_degree_options(cols, j))
 
 
 def test_a_search_without_survivors_or_cap_hit_never_lists_the_options(monkeypatch):
